@@ -15,8 +15,6 @@
 #                       caching; the benchmark pins its own scale)
 #   make bench-workers- worker-process scaling (fleet at workers={0,2,4};
 #                       skips below 4 cores; the benchmark pins its own scale)
-#   make bench-shell  - shell-assembly + voxelize-compose microbench vs the
-#                       per-tile oracle (the benchmark pins its own scale)
 #   make bench-compare BASE=a.json CAND=b.json
 #                     - diff two bench-* --json payloads; exits 1 on a >10%
 #                       throughput regression (scripts/bench_compare.py)
@@ -27,7 +25,7 @@ SMOKE_SCALE ?= 0.1
 
 export PYTHONPATH
 
-.PHONY: test test-fast bench bench-smoke engine-bench bench-cluster bench-stream bench-fleet bench-workers bench-shell bench-compare
+.PHONY: test test-fast bench bench-smoke engine-bench bench-cluster bench-stream bench-fleet bench-workers bench-compare
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -62,9 +60,6 @@ bench-fleet:
 
 bench-workers:
 	$(PYTHON) -m pytest benchmarks/test_worker_scaling.py -q -rs
-
-bench-shell:
-	$(PYTHON) -m pytest benchmarks/test_shell_assembly.py -q
 
 bench-compare:
 	$(PYTHON) scripts/bench_compare.py $(BASE) $(CAND)

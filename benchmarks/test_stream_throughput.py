@@ -1,13 +1,13 @@
 """Streaming throughput microbench: warm streaming vs cold per-frame.
 
-The acceptance claim of the streaming PR: on an overlapping synthetic
-LiDAR sequence, a single-pass :class:`~repro.stream.StreamSession` —
-tile-granular incremental map reuse + geometry-only trace construction +
-resident weights — must clear >= 3x the throughput of the cold per-frame
-baseline (:func:`repro.engine.run_cold` per frame: fresh functional
-simulation, no caches — exactly what serving this stream looked like
-before the subsystem existed), while every frame's report stays
-bit-identical to that baseline.
+The acceptance claim of the streaming subsystem: on an overlapping
+synthetic LiDAR sequence, a single-pass :class:`~repro.stream.StreamSession`
+— geometry-only trace construction, content-addressed map caches, the
+backend's record memo and resident weights — must clear >= 3x the
+throughput of the cold per-frame baseline (:func:`repro.engine.run_cold`
+per frame: fresh functional simulation, no caches — exactly what serving
+this stream looked like before the subsystem existed), while every
+frame's report stays bit-identical to that baseline.
 
 Unlike the engine/cluster benches there is no warm-up pass: the session
 starts cold and earns its reuse *within* the stream, frame over frame —
@@ -18,20 +18,12 @@ golden store).
 
 import time
 
-from repro.engine import SimRequest, SimulationEngine, run_cold
+from repro.engine import SimRequest, run_cold
 from repro.experiments.common import ExperimentResult
-from repro.nn.models.registry import get_benchmark
-from repro.pointcloud.coords import voxelize
 from repro.stream import FrameSequence, SequenceConfig, StreamSession
-from repro.stream.incremental import PerTileOracle
-from repro.stream.pipeline import streaming_map_cache
-from repro.stream.tiles import TilePartition
 
 N_FRAMES = 8
 SPEEDUP_FLOOR = 3.0
-STEADY_HIT_RATE_FLOOR = 0.2
-BATCHED_SPEEDUP_FLOOR = 1.5
-SMALL_TILE_POINTS_CEILING = 100
 
 
 def test_warm_streaming_vs_cold_per_frame(scale):
@@ -61,144 +53,47 @@ def test_warm_streaming_vs_cold_per_frame(scale):
             f"streaming changed the report of frame {w.index}"
         )
 
-    tiles = session.tile_cache.stats().snapshot()
     speedup = cold_s / warm_s
     rows = [
-        ["cold per-frame", f"{cold_s * 1e3:.0f}", f"{N_FRAMES / cold_s:.2f}",
-         "-"],
-        ["warm streaming", f"{warm_s * 1e3:.0f}", f"{N_FRAMES / warm_s:.2f}",
-         f"{tiles['tile_hits']}/{tiles['tile_lookups']}"],
+        ["cold per-frame", f"{cold_s * 1e3:.0f}", f"{N_FRAMES / cold_s:.2f}"],
+        ["warm streaming", f"{warm_s * 1e3:.0f}", f"{N_FRAMES / warm_s:.2f}"],
     ]
     print("\n" + ExperimentResult(
         experiment_id="bench-stream",
         title=(f"Single-pass streaming on {N_FRAMES} overlapping frames "
                f"@ scale {eff}: {speedup:.1f}x"),
-        headers=["mode", "wall ms", "frames/s", "tile hits"],
+        headers=["mode", "wall ms", "frames/s"],
         rows=rows,
-        data={"speedup": speedup, "tiles": tiles},
+        data={"speedup": speedup},
     ).table())
 
+    assert session.geometry_only
     assert speedup >= SPEEDUP_FLOOR, (
         f"warm streaming speedup {speedup:.2f}x below the "
         f"{SPEEDUP_FLOOR}x floor (cold {cold_s:.3f}s vs warm {warm_s:.3f}s)"
     )
 
-    # The win must be attributable to *tile* reuse, not just whole-op
-    # digests: steady-state frames (everything after the cold first frame)
-    # must serve a meaningful share of kernel-map sub-lookups from cache.
-    assert session.geometry_only
-    assert tiles["tile_hit_rate"] >= STEADY_HIT_RATE_FLOOR, (
-        f"tile hit rate {tiles['tile_hit_rate']:.2f} below "
-        f"{STEADY_HIT_RATE_FLOOR} — the stream is not reusing tiles"
-    )
-    assert tiles["by_op"].get("kernel_map/mergesort", {}).get("hits", 0) > 0
-
-
-def test_batched_front_beats_per_tile_on_small_tiles():
-    """The vectorized-front acceptance claim: in the small-tile regime
-    (<= 100 points per kernel-map tile, where the per-tile walk is
-    overhead-bound), the batched plan/execute front must clear >= 1.5x
-    the throughput of the retired per-tile oracle on the same stream —
-    with bit-identical frame reports.  The oracle no longer serves, so
-    its arm is built by injecting an engine around
-    :class:`~repro.stream.incremental.PerTileOracle`.
-
-    The benchmark pins its own scale: the claim is about tile granularity,
-    not about REPRO_BENCH_SCALE's input-size regime.
-    """
-    n_frames = 4
-    repeats = 3
-    voxel_tile = 16
-    cfg = SequenceConfig(seed=3, n_frames=n_frames, base_points=16000,
-                         fov=32.0, speed=1.5)
-
-    # Pin the regime the claim is about: mean points per kernel-map tile
-    # on the first frame's voxel cloud must sit under the ceiling.
-    sequence = FrameSequence(cfg)
-    bench = get_benchmark("MinkNet(o)")
-    coords, _ = voxelize(sequence.frame(0, scale=0.6).points,
-                         bench.voxel_size)
-    density = len(coords) / len(TilePartition(coords, voxel_tile))
-    assert density <= SMALL_TILE_POINTS_CEILING, (
-        f"benchmark drifted out of the small-tile regime: "
-        f"{density:.1f} points/tile"
-    )
-
-    def run(oracle):
-        if oracle:
-            engine = SimulationEngine(
-                backends=("pointacc",), policy="fifo",
-                map_cache=streaming_map_cache(),
-                tile_cache=PerTileOracle(voxel_tile=voxel_tile),
-            )
-            session = StreamSession(FrameSequence(cfg), "MinkNet(o)",
-                                    scale=0.6, engine=engine)
-        else:
-            session = StreamSession(FrameSequence(cfg), "MinkNet(o)",
-                                    scale=0.6, voxel_tile=voxel_tile)
-        t0 = time.perf_counter()
-        results = session.run(n_frames)
-        return time.perf_counter() - t0, results, session
-
-    # Interleaved repeats, compared min-to-min: wall-clock noise (a busy
-    # CI runner) only ever adds time, so the best of each side is the
-    # comparable number — same practice as the fleet benchmark.
-    per_tile_times, batched_times = [], []
-    per_tile_results = batched_results = batched_session = None
-    for _ in range(repeats):
-        per_tile_s, per_tile_results, _ = run(True)
-        per_tile_times.append(per_tile_s)
-        batched_s, batched_results, batched_session = run(False)
-        batched_times.append(batched_s)
-    per_tile_s, batched_s = min(per_tile_times), min(batched_times)
-
-    for a, b in zip(per_tile_results, batched_results):
-        assert a.result.reports["pointacc"] == b.result.reports["pointacc"], (
-            f"batched front changed the report of frame {b.index}"
-        )
-
-    tiles = batched_session.tile_cache.stats().snapshot()
-    speedup = per_tile_s / batched_s
-    rows = [
-        ["per-tile front", f"{per_tile_s * 1e3:.0f}",
-         f"{n_frames / per_tile_s:.2f}", "-"],
-        ["batched front (min of {})".format(repeats),
-         f"{batched_s * 1e3:.0f}", f"{n_frames / batched_s:.2f}",
-         f"{tiles['compose']['splices']}/{tiles['compose']['full_sorts']}"],
-    ]
-    print("\n" + ExperimentResult(
-        experiment_id="bench-stream-batched",
-        title=(f"Batched vs per-tile front, {n_frames} frames at "
-               f"{density:.1f} points/tile: {speedup:.2f}x"),
-        headers=["mode", "wall ms", "frames/s", "splices/full sorts"],
-        rows=rows,
-        data={"speedup": speedup, "points_per_tile": density},
-    ).table())
-
-    assert speedup >= BATCHED_SPEEDUP_FLOOR, (
-        f"batched front speedup {speedup:.2f}x below the "
-        f"{BATCHED_SPEEDUP_FLOOR}x floor (per-tile {per_tile_s:.3f}s vs "
-        f"batched {batched_s:.3f}s)"
-    )
-    # The delta composer must actually be earning its keep on this stream.
-    assert tiles["compose"]["splices"] > 0
-
 
 def test_tile_reuse_beats_whole_op_digests(scale):
     """Ablation: on the same overlapping stream, a session with the tile
-    front must reuse mapping work that a digest-only session cannot (whole
-    frames are never bit-identical, so whole-op digests never hit)."""
+    front must reuse kNN / ball-query work that a digest-only session
+    cannot (whole frames are never bit-identical, so whole-op digests of
+    those calls never hit)."""
     eff = min(max(scale, 0.2), 0.5)
     sequence = FrameSequence(SequenceConfig(
         seed=2, n_frames=4, base_points=12000, fov=28.0, speed=1.5,
     ))
-    tiled = StreamSession(sequence, "MinkNet(o)", scale=eff)
+    tiled = StreamSession(sequence, "PointNet++(c)", scale=eff)
     tiled.run(4)
-    digest_only = StreamSession(sequence, "MinkNet(o)", scale=eff,
+    digest_only = StreamSession(sequence, "PointNet++(c)", scale=eff,
                                 use_tiles=False)
     digest_only.run(4)
 
     assert tiled.tile_cache.stats().tile_hits > 0
-    # Digest-only: every kernel-map lookup misses (frames never repeat).
-    digest_stats = digest_only.executor.stats().map_cache
-    assert digest_stats["hits"] == 0
+    # Digest-only: every kNN / ball-query lookup misses (frames never
+    # repeat).
+    by_op = digest_only.executor.stats().map_cache["by_op"]
+    for op in ("knn", "ball_query"):
+        assert by_op.get(op, {}).get("hits", 0) == 0
+    assert any(by_op.get(op, {}).get("misses", 0) > 0
+               for op in ("knn", "ball_query"))

@@ -10,8 +10,8 @@ two ideas:
    QoS-ordered across streams, with per-tenant fair-share accounting.
 2. *Cross-stream tile sharing*: the `WorldTileStore` front keys tile
    sub-results by world-region content digest, never by stream identity,
-   so one vehicle's kNN / kernel-map / voxel tiles serve the whole
-   convoy — and every hit is attributed self vs cross-stream.
+   so one vehicle's kNN / ball-query tiles serve the whole convoy — and
+   every hit is attributed self vs cross-stream.
 
 As everywhere in this repo, sharing is wall-clock only: each stream's
 reports stay bit-identical to running it cold and alone.
@@ -42,7 +42,7 @@ def main() -> None:
                 seed=9, n_frames=args.frames, base_points=9000, fov=20.0,
                 speed=2.0, start_x=0.5 * i, sensor_seed=i,
             )),
-            benchmark="MinkNet(o)",
+            benchmark="PointNet++(c)",
             scale=args.scale,
             n_frames=args.frames,
         )

@@ -9,13 +9,16 @@ and walks its three ideas:
 1. *World-frame sequences*: a deterministic synthetic drive — static
    street geometry, oncoming traffic with per-frame jitter, a field of
    view that points enter and leave as the ego moves.
-2. *Tile-granular incremental reuse*: each mapping op is decomposed into
-   spatial tiles; tiles whose content did not change between frames are
-   served from the cache, only dirty tiles (plus a boundary halo)
-   recompute — and the result is bit-identical to a cold run.
+2. *Tile-granular incremental reuse*: each kNN / ball-query call is
+   decomposed into spatial tiles; tiles whose content did not change
+   between frames are served from the cache, only dirty tiles (plus a
+   boundary halo) recompute — and the result is bit-identical to a cold
+   run.  (SparseConv kernel maps and voxelize are one sort-based pass
+   over the cloud and recompute faster than they decompose.)
 3. *Geometry-only execution*: for SparseConv networks the trace is a pure
    function of coordinates, so the stream skips the dense feature math
-   entirely (and the property suite proves the reports cannot tell).
+   entirely (and the property suite proves the reports cannot tell) —
+   try ``--benchmark "MinkNet(o)"``.
 
 Run:  python examples/stream_serving.py [--frames N] [--scale S]
 """
@@ -30,7 +33,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--frames", type=int, default=6)
     parser.add_argument("--scale", type=float, default=0.25)
-    parser.add_argument("--benchmark", default="MinkNet(o)")
+    parser.add_argument("--benchmark", default="PointNet++(c)")
     args = parser.parse_args()
 
     sequence = FrameSequence(SequenceConfig(

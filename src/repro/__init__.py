@@ -19,8 +19,8 @@ Python/numpy:
   routing, a tiered L1/L2/disk map cache that persists across CLI
   invocations, and deadline/tenant QoS (``repro.cluster``),
 * a temporal streaming subsystem serving LiDAR frame sequences with
-  tile-granular incremental map reuse (kernel maps, kNN/ball query, and
-  the voxelizer) and geometry-only trace construction (``repro.stream``),
+  tile-granular incremental kNN/ball-query reuse and geometry-only trace
+  construction (``repro.stream``),
 * fleet serving: several concurrent tenant streams over one cluster with
   cross-stream world-tile sharing and per-stream hit attribution
   (``repro.fleet``).

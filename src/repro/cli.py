@@ -25,7 +25,7 @@ Commands:
                      ``--trace`` JSONL file (``--ledger-file`` joins a
                      ledger for a top-recompute-causes section);
 * ``trace-diff``   — align two ``--trace`` files by phase and attribute
-                     the self-time delta ("splice +38% on ~same calls").
+                     the self-time delta ("plan +38% on ~same calls").
 
 The ``bench-*`` commands accept ``--json PATH`` to additionally write the
 measured numbers as machine-readable JSON (CI archives these as
@@ -871,7 +871,7 @@ def _reject_no_batch(args) -> None:
         raise CLIError(
             "--no-batch was removed: the per-tile front no longer serves "
             "traffic (it survives as repro.stream.incremental.PerTileOracle "
-            "for property tests and ablation benchmarks)"
+            "for property tests only)"
         )
 
 
@@ -884,7 +884,6 @@ def _build_fleet_session(args) -> FleetSession:
         n_shards=args.shards,
         tile_size=args.tile_size,
         halo=args.halo,
-        min_points_per_tile=args.min_tile_points,
         use_tiles=not args.no_tiles,
         share_world_tiles=not args.no_share,
         workers=args.workers,
@@ -978,7 +977,6 @@ def cmd_bench_fleet(args) -> int:
         spec.name: StreamSession(
             spec.sequence, spec.benchmark, backends=backends,
             scale=spec.scale, tile_size=args.tile_size, halo=args.halo,
-            min_points_per_tile=args.min_tile_points,
             use_tiles=not args.no_tiles, tenant=spec.name,
         )
         for spec in specs
@@ -1063,10 +1061,7 @@ def _build_stream_session(args) -> StreamSession:
             n_shards=args.shards,
             backends=_parse_backends(args.backends),
             tile_cache=(
-                TileMapCache(
-                    tile_size=args.tile_size, halo=args.halo,
-                    min_points_per_tile=args.min_tile_points,
-                )
+                TileMapCache(tile_size=args.tile_size, halo=args.halo)
                 if not args.no_tiles else None
             ),
             map_cache=streaming_map_cache,
@@ -1080,7 +1075,6 @@ def _build_stream_session(args) -> StreamSession:
         scale=args.scale,
         tile_size=args.tile_size,
         halo=args.halo,
-        min_points_per_tile=args.min_tile_points,
         use_tiles=not args.no_tiles,
         deadline_ms=args.deadline_ms,
         period_ms=args.period_ms,
@@ -1218,15 +1212,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fov", type=float, default=24.0,
                        help="field-of-view half-side, meters")
         p.add_argument("--tile-size", type=float, default=4.0,
-                       help="tile side for continuous ops, meters")
+                       help="tile side for kNN/ball query, meters")
         p.add_argument("--halo", type=int, default=1,
                        help="halo width in tiles for kNN/ball query")
         p.add_argument("--no-tiles", action="store_true",
                        help="disable the tile front (digest tiers only)")
-        p.add_argument("--min-tile-points", type=int, default=0,
-                       help="small-cloud bypass: skip tile decomposition "
-                            "when a cloud has fewer than this many points "
-                            "per occupied tile (0 = off)")
         p.add_argument("--no-batch", action="store_true",
                        help="removed: the per-tile front no longer serves "
                             "traffic (passing this flag is an error)")
@@ -1280,10 +1270,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--halo", type=int, default=1)
         p.add_argument("--no-tiles", action="store_true",
                        help="disable the tile front (digest tiers only)")
-        p.add_argument("--min-tile-points", type=int, default=0,
-                       help="small-cloud bypass: skip tile decomposition "
-                            "when a cloud has fewer than this many points "
-                            "per occupied tile (0 = off)")
         p.add_argument("--no-batch", action="store_true",
                        help="removed: the per-tile front no longer serves "
                             "traffic (passing this flag is an error)")

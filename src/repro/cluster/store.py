@@ -45,7 +45,8 @@ import pathlib
 import pickle
 import time
 
-from ..engine.map_cache import MapCache, _copy_value
+from ..engine.map_cache import MapCache
+from ..mapping.maps import copy_value
 from ..obs.ledger import current_ledger as _current_ledger
 
 __all__ = ["SharedMapStore"]
@@ -326,7 +327,7 @@ class SharedMapStore(MapCache):
         # The unpickled object is exclusively ours: store it by reference
         # and only copy toward the caller when asked to.
         super().put(key, value, op, copy=False)
-        return _copy_value(value) if copy else value
+        return copy_value(value) if copy else value
 
     def put(self, key: bytes, value, op: str = "?", copy: bool = True) -> None:
         super().put(key, value, op, copy=copy)

@@ -173,10 +173,10 @@ class SimulationEngine:
     tile_cache:
         Optional content-aware front (e.g. the streaming subsystem's
         :class:`~repro.stream.incremental.TileMapCache`) consulted before
-        the digest tiers; it decomposes supported mapping ops into
-        spatial-tile sub-lookups addressed into the same tier chain, so
-        *overlapping* — not just identical — clouds hit.  Requires at
-        least one digest tier to store sub-entries in.
+        the digest tiers; it decomposes supported mapping ops (kNN, ball
+        query) into spatial-tile sub-lookups addressed into the same tier
+        chain, so *overlapping* — not just identical — clouds hit.
+        Requires at least one digest tier to store sub-entries in.
     reuse_traces:
         Enable the request-level trace/report memo.
     overlap:

@@ -37,29 +37,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..mapping.hooks import count_by_op
-from ..mapping.maps import MapTable
+from ..mapping.maps import MapTable, copy_value
 from ..obs.ledger import current_ledger as _current_ledger
 
 __all__ = ["MapCache", "MapCacheStats"]
 
 #: Bound on the remembered-evicted-digest set (see MapCache._evicted).
 _EVICTED_MEMORY = 1 << 16
-
-
-def _copy_value(value):
-    """Deep-copy a cacheable value (ndarray, MapTable, or tuple of them)."""
-    if isinstance(value, np.ndarray):
-        return value.copy()
-    if isinstance(value, MapTable):
-        return MapTable(
-            value.in_idx.copy(),
-            value.out_idx.copy(),
-            value.weight_idx.copy(),
-            value.kernel_volume,
-        )
-    if isinstance(value, tuple):
-        return tuple(_copy_value(v) for v in value)
-    raise TypeError(f"uncacheable mapping result type: {type(value).__name__}")
 
 
 def _value_bytes(value) -> int:
@@ -181,7 +165,7 @@ class MapCache:
         if entry is not None:
             self._entries.move_to_end(key)
             self._stats._count(op, hit=True)
-            return _copy_value(entry) if copy else entry
+            return copy_value(entry) if copy else entry
         self._stats._count(op, hit=False)
         if key in self._evicted:
             self._stats.eviction_misses += 1
@@ -193,7 +177,7 @@ class MapCache:
         ``copy=False`` stores ``value`` by reference (same immutable-value
         contract as :meth:`get`).
         """
-        stored = _copy_value(value) if copy else value
+        stored = copy_value(value) if copy else value
         previous = self._entries.pop(key, None)
         if previous is not None:
             self._stats.stored_bytes -= _value_bytes(previous)

@@ -19,9 +19,7 @@ work around shared spatial structure instead of per-request recomputation.
   self vs cross-stream vs external, so the fleet's sharing is observable
   and testable.
 
-The incremental voxelizer rides the same tile machinery: see the
-``voxelize`` entry in :mod:`repro.stream.incremental`.  See ``README.md``
-("Fleet serving") for the cache-hierarchy diagram.
+See ``README.md`` ("Fleet serving") for the cache-hierarchy diagram.
 """
 
 from .session import FleetSession, FleetStats, StreamSpec

@@ -18,12 +18,14 @@ the next pending frame of every live stream as one window, so
 
 The shared executor is what makes a fleet more than N sessions: its tile
 front is one :class:`~repro.fleet.WorldTileStore`-wrapped
-:class:`~repro.stream.TileMapCache`, so world-region sub-results
-(kNN / ball-query / kernel-map / voxel tiles) computed for one vehicle
-serve every vehicle driving the same map region — with hits attributed
-self vs cross-stream in :class:`FleetStats`.  None of it may change a
-result: each stream's output is bit-identical to running that stream cold
-and alone (``tests/properties/test_prop_fleet.py``).
+:class:`~repro.stream.TileMapCache`, so world-region kNN / ball-query
+tiles computed for one vehicle serve every vehicle driving the same map
+region — with hits attributed self vs cross-stream in
+:class:`FleetStats`.  Kernel maps and voxelize take the chain's whole-op
+digest path, so a MinkNet fleet shares identical whole calls through the
+cluster's L2 and no tiles.  None of it may change a result: each stream's
+output is bit-identical to running that stream cold and alone
+(``tests/properties/test_prop_fleet.py``).
 """
 
 from __future__ import annotations
@@ -128,14 +130,9 @@ class FleetSession:
         :class:`~repro.stream.TileMapCache` — sub-results still flow
         through the shared chain (content keys carry no stream identity),
         but hits are not attributed self/cross.
-    tile_size / halo / voxel_tile / min_points / min_points_per_tile /
-    use_tiles / incremental_voxelize:
+    tile_size / halo / min_points / use_tiles:
         Tile-front configuration for the session-built executor, as in
-        :class:`~repro.stream.StreamSession` (``min_points_per_tile`` is
-        the small-cloud density bypass).  The per-tile serving mode is
-        retired; inject an executor built around
-        :class:`~repro.stream.incremental.PerTileOracle` to benchmark
-        against the reference front.
+        :class:`~repro.stream.StreamSession`.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution per stream
         exactly for SparseConv-family networks; booleans force it
@@ -174,11 +171,8 @@ class FleetSession:
         policy: str = "fifo",
         tile_size: float = 4.0,
         halo: int = 1,
-        voxel_tile: int = 48,
         min_points: int = 256,
-        min_points_per_tile: int = 0,
         use_tiles: bool = True,
-        incremental_voxelize: bool = True,
         share_world_tiles: bool = True,
         geometry_only: bool | str = "auto",
         cache_dir=None,
@@ -225,14 +219,7 @@ class FleetSession:
             front = None
             if use_tiles:
                 front = TileMapCache(
-                    tile_size=tile_size, halo=halo, voxel_tile=voxel_tile,
-                    min_points=min_points,
-                    min_points_per_tile=min_points_per_tile,
-                    incremental_voxelize=incremental_voxelize,
-                    # Rounds interleave every stream through one shared
-                    # composer: it must remember at least one composition
-                    # per stream per family or the delta splice starves.
-                    compose_records=max(4, len(self.streams) + 2),
+                    tile_size=tile_size, halo=halo, min_points=min_points,
                 )
                 if share_world_tiles:
                     front = WorldTileStore(front)

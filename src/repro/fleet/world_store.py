@@ -5,8 +5,10 @@ already addresses every tile sub-result by a *content* digest of the world
 region it covers — nothing about the key says which stream computed it.
 That is exactly what makes fleet serving work: two vehicles driving the
 same map region produce byte-identical static tiles, so the second
-vehicle's kNN / ball-query / kernel-map / voxelize sub-lookups hit entries
-the first vehicle paid for.  What the plain front *cannot* tell you is
+vehicle's kNN / ball-query sub-lookups hit entries the first vehicle paid
+for.  Kernel maps and voxelize never reach a front (they take the chain's
+whole-op digest path), so for a SparseConv fleet this store passes
+nothing through and books nothing.  What the plain front *cannot* tell you is
 that it happened — a hit is a hit.
 
 :class:`WorldTileStore` is the attribution layer: a wrapping front

@@ -21,13 +21,16 @@ Tiered lookup
 facade: probe the first tier (a shard's private L1), then each lower tier
 (the cluster-shared L2 store, which itself may spill to disk), and on a hit
 promote the value into every tier above it.  A full miss computes once and
-populates every tier.  Passing a list/tuple to :func:`use_map_cache`
-installs the chain — the tiered path the cluster's shards run on.  Tiers
-are duck-typed: anything with ``key`` / ``get`` / ``put`` / ``stats()``
-(the :class:`~repro.engine.map_cache.MapCache` surface) works, so this
-module needs no imports from the engine.  ``get_many`` / ``put_many``
-batch the same semantics — one chain traversal for N keys, which is what
-the streaming tile planner issues per decomposed mapping call; tiers may
+populates every tier — with one private copy that all tiers share, so a
+value costs its bytes once per chain.  Passing a list/tuple to
+:func:`use_map_cache` installs the chain — the tiered path the cluster's
+shards run on.  Tiers are duck-typed: anything with ``key`` / ``get`` /
+``put`` / ``stats()`` (the :class:`~repro.engine.map_cache.MapCache`
+surface) works, so this module needs no imports from the engine.  The
+owned copies come from :func:`repro.mapping.maps.copy_value`, the one
+definition every tier shares.  ``get_many`` / ``put_many`` batch the
+same semantics — one chain traversal for N keys, which is what the
+streaming tile planner issues per decomposed mapping call; tiers may
 implement their own batch methods or be driven per-key transparently.
 
 Content-aware front
@@ -57,6 +60,7 @@ from contextlib import contextmanager
 
 from ..obs.ledger import current_ledger as _current_ledger
 from ..obs.trace import span as _span
+from .maps import copy_value
 
 __all__ = [
     "TieredLookup",
@@ -140,8 +144,9 @@ class TieredLookup:
     The first tier is the fastest/most private (a shard's L1), later tiers
     are progressively more shared (the cluster L2, its disk spill).  Hits
     are promoted upward so hot entries migrate toward the front.  Copy
-    ownership is preserved: tier ``get``/``put`` copy on both sides, so a
-    caller can never alias a stored entry.
+    ownership is preserved: :meth:`memoize` stores one private copy that
+    every tier shares and hands callers copies of it, so a caller can
+    never alias a stored entry.
     """
 
     def __init__(self, tiers, front=None) -> None:
@@ -242,20 +247,29 @@ class TieredLookup:
                 sp.count("puts", float(len(keys)))
 
     def memoize(self, op: str, arrays, params: dict, compute):
+        """Whole-op lookup-or-compute through the chain.
+
+        Every tier holds the *same* private copy of a value: a miss copies
+        the computed result once and writes that one object through, a
+        hit promotes the stored object by reference.  The caller always
+        gets its own copy, so it can never alias a stored entry — and a
+        value costs its bytes once, not once per tier.
+        """
         if self.front is not None and self.front.handles(op, arrays, params):
             return self.front.memoize(op, arrays, params, compute, self)
         key = self.tiers[0].key(op, arrays, params)
         for depth, tier in enumerate(self.tiers):
-            value = tier.get(key, op)
-            if value is not None:
+            stored = tier.get(key, op, copy=False)
+            if stored is not None:
                 self._stats._count(op, hit=True)
                 for upper in self.tiers[:depth]:
-                    upper.put(key, value, op)
-                return value
+                    upper.put(key, stored, op, copy=False)
+                return copy_value(stored)
         self._stats._count(op, hit=False)
         value = compute()
+        stored = copy_value(value)
         for tier in self.tiers:
-            tier.put(key, value, op)
+            tier.put(key, stored, op, copy=False)
         return value
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MapTable"]
+__all__ = ["MapTable", "copy_value"]
 
 
 @dataclass
@@ -125,3 +125,20 @@ class MapTable:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MapTable(n_maps={self.n_maps}, kernel_volume={self.kernel_volume})"
+
+
+def copy_value(value):
+    """Deep-copy a cacheable mapping result (ndarray, MapTable, or tuple
+    of them) — the one definition of an owned copy for every cache tier."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, MapTable):
+        return MapTable(
+            value.in_idx.copy(),
+            value.out_idx.copy(),
+            value.weight_idx.copy(),
+            value.kernel_volume,
+        )
+    if isinstance(value, tuple):
+        return tuple(copy_value(v) for v in value)
+    raise TypeError(f"uncacheable mapping result type: {type(value).__name__}")

@@ -2,16 +2,16 @@
 
 Two trace JSONL files (``Tracer.dump_jsonl`` or flight-recorder
 sidecars) are aligned by the span taxonomy — request / trace_build /
-backend / front / plan / probe / execute / splice / tier_io / dispatch /
-ipc / frame / round — and compared phase by phase on *self* time, the
-only basis on which deltas add up without double-counting nested spans.
+backend / front / plan / probe / execute / tier_io / dispatch / ipc /
+frame / round — and compared phase by phase on *self* time, the only
+basis on which deltas add up without double-counting nested spans.
 
 For each phase the diff reports the absolute self-time delta, the call
 counts on both sides, and the count-normalized rate (ms/call) change —
-the figure that separates "splice got slower" from "there were more
-splices".  Phases are ranked by their contribution to the total
+the figure that separates "backend got slower" from "there were more
+backend calls".  Phases are ranked by their contribution to the total
 absolute delta, and the top contributor becomes a one-line verdict
-(``splice self-time +38.2% (+12.4 ms) on ~same call count``) that
+(``backend self-time +38.2% (+12.4 ms) on ~same call count``) that
 ``scripts/bench_compare.py --baseline`` attaches to its regression
 report.  The machine form is a schema-versioned JSON dict so CI can
 archive it next to the bench comparison.

@@ -25,11 +25,6 @@ structured event log fed by the serving stack's cache layers:
     the planned tile counts — the completeness invariant
     ``tests/properties/test_prop_ledger.py`` enforces.
 
-``splice`` events
-    One per kernel-map compose: ``spliced``, ``full_sort``, or
-    ``fallback(certificate)`` when the row-order certificate rejected a
-    splice.
-
 ``eviction`` events
     ``(key, tier, bytes)`` whenever a cache layer drops an entry: the
     in-memory LRU (:meth:`repro.engine.map_cache.MapCache._evict`,
@@ -99,7 +94,6 @@ class RecomputeLedger:
         self._events: deque = deque()
         self.dropped = 0
         self.causes: Counter = Counter()      # tile cause -> tiles
-        self.splice_outcomes: Counter = Counter()
         self.evictions: Dict[str, Dict[str, int]] = {}  # tier -> {count, bytes}
         self.calls = 0
         self.probe_hits = 0
@@ -135,11 +129,6 @@ class RecomputeLedger:
             self.planned_tiles += int(tiles)
         self._emit("call", op=op, cause=cause, tiles=int(tiles))
 
-    def splice(self, op: str, outcome: str) -> None:
-        """Record one compose outcome (kernel-map or voxelize splice)."""
-        self.splice_outcomes[outcome] += 1
-        self._emit("splice", op=op, outcome=outcome)
-
     def eviction(self, tier: str, key: str, nbytes: int) -> None:
         """Record one cache entry leaving ``tier``."""
         slot = self.evictions.setdefault(tier, {"count": 0, "bytes": 0})
@@ -167,7 +156,6 @@ class RecomputeLedger:
             "planned_tiles": self.planned_tiles,
             "recomputed_tiles": recomputed,
             "causes": dict(self.causes),
-            "splice": dict(self.splice_outcomes),
             "evictions": {tier: dict(c) for tier, c in self.evictions.items()},
         }
 

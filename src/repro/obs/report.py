@@ -15,8 +15,7 @@ import json
 from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["load_ledger_events", "load_trace", "phase_breakdown",
-           "recompute_causes", "render_report", "slow_frames",
-           "splice_outcomes"]
+           "recompute_causes", "render_report", "slow_frames"]
 
 
 def load_trace(path: str,
@@ -139,23 +138,6 @@ def recompute_causes(events: List[Dict[str, Any]]) -> Dict[str, int]:
     return causes
 
 
-def splice_outcomes(events: List[Dict[str, Any]]) -> Dict[str, int]:
-    """Compose outcomes per ``op: outcome``, across all splice events.
-
-    Covers both delta-composition families — kernel maps (spliced /
-    full_sort / fallback) and voxelize (spliced / full_merge /
-    fallback) — keyed ``"{op}: {outcome}"`` so the two taxonomies stay
-    side by side in one table.
-    """
-    outcomes: Dict[str, int] = {}
-    for ev in events:
-        if ev.get("kind") != "splice":
-            continue
-        key = f"{ev.get('op', '?')}: {ev.get('outcome', '?')}"
-        outcomes[key] = outcomes.get(key, 0) + 1
-    return outcomes
-
-
 def render_report(path: str, top: int = 5,
                   ledger: Optional[str] = None) -> str:
     errors: List[str] = []
@@ -227,12 +209,4 @@ def render_report(path: str, top: int = 5,
                              f"{100.0 * n / total:>5.1f}%")
         else:
             lines.append("no recompute events (all tiles reused)")
-        splices = splice_outcomes(events)
-        if splices:
-            lines.append("compose outcomes:")
-            total = sum(splices.values()) or 1
-            for key, n in sorted(splices.items(),
-                                 key=lambda kv: kv[1], reverse=True):
-                lines.append(f"  {key:<28} {n:>8} calls "
-                             f"{100.0 * n / total:>5.1f}%")
     return "\n".join(lines) + "\n"

@@ -141,12 +141,11 @@ def voxelize(
 
     Like the mapping ops, voxelization is a pure function of its inputs and
     consults the active map cache (:mod:`repro.mapping.hooks`) when one is
-    installed: it is the first thing every SparseConv frame pays, and on
-    overlapping frame streams the tile front decomposes it so unchanged
-    regions reuse their voxel coordinates (see
-    :class:`repro.stream.incremental.TileMapCache`).  With no cache active
-    — every direct caller outside the engine — the behaviour is exactly
-    the plain computation.
+    installed: it is the first thing every SparseConv frame pays, and an
+    identical cloud (a replayed frame, another shard presenting the same
+    one) hits the whole-op digest tiers.  With no cache active — every
+    direct caller outside the engine — the behaviour is exactly the plain
+    computation.
     """
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")

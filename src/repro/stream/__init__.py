@@ -17,13 +17,13 @@ bit-identical whole clouds; this subsystem adds the sub-cloud tier:
   :class:`~repro.engine.MapCache`);
 * :mod:`repro.stream.incremental` — :class:`TileMapCache`, a content-aware
   front for :class:`~repro.mapping.hooks.TieredLookup` that serves
-  unchanged tiles from cache and recomputes only dirty tiles plus a
-  boundary halo, bit-identically;
+  unchanged kNN / ball-query tiles from cache and recomputes only dirty
+  tiles plus a boundary halo, bit-identically (kernel maps and voxelize
+  take the whole-op digest path: they recompute faster than they
+  decompose);
 * :mod:`repro.stream.plan` — the batched tile-front planner: vectorized
-  plan/probe/execute over whole partitions (one ``get_many`` chain round
-  trip per mapping call) and :class:`~repro.stream.plan.KernelComposer`,
-  which delta-composes kernel maps against the previous frame's row
-  order instead of re-sorting every row;
+  plan/probe/execute over whole partitions, one ``get_many`` chain round
+  trip per mapping call;
 * :mod:`repro.stream.pipeline` — :class:`StreamSession`, driving frame
   sequences through a :class:`~repro.engine.SimulationEngine` or
   :class:`~repro.cluster.EngineCluster` in order with per-frame latency
@@ -35,14 +35,12 @@ See ``README.md`` ("Streaming") for the architecture sketch.
 
 from .incremental import TileFrontStats, TileMapCache
 from .pipeline import FrameResult, StreamSession, StreamStats, streaming_map_cache
-from .plan import KernelComposer
 from .sequence import FrameSequence, SequenceConfig, get_sequence
 from .tiles import TilePartition, halo_box, partition, tile_coords
 
 __all__ = [
     "FrameResult",
     "FrameSequence",
-    "KernelComposer",
     "SequenceConfig",
     "StreamSession",
     "StreamStats",

@@ -39,11 +39,11 @@ __all__ = ["FrameResult", "StreamSession", "StreamStats", "streaming_map_cache"]
 def streaming_map_cache() -> MapCache:
     """The L1 sizing every streaming/fleet executor uses.
 
-    Tile-decomposed streaming produces thousands of tile sub-entries per
-    frame; an engine's default 4096-entry L1 would evict a frame's tiles
-    before the next frame (or the next vehicle) could reuse them.  One
-    factory so the session-built engine, the fleet's cluster shards, and
-    the CLI's cluster path cannot drift apart.
+    Tile-decomposed kNN and ball query produce thousands of tile
+    sub-entries per frame; an engine's default 4096-entry L1 would evict
+    a frame's tiles before the next frame (or the next vehicle) could
+    reuse them.  One factory so the session-built engine, the fleet's
+    cluster shards, and the CLI's cluster path cannot drift apart.
     """
     return MapCache(max_entries=1 << 16, max_bytes=512 * 1024 * 1024)
 
@@ -126,17 +126,12 @@ class StreamSession:
         Optional pre-built executor (at most one); when neither is given
         the session builds a single engine with a tile front from the
         ``tile_*`` parameters.
-    tile_size / halo / voxel_tile / use_tiles / incremental_voxelize:
+    tile_size / halo / min_points / use_tiles:
         Tile-front configuration for the session-built engine (ignored
-        when an executor is injected — configure that executor instead).
-        ``incremental_voxelize`` toggles the tile-decomposed voxelizer
-        (on by default; off = whole-content digest voxelization).
-    min_points_per_tile:
-        The small-cloud density bypass, passed straight to
-        :class:`~repro.stream.incremental.TileMapCache`.  (The per-tile
-        serving mode is retired; to benchmark against the reference
-        front, inject an ``engine=`` built around
-        :class:`~repro.stream.incremental.PerTileOracle`.)
+        when an executor is injected — configure that executor instead),
+        passed straight to
+        :class:`~repro.stream.incremental.TileMapCache`; ``use_tiles=False``
+        leaves only the whole-op digest tiers.
     tenant:
         The QoS/attribution identity stamped on every frame request
         (default ``"stream"``).  Fleet serving (:mod:`repro.fleet`) gives
@@ -165,11 +160,8 @@ class StreamSession:
         scale: float = 0.25,
         tile_size: float = 4.0,
         halo: int = 1,
-        voxel_tile: int = 48,
         min_points: int = 256,
-        min_points_per_tile: int = 0,
         use_tiles: bool = True,
-        incremental_voxelize: bool = True,
         tenant: str = "stream",
         geometry_only: bool | str = "auto",
         deadline_ms: float | None = None,
@@ -197,10 +189,7 @@ class StreamSession:
         else:
             self.tile_cache = (
                 TileMapCache(
-                    tile_size=tile_size, halo=halo,
-                    voxel_tile=voxel_tile, min_points=min_points,
-                    min_points_per_tile=min_points_per_tile,
-                    incremental_voxelize=incremental_voxelize,
+                    tile_size=tile_size, halo=halo, min_points=min_points,
                 )
                 if use_tiles
                 else None

@@ -17,8 +17,7 @@ input slices, so a digest must cover point *order*, not just the point
 set.  Partitions preserve each tile's points in original-array order, and
 halos are materialized in ascending global-index order — both are stable
 between frames when points only enter/leave elsewhere, which is exactly
-what the world-frame sequence generator (and sorted voxel arrays)
-guarantee.
+what the world-frame sequence generator guarantees.
 """
 
 from __future__ import annotations
@@ -105,8 +104,8 @@ def _ranges(starts, lens, total: int):
     """Concatenation of ``arange(s, s + l)`` runs, fully vectorized.
 
     Every run length must be >= 1 and ``total == lens.sum()``.  Three
-    O(total) passes replace a Python loop over runs — the gather/scatter
-    primitive behind the batched shell and neighborhood assembly.
+    O(total) passes replace a Python loop over runs — the gather
+    primitive behind the batched neighborhood assembly.
     """
     out = np.ones(total, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
@@ -130,7 +129,6 @@ class TilePartition:
         self.points = np.asarray(points)
         self.tile_size = tile_size
         tiles = tile_coords(self.points, tile_size)
-        self._tiles = tiles
         self._ndim = tiles.shape[1]
         self._keys = _pack(tiles)
         order = np.argsort(self._keys, kind="stable")
@@ -147,25 +145,15 @@ class TilePartition:
         self._ukeys = unique_keys
         for i, key in enumerate(unique_keys.tolist()):
             self._groups[key] = order[bounds[i]:bounds[i + 1]]
-        self._tile_by_key = {
-            int(k): tiles[idx[0]] for k, idx in self._groups.items()
-        }
         self._digests: dict[int, bytes] = {}
         self._all_digests: list[bytes] | None = None
         self._digest_mat: np.ndarray | None = None
         self._packed: np.ndarray | None = None
-        self._point_keys: np.ndarray | None = None
         self._neighborhoods: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}
         self._sorted_neighborhoods: dict[tuple[int, int], tuple] = {}
-        # reach -> key -> {(axis, lo/hi): (digest, indices)}; see _slabs().
-        self._slabs_by_reach: dict[int, dict[int, dict]] = {}
-        self._slab_masks_by_reach: dict[int, tuple] = {}
-        self._shells: dict[tuple[int, int], tuple[bytes, np.ndarray]] = {}
-        # Batched (fixed-width) assembly caches: face-major slab tables per
-        # reach, shell/neighborhood tables per (reach-or-halo, query-keys),
-        # and the per-(key, halo) sorted-halo memo of the plan path.
-        self._slab_mats: dict[int, dict] = {}
-        self._shell_mats: dict = {}
+        # Batched assembly caches: neighborhood tables per (halo,
+        # query-keys), and the per-(key, halo) sorted-halo memo of the
+        # plan path.
         self._nbhd_mats: dict = {}
         self._sorted_halos: dict[tuple[int, int], tuple] = {}
 
@@ -186,14 +174,6 @@ class TilePartition:
         convention — the batched planner searches it with searchsorted."""
         return self._ukeys
 
-    def counts(self) -> np.ndarray:
-        """Points per occupied tile, aligned with :attr:`unique_keys`."""
-        return np.diff(self._bounds)
-
-    def tile_of_key(self, key: int) -> np.ndarray:
-        """The (D,) integer tile coordinate behind a packed key."""
-        return self._tile_by_key[key]
-
     def indices(self, key: int) -> np.ndarray:
         """Original-array positions of the tile's points (original order),
         or an empty index array for an unoccupied tile."""
@@ -211,7 +191,7 @@ class TilePartition:
         return d
 
     # ------------------------------------------------------------------
-    # Batched passes: packed buffers, bulk digests, bulk slabs
+    # Batched passes: packed buffers, bulk digests, bulk neighborhoods
     # ------------------------------------------------------------------
 
     def packed(self) -> np.ndarray:
@@ -259,7 +239,7 @@ class TilePartition:
     def digest_matrix(self) -> np.ndarray:
         """Per-tile digests stacked as an ``(n_tiles, 16)`` uint8 matrix.
 
-        The gatherable form of :meth:`digest_all` — the batched shell and
+        The gatherable form of :meth:`digest_all` — the batched
         neighborhood assembly pulls rows of it with fancy indexing instead
         of probing a dict per tile.  Cached.
         """
@@ -270,206 +250,18 @@ class TilePartition:
             ).reshape(len(digests), _DIGEST_SIZE)
         return self._digest_mat
 
-    def point_keys(self) -> np.ndarray:
-        """Packed ranking keys of every point (integer clouds), cached.
-
-        The kernel-map planner probes membership against these; computing
-        them once per partition replaces the per-tile ``coords_to_keys``
-        calls of the per-tile path.
-        """
-        if self._point_keys is None:
-            from ..pointcloud.coords import coords_to_keys
-
-            self._point_keys = coords_to_keys(self.points)
-        return self._point_keys
-
-    def fill_slabs(self, reach: int) -> dict:
-        """Face-major boundary-slab tables for ``reach``, computed in bulk.
-
-        Returns ``{(axis, lo/hi): face}`` where each face holds, aligned
-        with :attr:`unique_keys` by tile slot: ``dig`` (an ``(n_tiles,
-        16)`` uint8 digest matrix, zero rows for absent slabs), ``occ``
-        (slab-present mask), and a run table — ``flat`` (every face
-        point's original index, tile runs back to back in original point
-        order) with per-slot ``bounds``.  Six vectorized sweeps (one per
-        face) over the packed buffer; faces with no points are omitted.
-        Per-slab digests are byte-identical to the per-tile oracle's
-        (:meth:`_slabs`).  Idempotent per reach.
-        """
-        mats = self._slab_mats.get(reach)
-        if mats is not None:
-            return mats
-        mats = {}
-        n_tiles = len(self._ukeys)
-        if reach > 0 and n_tiles:
-            lo, hi = self._slab_masks(reach)
-            order = self._order
-            packed = self.packed()
-            ncols = packed.shape[1]
-            row_bytes = packed.dtype.itemsize * ncols
-            tag = _dtype_tag(packed.dtype)
-            for axis in range(self._ndim):
-                for code, mask in ((0, lo), (2, hi)):
-                    sel = np.flatnonzero(mask[order, axis])
-                    if not len(sel):
-                        continue
-                    pidx = order[sel]
-                    # sel ascends, so tile slots form contiguous runs.
-                    slots = np.searchsorted(self._bounds, sel, side="right") - 1
-                    runs = np.flatnonzero(np.diff(slots)) + 1
-                    starts = np.concatenate([[0], runs])
-                    ends = np.concatenate([runs, [len(sel)]])
-                    slab_pts = np.ascontiguousarray(self.points[pidx])
-                    mv = memoryview(slab_pts).cast("B")
-                    digs = []
-                    for s, e in zip(starts.tolist(), ends.tolist()):
-                        h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-                        h.update(tag)
-                        h.update(repr((e - s, ncols)).encode())
-                        h.update(mv[s * row_bytes:e * row_bytes])
-                        digs.append(h.digest())
-                    run_slots = slots[starts]
-                    dig = np.zeros((n_tiles, _DIGEST_SIZE), dtype=np.uint8)
-                    dig[run_slots] = np.frombuffer(
-                        b"".join(digs), dtype=np.uint8
-                    ).reshape(len(digs), _DIGEST_SIZE)
-                    occ = np.zeros(n_tiles, dtype=bool)
-                    occ[run_slots] = True
-                    lens = np.zeros(n_tiles, dtype=np.int64)
-                    lens[run_slots] = ends - starts
-                    mats[(axis, code)] = {
-                        "dig": dig,
-                        "occ": occ,
-                        "flat": pidx,
-                        "bounds": np.concatenate([[0], np.cumsum(lens)]),
-                    }
-        self._slab_mats[reach] = mats
-        return mats
-
-    def _gather_box(self, qkeys, deltas, sources):
-        """Whole-partition assembly of per-tile digest rows + index runs.
-
-        For each query key and each box slot ``j`` (offset ``deltas[j]``),
-        ``sources[j]`` supplies the contribution of the tile found there:
-        ``None`` contributes nothing, else a ``(dig, occ, flat, bounds)``
-        table indexed by tile slot (``occ=None`` means every present tile
-        contributes).  Returns ``(digests, flat, bounds)``: one 16-byte
-        digest per query key — BLAKE2b over its row of the stacked
-        fixed-width slot-digest matrix, absent slots all-zero — plus the
-        canonical index concatenation as one flat array with per-query
-        run bounds.  No per-tile dict probes, no per-tile concatenates;
-        the only per-tile work left is the hash finalization.
-        """
-        ukeys = self._ukeys
-        n_tiles = len(ukeys)
-        nq = len(qkeys)
-        n_slots = len(deltas)
-        if nq == 0:
-            return [], np.empty(0, dtype=np.intp), np.zeros(1, dtype=np.int64)
-        box = qkeys[:, None] + deltas[None, :]
-        if n_tiles:
-            pos = np.searchsorted(ukeys, box)
-            pos_c = np.minimum(pos, n_tiles - 1)
-            present = (pos < n_tiles) & (ukeys[pos_c] == box)
-        else:
-            pos_c = np.zeros((nq, n_slots), dtype=np.int64)
-            present = np.zeros((nq, n_slots), dtype=bool)
-        dmat = np.zeros((nq, n_slots * _DIGEST_SIZE), dtype=np.uint8)
-        lens = np.zeros((nq, n_slots), dtype=np.int64)
-        picks = []
-        for j, src in enumerate(sources):
-            if src is None:
-                picks.append(None)
-                continue
-            dig, occ, src_flat, src_bounds = src
-            if occ is None:
-                rows = np.flatnonzero(present[:, j])
-            else:
-                rows = np.flatnonzero(present[:, j] & occ[pos_c[:, j]])
-            if not len(rows):
-                picks.append(None)
-                continue
-            p = pos_c[rows, j]
-            dmat[rows, j * _DIGEST_SIZE:(j + 1) * _DIGEST_SIZE] = dig[p]
-            lens[rows, j] = src_bounds[p + 1] - src_bounds[p]
-            picks.append((rows, src_bounds[p], src_flat))
-        bounds = np.concatenate([[0], np.cumsum(lens.sum(axis=1))])
-        offs = bounds[:-1][:, None] + np.cumsum(lens, axis=1) - lens
-        flat = np.empty(int(bounds[-1]), dtype=np.intp)
-        for j, pick in enumerate(picks):
-            if pick is None:
-                continue
-            rows, src_starts, src_flat = pick
-            run = lens[rows, j]
-            total = int(run.sum())
-            if not total:
-                continue
-            flat[_ranges(offs[rows, j], run, total)] = \
-                src_flat[_ranges(src_starts, run, total)]
-        row_bytes = n_slots * _DIGEST_SIZE
-        buf = dmat.tobytes()
-        digests = [
-            hashlib.blake2b(buf[t * row_bytes:(t + 1) * row_bytes],
-                            digest_size=_DIGEST_SIZE).digest()
-            for t in range(nq)
-        ]
-        return digests, flat, bounds
-
-    def fill_shells(self, reach: int, qkeys: np.ndarray | None = None):
-        """Every query tile's reach-shell in one whole-partition sweep.
-
-        Returns ``(digests, flat, bounds)``: per query key (default: every
-        occupied tile, ascending), the fixed-width shell digest — BLAKE2b
-        over the tile's row of the stacked slot-digest matrix (own tile
-        digest at the center slot, each neighbor's facing-slab digest at
-        its slot, all-zero for absent contributions) — and its canonical
-        index array as a slice ``flat[bounds[i]:bounds[i + 1]]``.  The
-        canonical arrays are element-identical to the per-tile oracle's
-        :meth:`shell`; the digests are the *fixed-width* encoding the
-        versioned serving keys are built from, deliberately distinct from
-        the oracle's variable-width digests.  Cached per (reach, qkeys).
-        """
-        side = int(self.tile_size)
-        if not 0 <= 2 * reach <= side:
-            raise ValueError(
-                f"shell needs 0 <= 2 * reach <= tile_size, got reach "
-                f"{reach} at tile_size {side}"
-            )
-        cache_key = (reach, None if qkeys is None else qkeys.tobytes())
-        cached = self._shell_mats.get(cache_key)
-        if cached is not None:
-            return cached
-        if qkeys is None:
-            qkeys = self._ukeys
-        slab_mats = self.fill_slabs(reach)
-        tile_src = (self.digest_matrix(), None, self._order, self._bounds)
-        sources = []
-        for slot in _shell_plan(self._ndim):
-            if slot is None:  # the tile itself: wholly inside the region
-                sources.append(tile_src)
-            elif reach == 0:
-                sources.append(None)
-            else:
-                face = slab_mats.get(slot)
-                sources.append(None if face is None else (
-                    face["dig"], face["occ"], face["flat"], face["bounds"]
-                ))
-        result = self._gather_box(
-            qkeys, _delta_keys(1, self._ndim), sources
-        )
-        self._shell_mats[cache_key] = result
-        return result
-
     def fill_neighborhoods(self, halo: int, qkeys: np.ndarray | None = None):
         """Every query tile's halo-box neighborhood in one sweep.
 
-        The :meth:`fill_shells` analogue for the continuous ops: each of
-        the ``(2 * halo + 1)^D`` box slots contributes the whole tile
-        found there (digest row + full index run), absent cells all-zero.
-        Returns ``(digests, flat, bounds)`` aligned with ``qkeys``
-        (default: every occupied tile); canonical index arrays are
-        element-identical to the oracle's :meth:`neighborhood`.  Cached
-        per (halo, qkeys).
+        Each of the ``(2 * halo + 1)^D`` box slots contributes the whole
+        tile found there.  Returns ``(digests, flat, bounds)`` aligned
+        with ``qkeys`` (default: every occupied tile): one 16-byte digest
+        per query key — BLAKE2b over its row of the stacked fixed-width
+        slot-digest matrix, absent cells all-zero — plus the canonical
+        index concatenation as one flat array with per-query run bounds,
+        element-identical to the oracle's :meth:`neighborhood`.  No
+        per-tile dict probes, no per-tile concatenates; the only per-tile
+        work left is the hash finalization.  Cached per (halo, qkeys).
         """
         cache_key = (halo, None if qkeys is None else qkeys.tobytes())
         cached = self._nbhd_mats.get(cache_key)
@@ -478,8 +270,42 @@ class TilePartition:
         if qkeys is None:
             qkeys = self._ukeys
         deltas = _delta_keys(halo, self._ndim)
-        tile_src = (self.digest_matrix(), None, self._order, self._bounds)
-        result = self._gather_box(qkeys, deltas, [tile_src] * len(deltas))
+        ukeys = self._ukeys
+        n_tiles = len(ukeys)
+        nq = len(qkeys)
+        n_slots = len(deltas)
+        if nq == 0:
+            result = ([], np.empty(0, dtype=np.intp),
+                      np.zeros(1, dtype=np.int64))
+            self._nbhd_mats[cache_key] = result
+            return result
+        box = qkeys[:, None] + deltas[None, :]
+        if n_tiles:
+            pos = np.searchsorted(ukeys, box)
+            pos_c = np.minimum(pos, n_tiles - 1)
+            present = (pos < n_tiles) & (ukeys[pos_c] == box)
+        else:
+            pos_c = np.zeros((nq, n_slots), dtype=np.int64)
+            present = np.zeros((nq, n_slots), dtype=bool)
+        # Row-major over (query, slot): the canonical concatenation order.
+        p = pos_c[present]
+        dmat = np.zeros((nq, n_slots, _DIGEST_SIZE), dtype=np.uint8)
+        dmat[present] = self.digest_matrix()[p]
+        run = self._bounds[p + 1] - self._bounds[p]
+        lens = np.zeros((nq, n_slots), dtype=np.int64)
+        lens[present] = run
+        bounds = np.concatenate([[0], np.cumsum(lens.sum(axis=1))])
+        total = int(bounds[-1])
+        flat = (self._order[_ranges(self._bounds[p], run, total)]
+                if total else np.empty(0, dtype=np.intp))
+        row_bytes = n_slots * _DIGEST_SIZE
+        buf = dmat.tobytes()
+        digests = [
+            hashlib.blake2b(buf[t * row_bytes:(t + 1) * row_bytes],
+                            digest_size=_DIGEST_SIZE).digest()
+            for t in range(nq)
+        ]
+        result = (digests, flat, bounds)
         self._nbhd_mats[cache_key] = result
         return result
 
@@ -516,9 +342,12 @@ class TilePartition:
         ``sorted_halo`` is the canonical halo concatenation re-ordered to
         ascending global index (the tie-break order sub-results are
         computed under) and ``interleave_perm`` the permutation that got
-        it there (``None`` for an empty halo).  Cached per ``(key, halo)``
-        — the per-tile path recomputes the argsort on every call, which
-        is part of the overhead the plan path exists to remove.
+        it there (``None`` for an empty halo).  The per-tile oracle keys a
+        tile by the halo digest plus this permutation rather than the
+        halo's point bytes: the permutation depends only on the relative
+        interleaving of the constituent tiles, so it is stable across
+        frames exactly when the halo itself is.  Cached per ``(key,
+        halo)``.
         """
         cached = self._sorted_neighborhoods.get((key, halo))
         if cached is not None:
@@ -567,132 +396,6 @@ class TilePartition:
         tiles (Chebyshev) of the tile behind ``key`` — itself included."""
         return np.sort(self.neighborhood(key, halo)[1])
 
-    # ------------------------------------------------------------------
-    # Reach-shells: tile + thin neighbor boundary, for stencil ops
-    # ------------------------------------------------------------------
-
-    def _slabs(self, key: int, reach: int) -> dict:
-        """Boundary slabs of one tile (integer coordinates only).
-
-        ``(axis, 0)`` is the slab of points within ``reach`` of the
-        tile's low face on ``axis``, ``(axis, 2)`` of the high face;
-        only occupied slabs are present.  Computed once per
-        ``(key, reach)`` — the boundary masks for *every* point of the
-        partition are computed in one vectorized sweep per reach (see
-        :meth:`_slab_masks`), so the per-tile step is only the slicing
-        and digesting — with points in original order, so slab digests
-        are as frame-stable as the tile's own.
-        """
-        per_key = self._slabs_by_reach.setdefault(reach, {})
-        slabs = per_key.get(key)
-        if slabs is not None:
-            return slabs
-        idx = self._groups[key]
-        lo, hi = self._slab_masks(reach)
-        slabs = {}
-        for axis in range(self._ndim):
-            for code, mask in ((0, lo[idx, axis]), (2, hi[idx, axis])):
-                if mask.any():
-                    pidx = idx[mask]
-                    slabs[(axis, code)] = (content_digest(self.points[pidx]),
-                                           pidx)
-        per_key[key] = slabs
-        return slabs
-
-    def _slab_masks(self, reach: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point low/high boundary masks for the whole partition,
-        one vectorized pass per reach (cached)."""
-        cached = self._slab_masks_by_reach.get(reach)
-        if cached is not None:
-            return cached
-        side = int(self.tile_size)
-        rel = self.points - self._tiles * side
-        cached = (rel < reach, rel >= side - reach)
-        self._slab_masks_by_reach[reach] = cached
-        return cached
-
-    def shell(self, key: int, reach: int) -> tuple[bytes, np.ndarray]:
-        """``(digest, canonical_indices)`` of the tile plus a ``reach``-
-        shell of its 3^D - 1 neighbors (integer coordinates only).
-
-        The dependence region of a ``reach``-stencil op on an output tile
-        is the tile's own box expanded by ``reach`` per axis; each
-        neighbor covers its part of that region with one boundary slab (a
-        slight superset for edge/corner neighbors — harmless for
-        membership probing, which is geometrically confined to the exact
-        region).  Unlike :meth:`neighborhood` — whose digest moves when
-        *anything* in any neighbor moves — a shell digest only moves when
-        a contributed boundary slab does, and its canonical index array
-        is ~one tile rather than 3^D tiles, so both reuse granularity and
-        candidate-set size improve by an order of magnitude.  Canonical
-        order: neighbors in :func:`halo_box` order (the tile itself in
-        full at its slot), each contributing the slab facing the tile —
-        low slab of the first inbound axis for ``+1`` deltas, high for
-        ``-1`` — every slab in original point order.  Cached per
-        ``(key, reach)``.  Requires ``0 <= 2 * reach <= tile_size``.
-        """
-        cached = self._shells.get((key, reach))
-        if cached is not None:
-            return cached
-        side = int(self.tile_size)
-        if not 0 <= 2 * reach <= side:
-            raise ValueError(
-                f"shell needs 0 <= 2 * reach <= tile_size, got reach "
-                f"{reach} at tile_size {side}"
-            )
-        h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-        parts = []
-        groups = self._groups
-        slab_cache = self._slabs_by_reach.setdefault(reach, {})
-        for slot, box_key in zip(
-            _shell_plan(self._ndim), (key + _delta_keys(1, self._ndim)).tolist()
-        ):
-            if slot is None:  # the tile itself: wholly inside the region
-                idx = groups.get(key)
-                if idx is None:
-                    h.update(b"\x00")
-                else:
-                    h.update(self.digest(key))
-                    parts.append(idx)
-                continue
-            if reach == 0 or box_key not in groups:
-                # Content-equivalent to "facing slab empty": absent tiles
-                # and zero-reach shells contribute no candidates.
-                h.update(b"\x00")
-                continue
-            slabs = slab_cache.get(box_key)
-            if slabs is None:
-                slabs = self._slabs(box_key, reach)
-            slab = slabs.get(slot)
-            if slab is None:
-                h.update(b"\x00")
-            else:
-                h.update(slab[0])
-                parts.append(slab[1])
-        canonical = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
-        )
-        result = (h.digest(), canonical)
-        self._shells[(key, reach)] = result
-        return result
-
-
-def offset_key_deltas(offsets: np.ndarray, ndim: int) -> np.ndarray:
-    """Packed-key deltas of arbitrary integer offsets.
-
-    ``key(coord + offset) == key(coord) + delta`` whenever the shifted
-    coordinate stays inside the per-axis packable range — the same
-    additivity :func:`_delta_keys` exploits for halo boxes, exposed for
-    the batched kernel-map prober (callers must range-guard).
-    """
-    from ..pointcloud.coords import _KEY_BITS_PER_AXIS
-
-    shifts = np.array(
-        [1 << (_KEY_BITS_PER_AXIS * (ndim - 1 - d)) for d in range(ndim)],
-        dtype=np.int64,
-    )
-    return np.asarray(offsets, dtype=np.int64) @ shifts
-
 
 @functools.lru_cache(maxsize=32)
 def _delta_keys(halo: int, ndim: int) -> np.ndarray:
@@ -706,22 +409,6 @@ def _delta_keys(halo: int, ndim: int) -> np.ndarray:
         dtype=np.int64,
     )
     return halo_box(halo, ndim) @ shifts
-
-
-@functools.lru_cache(maxsize=8)
-def _shell_plan(ndim: int) -> tuple:
-    """Per :func:`halo_box` row: ``None`` for the center tile, else the
-    ``(axis, lo/hi)`` slab a neighbor at that delta faces the tile with —
-    a ``+1`` neighbor with its *low* slab, a ``-1`` with its high one, on
-    the first inbound axis."""
-    plan = []
-    for delta in halo_box(1, ndim).tolist():
-        if not any(delta):
-            plan.append(None)
-        else:
-            axis = next(a for a, d in enumerate(delta) if d)
-            plan.append((axis, 0 if delta[axis] > 0 else 2))
-    return tuple(plan)
 
 
 @functools.lru_cache(maxsize=32)

@@ -198,6 +198,37 @@ class TestTieredLookup:
         second = tiered.memoize(*args, lambda: np.zeros(4))
         assert np.array_equal(second, np.zeros(4))
 
+    def test_miss_stores_one_private_copy_in_every_tier(self):
+        """A miss copies the computed value once and shares that object
+        across tiers: L1 and L2 hold the same entry, not two copies, and
+        the caller's result is not it."""
+        l1, l2 = MapCache(), SharedMapStore()
+        tiered = TieredLookup([l1, l2])
+        args = ("op", (np.arange(3),), {})
+        out = tiered.memoize(*args, lambda: np.arange(4))
+        (key,) = l1._entries
+        assert l1._entries[key] is l2._entries[key]
+        assert l1._entries[key] is not out
+        assert l1.stats().stored_bytes == out.nbytes
+        out[:] = -1  # vandalize the caller's result
+        assert np.array_equal(l1._entries[key], np.arange(4))
+
+    def test_l2_hit_promotes_the_shared_object(self):
+        """A hit promotes the L2's stored object into L1 by reference and
+        hands the caller a copy: vandalizing it leaves both tiers intact."""
+        l1, l2 = MapCache(), SharedMapStore()
+        tiered = TieredLookup([l1, l2])
+        args = ("op", (np.arange(3),), {})
+        tiered.memoize(*args, lambda: np.arange(4))
+        l1.clear()
+        out = tiered.memoize(*args, lambda: np.zeros(4))
+        (key,) = l2._entries
+        assert l1._entries[key] is l2._entries[key]
+        out[:] = -1
+        assert np.array_equal(l1._entries[key], np.arange(4))
+        assert np.array_equal(tiered.memoize(*args, lambda: np.zeros(4)),
+                              np.arange(4))
+
     def test_rejects_empty_tier_list(self):
         with pytest.raises(ValueError):
             TieredLookup([None, None])

@@ -14,13 +14,19 @@ from repro.stream import FrameSequence, SequenceConfig
 SCALE = 0.12
 
 
-def _spec(name, start_x=0.0, seed=5, n_frames=2, **kwargs):
+def _spec(name, start_x=0.0, seed=5, n_frames=2,
+          benchmark="MinkNet(o)", **kwargs):
     sequence = FrameSequence(SequenceConfig(
         seed=seed, n_frames=3, base_points=1800, fov=14.0, speed=2.0,
         n_dynamic=1, start_x=start_x,
     ))
-    return StreamSpec(name=name, sequence=sequence, benchmark="MinkNet(o)",
+    return StreamSpec(name=name, sequence=sequence, benchmark=benchmark,
                       scale=SCALE, n_frames=n_frames, **kwargs)
+
+
+def _tiled(name, start_x=0.0, **kwargs):
+    """A stream whose kNN / ball-query calls run through the tile front."""
+    return _spec(name, start_x, benchmark="PointNet++(c)", **kwargs)
 
 
 def _fleet(specs, **kwargs):
@@ -71,7 +77,7 @@ class TestMechanics:
         assert stats.per_stream["fine"]["completed"] == 2
 
     def test_cross_stream_hits_on_shared_world(self):
-        fleet = _fleet([_spec("a", 0.0), _spec("b", 0.5)])
+        fleet = _fleet([_tiled("a", 0.0), _tiled("b", 0.5)])
         fleet.run()
         ws = fleet.world_store.stats()
         assert ws.cross_hits > 0
@@ -82,12 +88,12 @@ class TestMechanics:
         assert fleet.executor.stats().front["cross_hits"] == ws.cross_hits
 
     def test_disjoint_worlds_share_nothing(self):
-        fleet = _fleet([_spec("a", seed=5), _spec("b", seed=6)])
+        fleet = _fleet([_tiled("a", seed=5), _tiled("b", seed=6)])
         fleet.run()
         assert fleet.world_store.stats().cross_hits == 0
 
     def test_share_world_tiles_off(self):
-        fleet = _fleet([_spec("a", 0.0), _spec("b", 1.0)],
+        fleet = _fleet([_tiled("a", 0.0), _tiled("b", 1.0)],
                        share_world_tiles=False)
         assert fleet.world_store is None
         results = fleet.run()
@@ -96,7 +102,7 @@ class TestMechanics:
         assert fleet.summary()["tiles"]["tile_hits"] > 0
 
     def test_engine_executor(self):
-        fleet = _fleet([_spec("a", 0.0), _spec("b", 1.0)], n_shards=0)
+        fleet = _fleet([_tiled("a", 0.0), _tiled("b", 1.0)], n_shards=0)
         results = fleet.run()
         assert all(f.completed for frames in results.values() for f in frames)
         assert fleet.world_store.stats().cross_hits > 0

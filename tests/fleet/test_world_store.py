@@ -15,9 +15,9 @@ import pytest
 
 from repro.engine import MapCache
 from repro.fleet import WorldTileStore
+from repro.mapping.ball_query import ball_query_indices
 from repro.mapping.hooks import TieredLookup, request_context, use_map_cache
 from repro.mapping.knn import knn_indices
-from repro.pointcloud.coords import voxelize
 from repro.stream import TileMapCache
 
 
@@ -98,21 +98,21 @@ class TestAttribution:
         _assert_counts_sum(store, inner)
 
     def test_counts_sum_across_ops_and_fronts(self, rng):
-        """Mixed op traffic (kNN + voxelize tiles) through two tenants:
+        """Mixed op traffic (kNN + ball-query tiles) through two tenants:
         per-op counts line up front-to-front and reach the tier."""
-        inner, store, chain = _store(tile_size=4.0, voxel_tile=8)
+        inner, store, chain = _store(tile_size=4.0)
         cloud = _cloud(rng, n=600)
         with use_map_cache(chain):
             for tenant in ("veh0", "veh1"):
                 with request_context(tenant):
                     knn_indices(cloud, cloud, 4)
-                    voxelize(cloud, 0.25)
+                    ball_query_indices(cloud, cloud, 2.0, 6)
         _assert_counts_sum(store, inner)
         ws = store.stats()
-        assert {"knn", "voxelize"} <= set(ws.by_op)
+        assert {"knn", "ball_query"} <= set(ws.by_op)
         # Every sub-lookup the fronts booked is also visible in the tier.
         tier_by_op = chain.stats().snapshot()["tiers"][0]["by_op"]
-        for op in ("knn", "voxelize"):
+        for op in ("knn", "ball_query"):
             tier_counts = tier_by_op[op + "/tile"]
             assert (
                 tier_counts["hits"] + tier_counts["misses"]

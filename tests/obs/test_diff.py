@@ -107,31 +107,31 @@ class TestTraceDiffFiles:
 
 
 class TestSlowdownAttribution:
-    def test_injected_splice_slowdown_ranks_first(self, tmp_path,
-                                                  monkeypatch):
-        """~10 ms injected into every kernel-map compose (inside the
-        splice span) must surface as: top phase == splice, positive
+    def test_injected_backend_slowdown_ranks_first(self, tmp_path,
+                                                   monkeypatch):
+        """~10 ms injected into every accelerator cost-model run (inside
+        the backend span) must surface as: top phase == backend, positive
         delta, and a verdict naming it."""
         baseline = _traced_run(tmp_path, "baseline.jsonl")
 
-        from repro.stream.plan import KernelComposer
-        real = KernelComposer.compose
+        from repro.core.accelerator import PointAccModel
+        real = PointAccModel.run
 
-        def slow_compose(self, *args, **kwargs):
+        def slow_run(self, *args, **kwargs):
             time.sleep(0.010)
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(KernelComposer, "compose", slow_compose)
+        monkeypatch.setattr(PointAccModel, "run", slow_run)
         candidate = _traced_run(tmp_path, "candidate.jsonl")
 
         diff = trace_diff(baseline, candidate)
-        assert diff["top_phase"] == "splice"
+        assert diff["top_phase"] == "backend"
         top = diff["phases"][0]
         assert top["delta_ms"] > 0
         assert top["rate_delta_ms_per_call"] > 0
-        assert diff["verdict"].startswith("splice self-time +")
+        assert diff["verdict"].startswith("backend self-time +")
         # The injected cost is per-call, not per-volume: call counts on
         # the two sides agree, so the verdict blames the rate.
         assert "on ~same call count" in diff["verdict"]
         # Machine payload survives a JSON round trip for CI archival.
-        assert json.loads(json.dumps(diff))["top_phase"] == "splice"
+        assert json.loads(json.dumps(diff))["top_phase"] == "backend"

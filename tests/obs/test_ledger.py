@@ -61,12 +61,10 @@ class TestSummaryAndDump:
         ledger.tile("knn", "l1_hit", 4)
         ledger.tile("knn", "recompute(cold)", 5)
         ledger.tile("knn", "recompute(halo_moved)", 1)
-        ledger.splice("kernel_map/conv", "spliced")
         summary = ledger.summary()
         assert summary["planned_tiles"] == 10
         assert summary["recomputed_tiles"] == 6
         assert summary["causes"]["l1_hit"] == 4
-        assert summary["splice"] == {"spliced": 1}
         assert summary["dropped"] == 0
 
     def test_every_tile_cause_is_summarizable(self):
@@ -82,13 +80,14 @@ class TestSummaryAndDump:
         ledger = RecomputeLedger()
         with use_ledger(ledger), ledger_frame("f7"):
             ledger.tile("ball_query", "l2_hit", 2)
-            ledger.splice("kernel_map/conv", "full_sort")
+            ledger.call("knn", 3)
         path = tmp_path / "ledger.jsonl"
         assert ledger.dump_jsonl(str(path)) == 2
         events = [json.loads(line) for line in path.read_text().splitlines()]
         assert events[0] == {"kind": "tile", "frame": "f7",
                              "op": "ball_query", "cause": "l2_hit", "n": 2}
-        assert events[1]["outcome"] == "full_sort"
+        assert events[1] == {"kind": "call", "frame": "f7", "op": "knn",
+                             "cause": "planned", "tiles": 3}
 
 
 class TestContext:

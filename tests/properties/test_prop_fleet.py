@@ -7,7 +7,8 @@ per-frame ``PerfReport``\\ s exactly equal to running that stream **cold
 and alone** (:func:`repro.engine.run_cold` per frame: fresh functional
 simulation, no caches, no fleet).  The matrix covers {2, 4} streams x
 overlapping vs disjoint world regions x engine vs cluster execution x
-incremental vs cold voxelizer.
+a SparseConv network (whole-op digest sharing only) vs a PointNet++
+network (kNN / ball-query world tiles, shared across streams).
 """
 
 import pytest
@@ -32,46 +33,45 @@ def _configs(n_streams: int, regions: str):
     return [SequenceConfig(seed=40 + i, **BASE) for i in range(n_streams)]
 
 
-def _specs(n_streams: int, regions: str):
+BENCHMARKS = ["MinkNet(o)", "PointNet++(c)"]
+
+
+def _specs(n_streams: int, regions: str, benchmark: str):
     return [
         StreamSpec(name=f"veh{i}", sequence=FrameSequence(config),
-                   benchmark="MinkNet(o)", scale=SCALE, n_frames=N_FRAMES)
+                   benchmark=benchmark, scale=SCALE, n_frames=N_FRAMES)
         for i, config in enumerate(_configs(n_streams, regions))
     ]
 
 
 @pytest.fixture(scope="module")
 def oracles():
-    """Cold per-frame runs for every sequence the matrix uses, computed
-    once per distinct config."""
+    """Cold per-frame runs for every (sequence, network) the matrix uses,
+    computed once per distinct pair."""
     out = {}
-    for regions in ("overlapping", "disjoint"):
-        for spec in _specs(4, regions):
-            out[spec.sequence.token] = [
-                run_cold(SimRequest(
-                    benchmark=spec.sequence.notation(spec.benchmark),
-                    scale=SCALE, seed=i,
-                ))
-                for i in range(N_FRAMES)
-            ]
+    for benchmark in BENCHMARKS:
+        for regions in ("overlapping", "disjoint"):
+            for spec in _specs(4, regions, benchmark):
+                notation = spec.sequence.notation(benchmark)
+                out[notation] = [
+                    run_cold(SimRequest(benchmark=notation, scale=SCALE,
+                                        seed=i))
+                    for i in range(N_FRAMES)
+                ]
     return out
 
 
-@pytest.mark.parametrize("incremental_voxelize", [True, False],
-                         ids=["vox-incr", "vox-cold"])
+@pytest.mark.parametrize("bench_name", BENCHMARKS)
 @pytest.mark.parametrize("n_shards", [0, 2], ids=["engine", "cluster"])
 @pytest.mark.parametrize("regions", ["overlapping", "disjoint"])
 @pytest.mark.parametrize("n_streams", [2, 4])
 def test_fleet_bit_identical_to_cold_alone(oracles, n_streams, regions,
-                                           n_shards, incremental_voxelize):
-    specs = _specs(n_streams, regions)
-    fleet = FleetSession(
-        specs, n_shards=n_shards, min_points=64,
-        incremental_voxelize=incremental_voxelize,
-    )
+                                           n_shards, bench_name):
+    specs = _specs(n_streams, regions, bench_name)
+    fleet = FleetSession(specs, n_shards=n_shards, min_points=64)
     results = fleet.run()
     for spec in specs:
-        cold = oracles[spec.sequence.token]
+        cold = oracles[spec.sequence.notation(bench_name)]
         frames = results[spec.name]
         assert len(frames) == N_FRAMES
         for cold_result, frame in zip(cold, frames):
@@ -82,7 +82,11 @@ def test_fleet_bit_identical_to_cold_alone(oracles, n_streams, regions,
                 == cold_result.reports["pointacc"]
             ), f"{spec.name} frame {frame.index} diverged from cold oracle"
     world = fleet.world_store.stats()
-    if regions == "overlapping":
+    if bench_name == "MinkNet(o)":
+        # Kernel maps and voxelize never reach the tile front.
+        assert fleet.world_store.inner.stats().decomposed_calls == 0
+        assert world.lookups == 0
+    elif regions == "overlapping":
         assert world.cross_hits > 0  # sharing actually engaged
     else:
         assert world.cross_hits == 0  # and never invents overlap

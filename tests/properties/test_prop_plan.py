@@ -1,13 +1,14 @@
-"""Plan/execute + delta-composition equivalence properties.
+"""Plan/execute equivalence properties.
 
-The acceptance contract of the batched tile front: for every op family it
-decomposes ({kNN, ball query, kernel map, voxelize}), across executors
-({engine, cluster, fleet}) and tile sizes, the plan path — vectorized
-digests, ``get_many`` batching, whole-call reuse, delta-composed kernel
-maps — produces results bit-identical to the cold reference computation
-AND to the per-tile oracle it replaced (:class:`PerTileOracle`), cold and
-warm, frame over frame.  Splices, certificates, whole-call hits and the
-density bypass are wall-clock phenomena only.
+The acceptance contract of the batched tile front: for the op families it
+decomposes (kNN, ball query), across executors ({engine, cluster, fleet})
+and tile sizes, the plan path — vectorized digests, ``get_many``
+batching, whole-call reuse — produces results bit-identical to the cold
+reference computation AND to the per-tile oracle it replaced
+(:class:`PerTileOracle`), cold and warm, frame over frame.  SparseConv
+streams run with the front installed too: it declines their kernel maps
+and voxelize (``decomposed_calls == 0``) and every frame still equals
+the cold oracle.
 """
 
 import numpy as np
@@ -18,9 +19,7 @@ from repro.engine import MapCache, SimRequest, run_cold
 from repro.fleet import FleetSession, StreamSpec
 from repro.mapping.ball_query import ball_query_indices
 from repro.mapping.hooks import TieredLookup, use_map_cache
-from repro.mapping.kernel_map import kernel_map
 from repro.mapping.knn import knn_indices
-from repro.pointcloud.coords import quantize_unique, voxelize
 from repro.stream import (
     FrameSequence,
     SequenceConfig,
@@ -86,40 +85,6 @@ def test_knn_and_ball_modes_agree_across_frames(rng, tile_size, halo):
     assert legacy.stats().tile_hits > 0
 
 
-@pytest.mark.parametrize("voxel_tile", [4, 8, 32])
-@pytest.mark.parametrize("algorithm", ["mergesort", "hash"])
-def test_kernel_map_modes_agree_across_frames(rng, voxel_tile, algorithm):
-    (batched, chain_b), (legacy, chain_l) = _chains(voxel_tile=voxel_tile)
-    coords, _ = quantize_unique(rng.integers(0, 64, (900, 3)), 1)
-    for step in range(3):
-        keep = ~np.all(coords < 8 * step, axis=1)
-        frame = np.ascontiguousarray(coords[keep])
-        expect = kernel_map(frame, frame, kernel_size=3, algorithm=algorithm)
-        with use_map_cache(chain_b):
-            got = kernel_map(frame, frame, kernel_size=3, algorithm=algorithm)
-        with use_map_cache(chain_l):
-            leg = kernel_map(frame, frame, kernel_size=3, algorithm=algorithm)
-        for table in (got, leg):
-            assert np.array_equal(expect.in_idx, table.in_idx)
-            assert np.array_equal(expect.out_idx, table.out_idx)
-            assert np.array_equal(expect.weight_idx, table.weight_idx)
-            assert expect.kernel_volume == table.kernel_volume
-    assert batched._composer.splices + batched._composer.full_sorts >= 3
-
-
-def test_voxelize_modes_agree_across_frames(rng):
-    (batched, chain_b), (legacy, chain_l) = _chains(voxel_tile=8)
-    for cloud in _drifting_clouds(rng, n=2500):
-        expect = voxelize(cloud, 0.2)
-        with use_map_cache(chain_b):
-            got = voxelize(cloud, 0.2)
-        with use_map_cache(chain_l):
-            leg = voxelize(cloud, 0.2)
-        for pair in (got, leg):
-            assert np.array_equal(expect[0], pair[0])
-            assert np.array_equal(expect[1], pair[1])
-
-
 # ----------------------------------------------------------------------
 # Network level: engine / cluster / fleet executors
 # ----------------------------------------------------------------------
@@ -149,9 +114,18 @@ def _assert_matches(session, oracle):
         assert frame.result.reports["pointacc"] == cold.reports["pointacc"]
 
 
+def _assert_front_engaged(front, bench_name):
+    """kNN/ball-query networks decompose; SparseConv ones never do."""
+    calls = front.stats().decomposed_calls
+    if bench_name == "MinkNet(o)":
+        assert calls == 0
+    else:
+        assert calls > 0
+
+
 @pytest.mark.parametrize("tiles", [
-    {"tile_size": 3.0, "halo": 1, "voxel_tile": 16},
-    {"tile_size": 8.0, "halo": 1, "voxel_tile": 48},
+    {"tile_size": 3.0, "halo": 1},
+    {"tile_size": 8.0, "halo": 1},
 ])
 @pytest.mark.parametrize("bench_name", ["MinkNet(o)", "PointNet++(c)"])
 def test_engine_stream_batched_bit_identical(sequence, oracles, bench_name,
@@ -160,10 +134,7 @@ def test_engine_stream_batched_bit_identical(sequence, oracles, bench_name,
         sequence, bench_name, scale=0.25, min_points=64, **tiles,
     )
     _assert_matches(session, oracles[bench_name])
-    assert session.tile_cache.stats().decomposed_calls > 0
-    if bench_name == "MinkNet(o)":
-        compose = session.tile_cache.stats().snapshot()["compose"]
-        assert compose["splices"] + compose["full_sorts"] > 0
+    _assert_front_engaged(session.tile_cache, bench_name)
 
 
 @pytest.mark.parametrize("bench_name", ["MinkNet(o)", "PointNet++(c)"])
@@ -178,15 +149,17 @@ def test_cluster_stream_batched_bit_identical(sequence, oracles, bench_name,
     session = StreamSession(sequence, bench_name, scale=0.25,
                             cluster=cluster)
     _assert_matches(session, oracles[bench_name])
-    assert cluster.tile_cache.stats().tile_hits > 0
+    _assert_front_engaged(cluster.tile_cache, bench_name)
+    if bench_name != "MinkNet(o)":
+        assert cluster.tile_cache.stats().tile_hits > 0
 
 
 @pytest.mark.parametrize("bench_name", ["MinkNet(o)", "PointNet++(c)"])
 def test_fleet_batched_bit_identical(bench_name):
     """Two same-world staggered streams through one shared batched front
     (the WorldTileStore-wrapped chain): every frame equals its own cold
-    oracle, and the overlap earns cross-stream hits — for the kernel-map/
-    voxelize family and the kNN/ball-query family alike."""
+    oracle; kNN/ball-query tiles earn cross-stream hits, while a
+    SparseConv fleet never reaches the front."""
     sequences = [
         FrameSequence(SequenceConfig(
             seed=23, n_frames=N_FRAMES, base_points=2200, fov=16.0,
@@ -210,17 +183,7 @@ def test_fleet_batched_bit_identical(bench_name):
             assert frame.result.reports["pointacc"] == cold.reports["pointacc"]
     store = fleet.world_store
     assert store is not None
-    # The second vehicle rides tiles the first one paid for.
-    assert store.stats().cross_hits > 0
-
-
-def test_bypassed_session_bit_identical(sequence, oracles):
-    """An aggressive density floor (everything bypasses) must still equal
-    the oracle — the bypass only re-routes to the digest path."""
-    session = StreamSession(
-        sequence, "MinkNet(o)", scale=0.25, min_points=64,
-        min_points_per_tile=1 << 16,
-    )
-    _assert_matches(session, oracles["MinkNet(o)"])
-    assert session.tile_cache.stats().bypassed_calls > 0
-    assert session.tile_cache.stats().decomposed_calls == 0
+    _assert_front_engaged(store.inner, bench_name)
+    if bench_name != "MinkNet(o)":
+        # The second vehicle rides tiles the first one paid for.
+        assert store.stats().cross_hits > 0

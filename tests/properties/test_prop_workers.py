@@ -124,7 +124,7 @@ def test_fleet_workers_bit_identical_to_in_process():
                     SequenceConfig(seed=31, start_x=0.4 * i, sensor_seed=i,
                                    **base)
                 ),
-                benchmark="MinkNet(o)", scale=0.2, n_frames=2,
+                benchmark="PointNet++(c)", scale=0.2, n_frames=2,
             )
             for i in range(2)
         ]

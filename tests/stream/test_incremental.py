@@ -2,9 +2,10 @@
 
 These are op-level checks (the network-level bit-identity lives in
 ``tests/properties/test_prop_stream.py``): for random clouds and a range of
-tile/halo configurations, the tile front's composed answers must equal the
-plain reference computation exactly — indices, distances, row order — on
-cold caches, warm caches, and across perturbed "next frames".
+tile/halo configurations, the tile front's composed kNN / ball-query
+answers must equal the plain reference computation exactly — indices,
+distances, padding — on cold caches, warm caches, and across perturbed
+"next frames".  Every other op must pass through to the digest path.
 """
 
 import sys
@@ -152,47 +153,31 @@ class TestBallQueryExact:
 
 
 class TestKernelMapExact:
+    """Kernel maps through a front-equipped chain: declined, still exact."""
+
     @pytest.mark.parametrize("algorithm", ["mergesort", "hash", "bruteforce"])
-    @pytest.mark.parametrize("voxel_tile", [4, 16])
-    def test_matches_reference_including_row_order(self, rng, algorithm,
-                                                   voxel_tile):
+    def test_matches_reference_including_row_order(self, rng, algorithm):
         coords, _ = quantize_unique(
             rng.integers(0, 60, (500, 3)), 1
         )
         expect = kernel_map(coords, coords, kernel_size=3, algorithm=algorithm)
-        _, chain = _front(voxel_tile=voxel_tile)
+        front, chain = _front()
         with use_map_cache(chain):
             got = kernel_map(coords, coords, kernel_size=3, algorithm=algorithm)
         assert np.array_equal(expect.in_idx, got.in_idx)
         assert np.array_equal(expect.out_idx, got.out_idx)
         assert np.array_equal(expect.weight_idx, got.weight_idx)
         assert expect.kernel_volume == got.kernel_volume
+        assert front.stats().decomposed_calls == 0
 
     def test_strided_downsampling_maps(self, rng):
         pts = rng.uniform(0, 10, (800, 3))
         in_coords, _ = voxelize(pts, 0.4)
         out_coords, _ = quantize_unique(in_coords, 2)
         expect = kernel_map(in_coords, out_coords, kernel_size=2)
-        _, chain = _front(voxel_tile=8)
+        _, chain = _front()
         with use_map_cache(chain):
             got = kernel_map(in_coords, out_coords, kernel_size=2)
-        assert np.array_equal(expect.in_idx, got.in_idx)
-        assert np.array_equal(expect.out_idx, got.out_idx)
-        assert np.array_equal(expect.weight_idx, got.weight_idx)
-
-    def test_cross_frame_tile_reuse(self, rng):
-        coords, _ = quantize_unique(rng.integers(0, 80, (900, 3)), 1)
-        front, chain = _front(voxel_tile=8)
-        with use_map_cache(chain):
-            kernel_map(coords, coords, kernel_size=3)
-        # Next frame: drop a spatially-confined corner of the cloud.
-        keep = ~np.all(coords < 8, axis=1)
-        nxt = coords[keep]
-        expect = kernel_map(nxt, nxt, kernel_size=3)
-        before = front.stats().tile_hits
-        with use_map_cache(chain):
-            got = kernel_map(nxt, nxt, kernel_size=3)
-        assert front.stats().tile_hits > before
         assert np.array_equal(expect.in_idx, got.in_idx)
         assert np.array_equal(expect.out_idx, got.out_idx)
         assert np.array_equal(expect.weight_idx, got.weight_idx)
@@ -242,8 +227,28 @@ class TestGatingAndStats:
             TileMapCache(tile_size=0)
         with pytest.raises(ValueError):
             TileMapCache(halo=-1)
-        with pytest.raises(ValueError):
-            TileMapCache(voxel_tile=0)
+
+    def test_kernel_maps_and_voxelize_take_the_digest_path(self, rng):
+        """Sort-based ops are declined: the front never sees them and the
+        chain's whole-op digest path serves them (a repeat call hits)."""
+        coords, _ = quantize_unique(rng.integers(0, 60, (600, 3)), 1)
+        points = rng.uniform(0, 20, (2000, 3))
+        front, chain = _front()
+        for algorithm in ("mergesort", "hash", "bruteforce"):
+            op = f"kernel_map/{algorithm}"
+            assert not front.handles(op, (coords, coords, coords[:1]), {})
+        assert not front.handles("voxelize", (points,), {"voxel_size": 0.2})
+        expect = voxelize(points, 0.2)
+        with use_map_cache(chain):
+            for _ in range(2):
+                kernel_map(coords, coords, kernel_size=3)
+                got = voxelize(points, 0.2)
+        assert np.array_equal(expect[0], got[0])
+        assert np.array_equal(expect[1], got[1])
+        assert front.stats().decomposed_calls == 0
+        by_op = chain.stats().by_op
+        assert by_op["kernel_map/mergesort"] == {"hits": 1, "misses": 1}
+        assert by_op["voxelize"] == {"hits": 1, "misses": 1}
 
     def test_engine_requires_a_tier_for_tiles(self):
         from repro.engine import SimulationEngine
@@ -253,120 +258,8 @@ class TestGatingAndStats:
 
 
 class TestVoxelizeExact:
-    @pytest.mark.parametrize("voxel_tile", [4, 16, 48])
-    def test_matches_reference(self, rng, voxel_tile):
-        points = rng.uniform(-20, 20, (3000, 3))
-        expect_v, expect_i = voxelize(points, 0.1)
-        front, chain = _front(voxel_tile=voxel_tile)
-        with use_map_cache(chain):
-            got_v, got_i = voxelize(points, 0.1)
-        assert np.array_equal(expect_v, got_v)
-        assert np.array_equal(expect_i, got_i)
-        assert got_v.dtype == expect_v.dtype and got_i.dtype == expect_i.dtype
-        assert front.stats().by_op["voxelize"]["misses"] > 0
-
-    def test_warm_and_cross_frame_reuse_exact(self, rng):
-        points = rng.uniform(0, 30, (4000, 3))
-        front, chain = _front(voxel_tile=16)
-        with use_map_cache(chain):
-            voxelize(points, 0.1)
-        # Next frame: one corner moves, the rest byte-stable.
-        moved = points.copy()
-        corner = np.all(points < 6.0, axis=1)
-        moved[corner] += 0.3
-        expect = voxelize(moved, 0.1)
-        before = front.stats().tile_hits
-        with use_map_cache(chain):
-            got = voxelize(moved, 0.1)
-        assert front.stats().tile_hits > before  # clean tiles reused
-        assert np.array_equal(expect[0], got[0])
-        assert np.array_equal(expect[1], got[1])
-
-    def test_certificate_failure_falls_back_globally(self, rng):
-        """A corrupted cached tile entry (out-of-order keys) must drop the
-        call to the global reference computation, not a wrong answer."""
-        points = rng.uniform(0, 10, (1500, 3))
-        expect = voxelize(points, 0.2)
-        front = _FRONT_CLS(min_points=1, voxel_tile=8)
-        tier = MapCache(max_entries=1 << 15)
-        chain = TieredLookup([tier], front=front)
-        with use_map_cache(chain):
-            voxelize(points, 0.2)
-        # Vandalize every cached voxel tile: reverse the sorted keys.
-        # Composed whole-call entries (2-D voxel arrays) are dropped so
-        # the replay must recompose from the corrupted tiles.
-        for key, entry in list(tier._entries.items()):
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                continue
-            if entry[0].ndim == 1:
-                tier._entries[key] = (entry[0][::-1].copy(), entry[1])
-            else:
-                del tier._entries[key]
-        with use_map_cache(chain):
-            got = voxelize(points, 0.2)
-        assert np.array_equal(expect[0], got[0])
-        assert np.array_equal(expect[1], got[1])
-        assert front.stats().fallback_rows >= len(points)
-
-    def test_incremental_voxelize_off_passes_through(self, rng):
-        points = rng.uniform(0, 10, (1000, 3))
-        front, chain = _front(incremental_voxelize=False)
-        with use_map_cache(chain):
-            voxelize(points, 0.2)
-        assert "voxelize" not in front.stats().by_op
-        assert chain.stats().misses == 1  # whole-content digest path
-
     def test_no_cache_no_change(self, rng):
         points = rng.uniform(0, 10, (500, 3))
         a = voxelize(points, 0.25)
         b = voxelize(points, 0.25)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-class TestShellExactness:
-    """Reach-shell kernel maps: the shell is the exact dependence region."""
-
-    @pytest.mark.parametrize("stride", [1, 2, 4])
-    def test_strided_stencils_match_reference(self, rng, stride):
-        coords, _ = quantize_unique(rng.integers(0, 96, (700, 3)), stride)
-        expect = kernel_map(coords, coords, kernel_size=3,
-                            tensor_stride=stride)
-        _, chain = _front(voxel_tile=16)
-        with use_map_cache(chain):
-            got = kernel_map(coords, coords, kernel_size=3,
-                             tensor_stride=stride)
-        assert np.array_equal(expect.in_idx, got.in_idx)
-        assert np.array_equal(expect.out_idx, got.out_idx)
-        assert np.array_equal(expect.weight_idx, got.weight_idx)
-
-    def test_interior_churn_does_not_dirty_neighbors(self, rng):
-        """The shell property itself: moving points strictly interior to
-        one tile (farther than ``reach`` from its boundary) leaves every
-        *other* tile's sub-key untouched."""
-        side = 32  # voxel_tile 32, kernel 3 -> reach 1
-        coords, _ = quantize_unique(rng.integers(0, 4 * side, (2500, 3)), 1)
-        front, chain = _front(voxel_tile=side)
-        with use_map_cache(chain):
-            kernel_map(coords, coords, kernel_size=3)
-        # Move a point that sits deep inside its tile (rel coords in
-        # [8, 24) of a 32-side tile) to another interior position.
-        rel = coords % side
-        interior = np.all((rel >= 8) & (rel < side - 8), axis=1)
-        assert interior.any()
-        moved = coords.copy()
-        moved[np.flatnonzero(interior)[0]] += 3  # still interior
-        nxt, _ = quantize_unique(moved, 1)
-        expect = kernel_map(nxt, nxt, kernel_size=3)
-        per_tile = front.stats().by_op["kernel_map/mergesort"]
-        h0, m0 = per_tile["hits"], per_tile["misses"]
-        with use_map_cache(chain):
-            got = kernel_map(nxt, nxt, kernel_size=3)
-        misses = per_tile["misses"] - m0
-        hits = per_tile["hits"] - h0
-        # Exactly one tile recomputes; every other tile's shell key is
-        # byte-identical and hits.  (The per-tile counter, specifically:
-        # the aggregate also sees the whole-call probe miss.)
-        assert misses == 1 and hits > 0
-        assert np.array_equal(expect.in_idx, got.in_idx)
-        assert np.array_equal(expect.out_idx, got.out_idx)
-        assert np.array_equal(expect.weight_idx, got.weight_idx)

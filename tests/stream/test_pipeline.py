@@ -133,16 +133,18 @@ class TestQoS:
 
 class TestTileReuseEndToEnd:
     def test_consecutive_frames_hit_tiles(self, seq):
-        session = StreamSession(seq, "MinkNet(o)", scale=0.25, min_points=64)
+        session = StreamSession(seq, "PointNet++(c)", scale=0.25,
+                                min_points=64)
         session.run(1)
         assert session.tile_cache.stats().tile_hits == 0  # first frame: cold
         session.run(2)
         snap = session.tile_cache.stats().snapshot()
         assert snap["tile_hits"] > 0
-        assert "kernel_map/mergesort" in snap["by_op"]
+        assert "ball_query" in snap["by_op"]
 
     def test_tile_stats_reachable_from_engine_stats(self, seq):
-        session = StreamSession(seq, "MinkNet(o)", scale=0.2, min_points=64)
+        session = StreamSession(seq, "PointNet++(c)", scale=0.2,
+                                min_points=64)
         session.run(1)
         engine_snap = session.executor.stats().map_cache
         assert engine_snap["front"]["decomposed_calls"] > 0

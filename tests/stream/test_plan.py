@@ -1,25 +1,22 @@
-"""The batched planner: key disjointness, batch chain API, composition.
+"""The batched planner: key disjointness, batch chain API, whole-call reuse.
 
 Exactness of the batched front against the reference ops is covered by
 ``test_incremental.py`` (parametrized over planner and oracle) and the
 property suites; this file pins the plan-specific machinery — the
-versioned fixed-width key universe (disjoint from the oracle's legacy
+versioned fixed-width key universe (disjoint from the oracle's 16-byte
 digests by construction), the ``get_many``/``put_many`` chain semantics,
-whole-call reuse, the kernel composer's splice and its certificate, and
-the small-cloud density bypass.
+and whole-call reuse.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import MapCache
+from repro.mapping.ball_query import ball_query_indices
 from repro.mapping.hooks import TieredLookup, use_map_cache
-from repro.mapping.kernel_map import kernel_map
 from repro.mapping.knn import knn_indices
-from repro.pointcloud.coords import quantize_unique, voxelize
 from repro.stream import TileMapCache
 from repro.stream.incremental import PerTileOracle
-from repro.stream.tiles import TilePartition
 
 
 def _pair(oracle=False, tier=None, **kwargs):
@@ -38,22 +35,6 @@ class TestKeyDisjointness:
     produce the exact reference arrays."""
 
     @pytest.mark.parametrize("warm_oracle", [True, False])
-    def test_kernel_map_universes_disjoint(self, rng, warm_oracle):
-        coords, _ = quantize_unique(rng.integers(0, 80, (900, 3)), 1)
-        _, tier, chain = _pair(warm_oracle, voxel_tile=8)
-        with use_map_cache(chain):
-            kernel_map(coords, coords, kernel_size=3)
-        replay, _, chain2 = _pair(not warm_oracle, tier=tier, voxel_tile=8)
-        with use_map_cache(chain2):
-            got = kernel_map(coords, coords, kernel_size=3)
-        per_tile = replay.stats().by_op["kernel_map/mergesort"]
-        assert per_tile["hits"] == 0 and per_tile["misses"] > 0
-        expect = kernel_map(coords, coords, kernel_size=3)
-        assert np.array_equal(expect.in_idx, got.in_idx)
-        assert np.array_equal(expect.out_idx, got.out_idx)
-        assert np.array_equal(expect.weight_idx, got.weight_idx)
-
-    @pytest.mark.parametrize("warm_oracle", [True, False])
     def test_knn_universes_disjoint(self, rng, warm_oracle):
         cloud = rng.uniform(0, 20, (400, 3))
         _, tier, chain = _pair(warm_oracle, tile_size=4.0)
@@ -66,21 +47,6 @@ class TestKeyDisjointness:
         assert per_tile["hits"] == 0 and per_tile["misses"] > 0
         assert np.array_equal(knn_indices(cloud, cloud, 5)[0], got[0])
 
-    @pytest.mark.parametrize("warm_oracle", [True, False])
-    def test_voxelize_universes_disjoint(self, rng, warm_oracle):
-        pts = rng.uniform(0, 30, (3000, 3))
-        _, tier, chain = _pair(warm_oracle, voxel_tile=16)
-        with use_map_cache(chain):
-            voxelize(pts, 0.1)
-        replay, _, chain2 = _pair(not warm_oracle, tier=tier, voxel_tile=16)
-        with use_map_cache(chain2):
-            got = voxelize(pts, 0.1)
-        per_tile = replay.stats().by_op["voxelize"]
-        assert per_tile["hits"] == 0 and per_tile["misses"] > 0
-        expect = voxelize(pts, 0.1)
-        assert np.array_equal(expect[0], got[0])
-        assert np.array_equal(expect[1], got[1])
-
 
 class TestKeyFormat:
     """The versioned fixed-width key encoding itself."""
@@ -88,11 +54,11 @@ class TestKeyFormat:
     def test_prefix_is_versioned_and_fixed_width(self):
         from repro.stream.plan import _KEY_VERSION, _key_prefix
 
-        pre = _key_prefix(b"tile/voxelize", 64)
+        pre = _key_prefix(b"tile/knn", 8)
         assert pre.startswith(_KEY_VERSION)
         assert len(pre) == len(_KEY_VERSION) + 16
-        assert pre != _key_prefix(b"tile/voxelize", 128)
-        assert pre == _key_prefix(b"tile/voxelize", 64)
+        assert pre != _key_prefix(b"tile/knn", 16)
+        assert pre == _key_prefix(b"tile/knn", 8)
 
     def test_serving_keys_cannot_collide_with_legacy_digests(self):
         """Every legacy sub-key is exactly 16 bytes (a bare blake2b
@@ -102,26 +68,23 @@ class TestKeyFormat:
         from repro.stream.plan import _key_prefix
         from repro.stream.tiles import content_digest
 
-        legacy = content_digest(b"tile/voxelize", 64, b"anything")
+        legacy = content_digest(b"tile/knn", 8, b"anything")
         assert len(legacy) == 16
-        serving = _key_prefix(b"tile/voxelize", 64) + content_digest(b"x")
+        serving = _key_prefix(b"tile/knn", 8) + content_digest(b"x")
         assert len(serving) >= 34
 
     def test_store_key_sets_disjoint_on_real_traffic(self, rng):
         """Run identical traffic through the planner and the oracle into
-        separate stores: not a single key in common, across every op
-        family (the whole-call entries only the planner writes
+        separate stores: not a single key in common, across both op
+        families (the whole-call entries only the planner writes
         included)."""
         cloud = rng.uniform(0, 20, (500, 3))
-        coords, _ = quantize_unique(rng.integers(0, 64, (700, 3)), 1)
-        pts = rng.uniform(0, 30, (2000, 3))
         key_sets = []
         for oracle in (False, True):
-            _, tier, chain = _pair(oracle, voxel_tile=8)
+            _, tier, chain = _pair(oracle, tile_size=4.0)
             with use_map_cache(chain):
                 knn_indices(cloud, cloud, 5)
-                kernel_map(coords, coords, kernel_size=3)
-                voxelize(pts, 0.1)
+                ball_query_indices(cloud, cloud, 2.0, 6)
             key_sets.append(set(tier._entries.keys()))
         planner_keys, oracle_keys = key_sets
         assert planner_keys and oracle_keys
@@ -173,18 +136,6 @@ class TestBatchChainApi:
 
 
 class TestWholeCallReuse:
-    def test_identical_kernel_calls_share_one_table(self, rng):
-        coords, _ = quantize_unique(rng.integers(0, 60, (600, 3)), 1)
-        front, _, chain = _pair(voxel_tile=8)
-        with use_map_cache(chain):
-            first = kernel_map(coords, coords, kernel_size=3)
-            second = kernel_map(coords.copy(), coords.copy(), kernel_size=3)
-        # Content-keyed: a fresh equal-content array still hits, and the
-        # composed table is the same immutable object (which is what lets
-        # the MMU cache-replay memo carry across frames).
-        assert second is first
-        assert front.stats().by_op["kernel_map/mergesort/whole"]["hits"] == 1
-
     def test_knn_whole_hits_are_owned(self, rng):
         cloud = rng.uniform(0, 16, (300, 3))
         front, _, chain = _pair(tile_size=4.0)
@@ -196,130 +147,3 @@ class TestWholeCallReuse:
         assert not np.array_equal(idx1, idx2)
         assert idx2.base is None
         assert front.stats().by_op["knn/whole"]["hits"] == 1
-
-
-class TestDeltaComposition:
-    def _warm_and_replay(self, coords, nxt, algorithm, chain):
-        with use_map_cache(chain):
-            kernel_map(coords, coords, kernel_size=3, algorithm=algorithm)
-        expect = kernel_map(nxt, nxt, kernel_size=3, algorithm=algorithm)
-        with use_map_cache(chain):
-            got = kernel_map(nxt, nxt, kernel_size=3, algorithm=algorithm)
-        assert np.array_equal(expect.in_idx, got.in_idx)
-        assert np.array_equal(expect.out_idx, got.out_idx)
-        assert np.array_equal(expect.weight_idx, got.weight_idx)
-
-    @pytest.mark.parametrize("algorithm", ["mergesort", "hash", "bruteforce"])
-    def test_splice_on_local_churn_is_exact(self, rng, algorithm):
-        coords, _ = quantize_unique(rng.integers(0, 80, (1200, 3)), 1)
-        keep = ~np.all(coords < 24, axis=1)
-        nxt = np.ascontiguousarray(coords[keep])
-        assert len(nxt) < len(coords)  # the scenario is non-trivial
-        front, _, chain = _pair(voxel_tile=8)
-        self._warm_and_replay(coords, nxt, algorithm, chain)
-        assert front._composer.splices >= 1
-        assert front._composer.fallbacks == 0
-
-    def test_certificate_catches_nonmonotone_renumbering(self, rng):
-        """Reordering whole tiles keeps every sub-key equal but breaks the
-        survivors' output-index order; the hash algorithm sorts on that
-        index, so the splice must self-reject and full-sort — and still
-        produce the exact reference table."""
-        coords, _ = quantize_unique(rng.integers(0, 40, (600, 3)), 1)
-        part = TilePartition(coords, 8)
-        perm = np.concatenate(
-            [part.indices(k) for k in reversed(list(part.keys()))]
-        )
-        shuf = np.ascontiguousarray(coords[perm])
-        front, _, chain = _pair(voxel_tile=8)
-        self._warm_and_replay(coords, shuf, "hash", chain)
-        assert front._composer.fallbacks >= 1
-
-    def test_mergesort_splices_through_renumbering(self, rng):
-        """Same tile-block reorder, mergesort order: the minor key is the
-        input point's world coordinate — unchanged — so the splice holds
-        (and stays exact)."""
-        coords, _ = quantize_unique(rng.integers(0, 40, (600, 3)), 1)
-        part = TilePartition(coords, 8)
-        perm = np.concatenate(
-            [part.indices(k) for k in reversed(list(part.keys()))]
-        )
-        shuf = np.ascontiguousarray(coords[perm])
-        front, _, chain = _pair(voxel_tile=8)
-        self._warm_and_replay(coords, shuf, "mergesort", chain)
-        assert front._composer.splices >= 1
-        assert front._composer.fallbacks == 0
-
-    def test_interleaved_callers_splice_with_enough_records(self, rng):
-        """Round-robin interleaving (the fleet regime) must still find
-        each caller's previous composition when the record capacity
-        covers the interleave width."""
-        n_callers = 6
-        clouds = []
-        for i in range(n_callers):
-            coords, _ = quantize_unique(
-                rng.integers(0, 48, (500, 3)) + 200 * i, 1
-            )
-            clouds.append(coords)
-        front, _, chain = _pair(voxel_tile=8,
-                                compose_records=n_callers + 2)
-        with use_map_cache(chain):
-            for rounds in range(2):
-                for i, coords in enumerate(clouds):
-                    # Perturb per round so whole-call reuse cannot mask
-                    # the composer (drop one corner tile per round,
-                    # relative to each caller's own region).
-                    keep = ~np.all(coords < 200 * i + 8 * rounds, axis=1)
-                    frame = np.ascontiguousarray(coords[keep])
-                    assert rounds == 0 or len(frame) < len(coords)
-                    kernel_map(frame, frame, kernel_size=3)
-        # Round 2: every caller splices against its own round-1 record.
-        assert front._composer.splices >= n_callers
-
-    def test_compose_records_validation(self):
-        with pytest.raises(ValueError):
-            TileMapCache(compose_records=0)
-
-    def test_compose_counters_surface_in_snapshot(self, rng):
-        coords, _ = quantize_unique(rng.integers(0, 40, (500, 3)), 1)
-        front, _, chain = _pair(voxel_tile=8)
-        with use_map_cache(chain):
-            kernel_map(coords, coords, kernel_size=3)
-        snap = front.stats().snapshot()
-        assert snap["compose"]["full_sorts"] >= 1
-
-
-class TestDensityBypass:
-    def test_sparse_cloud_takes_whole_op_path(self, rng):
-        # ~500 points over a 20m span at 2m tiles: ~0.5 points per tile.
-        cloud = rng.uniform(0, 20, (500, 3))
-        front, _, chain = _pair(tile_size=2.0, min_points_per_tile=8)
-        expect = knn_indices(cloud, cloud, 4)
-        with use_map_cache(chain):
-            got = knn_indices(cloud, cloud, 4)
-        assert np.array_equal(expect[0], got[0])
-        assert front.stats().decomposed_calls == 0
-        assert front.stats().bypassed_calls == 1
-        assert chain.stats().misses == 1  # the whole-op digest path ran
-
-    def test_dense_cloud_still_decomposes(self, rng):
-        cloud = rng.uniform(0, 8, (2000, 3))  # ~30+ points per 2m tile
-        front, _, chain = _pair(tile_size=2.0, min_points_per_tile=8)
-        with use_map_cache(chain):
-            knn_indices(cloud, cloud, 4)
-        assert front.stats().decomposed_calls == 1
-        assert front.stats().bypassed_calls == 0
-
-    def test_bypass_applies_to_kernel_maps_and_voxelize(self, rng):
-        coords, _ = quantize_unique(rng.integers(0, 500, (400, 3)), 1)
-        front, _, chain = _pair(voxel_tile=4,
-                                min_points_per_tile=16)
-        with use_map_cache(chain):
-            kernel_map(coords, coords, kernel_size=3)
-            voxelize(rng.uniform(0, 300, (400, 3)), 1.0)
-        assert front.stats().decomposed_calls == 0
-        assert front.stats().bypassed_calls == 2
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TileMapCache(min_points_per_tile=-1)

@@ -124,7 +124,7 @@ class TestHaloBox:
 
 
 class TestBatchedPasses:
-    """digest_all / fill_slabs must reproduce the per-key paths exactly."""
+    """digest_all must reproduce the per-key paths exactly."""
 
     def test_digest_all_matches_per_key_digests(self, cloud):
         batched = partition(cloud, 4.0)
@@ -135,19 +135,6 @@ class TestBatchedPasses:
         for key, digest in zip(keys, digests):
             assert digest == reference.digest(key)
 
-    def test_fill_slabs_matches_per_key_slabs(self, rng):
-        coords = rng.integers(0, 64, (800, 3))
-        batched = TilePartition(coords, 16)
-        reference = TilePartition(coords.copy(), 16)
-        batched.fill_slabs(2)
-        for key in batched.keys():
-            got = batched._slabs(key, 2)
-            expect = reference._slabs(key, 2)
-            assert set(got) == set(expect)
-            for slot in expect:
-                assert got[slot][0] == expect[slot][0]
-                assert np.array_equal(got[slot][1], expect[slot][1])
-
     def test_sorted_neighborhood_is_cached_and_consistent(self, cloud):
         part = partition(cloud, 4.0)
         key = next(iter(part.keys()))
@@ -157,104 +144,11 @@ class TestBatchedPasses:
         assert np.array_equal(hal, np.sort(canonical))
 
 
-class TestShellDegenerateCases:
-    """Satellite: reach >= tile side, single-tile partitions, empty tiles."""
-
-    def test_reach_beyond_half_side_rejected(self, rng):
-        coords = rng.integers(0, 32, (200, 3))
-        part = TilePartition(coords, 8)
-        key = next(iter(part.keys()))
-        with pytest.raises(ValueError):
-            part.shell(key, 5)  # 2 * 5 > 8
-        # The boundary case 2 * reach == side is legal.
-        digest, canonical = part.shell(key, 4)
-        assert isinstance(digest, bytes) and canonical.ndim == 1
-
-    def test_single_tile_partition_shell_is_the_tile(self, rng):
-        coords = rng.integers(0, 8, (64, 3))
-        part = TilePartition(coords, 64)  # everything in one tile
-        (key,) = part.keys()
-        digest, canonical = part.shell(key, 2)
-        # No occupied neighbors: the shell is the tile's own points in
-        # original order, and its digest is a pure function of them.
-        assert np.array_equal(canonical, part.indices(key))
-        again = TilePartition(coords.copy(), 64)
-        assert again.shell(key, 2)[0] == digest
-
-    def test_empty_neighbor_equals_absent_neighbor(self, rng):
-        """An occupied neighbor whose facing slab is empty contributes
-        exactly what an absent neighbor does — the digest must not move
-        when interior-only neighbors appear."""
-        side = 16
-        # Tile (0,0,0): a few interior points.
-        center = rng.integers(4, 12, (30, 3))
-        part_alone = TilePartition(center, side)
-        key = coords_to_keys(np.array([[0, 0, 0]]))[0]
-        alone = part_alone.shell(int(key), 2)
-        # Add a +x neighbor whose points all sit > reach away from the
-        # shared face (x in [side+4, side+12)).
-        neighbor = rng.integers(4, 12, (25, 3))
-        neighbor[:, 0] += side
-        both = np.concatenate([center, neighbor])
-        part_both = TilePartition(both, side)
-        withn = part_both.shell(int(key), 2)
-        assert alone[0] == withn[0]
-        assert np.array_equal(alone[1], withn[1])
-
-    def test_digest_moves_only_when_boundary_slab_moves(self, rng):
-        """Moving a neighbor's interior point leaves the shell digest
-        untouched; moving a boundary-slab point changes it."""
-        side = 16
-        reach = 2
-        center = rng.integers(0, side, (40, 3))
-        neighbor = rng.integers(0, side, (40, 3))
-        neighbor[:, 0] += side  # the +x neighbor tile
-        # Pin one interior point and one low-boundary point.
-        neighbor[0] = [side + 8, 8, 8]          # interior (> reach from faces)
-        neighbor[1] = [side + 1, 8, 8]          # in the facing low slab
-        cloud = np.concatenate([center, neighbor])
-        key = int(coords_to_keys(np.array([[0, 0, 0]]))[0])
-        base = TilePartition(cloud, side).shell(key, reach)
-
-        interior_moved = cloud.copy()
-        interior_moved[len(center)] = [side + 9, 9, 9]  # still interior
-        assert TilePartition(interior_moved, side).shell(key, reach)[0] \
-            == base[0]
-
-        slab_moved = cloud.copy()
-        slab_moved[len(center) + 1] = [side + 2, 8, 8]  # still in the slab
-        assert TilePartition(slab_moved, side).shell(key, reach)[0] \
-            != base[0]
-
-    def test_slabs_of_boundary_free_tile_are_empty(self):
-        side = 16
-        coords = np.full((10, 3), 8, dtype=np.int64) + np.arange(10)[:, None] % 3
-        part = TilePartition(coords, side)
-        key = int(coords_to_keys(np.array([[0, 0, 0]]))[0])
-        assert part._slabs(key, 2) == {}
-        # And the batched fill agrees.
-        part2 = TilePartition(coords.copy(), side)
-        part2.fill_slabs(2)
-        assert part2._slabs(key, 2) == {}
-
-
 class TestVectorizedAssembly:
-    """Whole-partition shell/neighborhood sweeps: canonical index arrays
+    """Whole-partition neighborhood sweeps: canonical index arrays
     element-identical to the per-tile oracle, digests fixed-width (16
     bytes) and deterministic — including every degenerate shape the
-    digest-format migration must survive."""
-
-    def test_fill_shells_matches_oracle_canonicals(self, rng):
-        coords = rng.integers(0, 64, (800, 3))
-        part = TilePartition(coords, 16)
-        oracle = TilePartition(coords.copy(), 16)
-        digests, flat, bounds = part.fill_shells(2)
-        keys = list(part.keys())
-        assert len(digests) == len(keys)
-        for i, key in enumerate(keys):
-            _, canonical = oracle.shell(key, 2)
-            assert np.array_equal(flat[bounds[i]:bounds[i + 1]], canonical)
-            assert isinstance(digests[i], bytes) and len(digests[i]) == 16
+    digest format must survive."""
 
     def test_fill_neighborhoods_matches_oracle_canonicals(self, cloud):
         part = partition(cloud, 4.0)
@@ -267,10 +161,10 @@ class TestVectorizedAssembly:
 
     def test_digests_deterministic_and_content_sensitive(self, rng):
         coords = rng.integers(0, 48, (400, 3))
-        a = TilePartition(coords, 16).fill_shells(1)
-        b = TilePartition(coords.copy(), 16).fill_shells(1)
+        a = TilePartition(coords, 16).fill_neighborhoods(1)
+        b = TilePartition(coords.copy(), 16).fill_neighborhoods(1)
         assert a[0] == b[0]
-        shuffled = TilePartition(coords[::-1].copy(), 16).fill_shells(1)
+        shuffled = TilePartition(coords[::-1].copy(), 16).fill_neighborhoods(1)
         assert a[0] != shuffled[0]  # order is content
 
     def test_single_point_tile(self):
@@ -285,34 +179,15 @@ class TestVectorizedAssembly:
         part = TilePartition(coords, 64)
         oracle = TilePartition(coords.copy(), 64)
         (key,) = part.keys()
-        digests, flat, bounds = part.fill_shells(2)
-        _, canonical = oracle.shell(key, 2)
-        assert np.array_equal(flat[bounds[0]:bounds[1]], canonical)
         ndig, nflat, nbounds = part.fill_neighborhoods(1)
         assert np.array_equal(nflat[nbounds[0]:nbounds[1]],
                               oracle.neighborhood(key, 1)[1])
-
-    def test_empty_slab_equals_absent_neighbor(self, rng):
-        """A neighbor whose facing slab is empty must contribute the same
-        all-zero digest row an absent neighbor does."""
-        side = 16
-        center = rng.integers(4, 12, (30, 3))
-        alone = TilePartition(center, side)
-        key = int(coords_to_keys(np.array([[0, 0, 0]]))[0])
-        d_alone, f_alone, b_alone = alone.fill_shells(2, np.array([key]))
-        neighbor = rng.integers(4, 12, (25, 3))
-        neighbor[:, 0] += side  # interior-only +x neighbor
-        both = TilePartition(np.concatenate([center, neighbor]), side)
-        d_both, f_both, b_both = both.fill_shells(2, np.array([key]))
-        assert d_alone[0] == d_both[0]
-        assert np.array_equal(f_alone[b_alone[0]:b_alone[1]],
-                              f_both[b_both[0]:b_both[1]])
 
     def test_absent_query_key_yields_empty_run(self, rng):
         coords = rng.integers(0, 16, (100, 3))
         part = TilePartition(coords, 16)
         absent = int(coords_to_keys(np.array([[40, 40, 40]]))[0])
-        digests, flat, bounds = part.fill_shells(1, np.array([absent]))
+        digests, flat, bounds = part.fill_neighborhoods(1, np.array([absent]))
         assert bounds[1] - bounds[0] == 0
         assert len(digests[0]) == 16
 
@@ -321,21 +196,21 @@ class TestVectorizedAssembly:
         coords = rng.integers(0, 64, (500, 3)).astype(dtype)
         part = TilePartition(coords, 16)
         oracle = TilePartition(coords.copy(), 16)
-        digests, flat, bounds = part.fill_shells(2)
+        digests, flat, bounds = part.fill_neighborhoods(1)
         for i, key in enumerate(part.keys()):
-            _, canonical = oracle.shell(key, 2)
+            _, canonical = oracle.neighborhood(key, 1)
             assert np.array_equal(flat[bounds[i]:bounds[i + 1]], canonical)
 
     def test_dtype_is_part_of_the_digest(self, rng):
         coords = rng.integers(0, 64, (500, 3))
-        d32 = TilePartition(coords.astype(np.int32), 16).fill_shells(1)[0]
-        d64 = TilePartition(coords.astype(np.int64), 16).fill_shells(1)[0]
+        d32 = TilePartition(coords.astype(np.int32), 16).fill_neighborhoods(1)[0]
+        d64 = TilePartition(coords.astype(np.int64), 16).fill_neighborhoods(1)[0]
         assert d32 != d64
 
     def test_empty_query_set(self, rng):
         coords = rng.integers(0, 32, (100, 3))
         part = TilePartition(coords, 16)
-        digests, flat, bounds = part.fill_shells(
+        digests, flat, bounds = part.fill_neighborhoods(
             1, np.empty(0, dtype=np.int64)
         )
         assert digests == [] and len(flat) == 0

@@ -25,13 +25,18 @@ class TestParser:
         args = build_parser().parse_args(["serve-stream"])
         assert args.benchmark == "MinkNet(o)"
         assert args.shards == 0 and not args.no_tiles
-        assert args.min_tile_points == 0 and not args.no_batch
+        assert not args.no_batch
 
     def test_fleet_tile_front_knobs(self):
         args = build_parser().parse_args(
-            ["serve-fleet", "--min-tile-points", "32", "--no-batch"]
+            ["serve-fleet", "--tile-size", "2.5", "--halo", "2", "--no-batch"]
         )
-        assert args.min_tile_points == 32 and args.no_batch
+        assert args.tile_size == 2.5 and args.halo == 2 and args.no_batch
+        for command in ("serve-stream", "serve-fleet"):
+            with pytest.raises(SystemExit):  # the density bypass is gone
+                build_parser().parse_args(
+                    [command, "--min-tile-points", "32"]
+                )
 
     def test_bench_stream_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
@@ -176,16 +181,6 @@ class TestCommands:
         assert "tile reuse by op" in out
         assert "geometry-only: yes" in out
 
-    def test_serve_stream_density_bypass(self, capsys):
-        """The density-floor knob wires through: a floor high enough that
-        every call bypasses decomposition still serves every frame."""
-        code = main(["serve-stream", "--frames", "2", "--scale", "0.12",
-                     "--benchmark", "MinkNet(o)",
-                     "--min-tile-points", "100000"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 2/2 frames" in out
-
     def test_no_batch_is_a_clear_error(self, capsys):
         """--no-batch parses (so old scripts fail loudly, not with an
         argparse usage dump) but serving with it is a removal error."""
@@ -193,7 +188,7 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert "--no-batch was removed" in err
-        assert "PerTileOracle" in err
+        assert "PerTileOracle" in err and "property tests only" in err
 
     def test_serve_stream_cluster_with_deadlines(self, capsys):
         code = main(["serve-stream", "--frames", "2", "--scale", "0.1",
@@ -225,6 +220,7 @@ class TestCommands:
         trace = tmp_path / "trace.jsonl"
         metrics = tmp_path / "metrics.json"
         code = main(["serve-stream", "--frames", "2", "--scale", "0.12",
+                     "--benchmark", "PointNet++(c)",
                      "--trace", str(trace), "--metrics", str(metrics)])
         assert code == 0
         out = capsys.readouterr().out
@@ -287,6 +283,7 @@ class TestCommands:
         trace = tmp_path / "trace.jsonl"
         ledger = tmp_path / "ledger.jsonl"
         assert main(["serve-stream", "--frames", "2", "--scale", "0.12",
+                     "--benchmark", "PointNet++(c)",
                      "--trace", str(trace), "--ledger", str(ledger)]) == 0
         capsys.readouterr()
         assert main(["trace-report", str(trace),
@@ -295,11 +292,6 @@ class TestCommands:
         assert "top recompute causes:" in out
         assert "recompute(cold)" in out
         assert "recomputed tiles:" in out  # the per-slow-frame join
-        # Compose outcomes surface alongside the recompute taxonomy —
-        # the voxelize merge family included (MinkNet voxelizes every
-        # frame, so at least one voxelize compose event is recorded).
-        assert "compose outcomes:" in out
-        assert "voxelize:" in out
 
     def test_trace_diff_cli_self_diff(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -320,7 +312,8 @@ class TestCommands:
 
     def test_serve_fleet(self, capsys):
         code = main(["serve-fleet", "--streams", "2", "--frames", "2",
-                     "--scale", "0.12", "--shards", "1"])
+                     "--scale", "0.12", "--shards", "1",
+                     "--benchmark", "PointNet++(c)"])
         assert code == 0
         out = capsys.readouterr().out
         assert "served 4/4 frames from 2 streams" in out
@@ -340,6 +333,7 @@ class TestCommands:
         path = tmp_path / "BENCH_fleet.json"
         code = main(["bench-fleet", "--streams", "2", "--frames", "2",
                      "--scale", "0.12", "--shards", "1",
+                     "--benchmark", "PointNet++(c)",
                      "--json", str(path)])
         assert code == 0
         out = capsys.readouterr().out
