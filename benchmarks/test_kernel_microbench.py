@@ -8,6 +8,8 @@ substrate show up in ``--benchmark-only`` runs.
 import numpy as np
 import pytest
 
+from repro.core.config import POINTACC_FULL
+from repro.core.mmu import MemoryManagementUnit
 from repro.core.mmu.cache import CacheConfig, simulate_conv_cache
 from repro.core.mpu import ComparatorArray, StreamingMerger, mpu_topk
 from repro.mapping import (
@@ -16,6 +18,8 @@ from repro.mapping import (
     kernel_map_mergesort,
     knn_indices,
 )
+from repro.mapping.maps import copy_value
+from repro.nn.trace import LayerKind, LayerSpec
 from repro.pointcloud import generate_sample
 
 
@@ -79,7 +83,30 @@ def test_mpu_topk_speed(benchmark):
 
 
 def test_cache_simulation_speed(benchmark, voxel_coords):
+    # Replays are memoized per table, so every round gets a fresh copy:
+    # reusing one table would time a dict lookup after the first round.
     maps = kernel_map_mergesort(voxel_coords, voxel_coords, 3, 1)
     cfg = CacheConfig(capacity_bytes=256 * 1024, block_points=16, c_in=64)
-    stats = benchmark(simulate_conv_cache, maps, cfg)
+    stats = benchmark.pedantic(
+        simulate_conv_cache,
+        setup=lambda: ((copy_value(maps), cfg), {}),
+        rounds=20,
+    )
     assert 0.0 <= stats.miss_rate <= 1.0
+
+
+def test_block_size_sweep_speed(benchmark, voxel_coords):
+    """One SparseConv layer's MMU block-size sweep on a fresh table."""
+    maps = kernel_map_mergesort(voxel_coords, voxel_coords, 3, 1)
+    spec = LayerSpec(
+        name="conv", kind=LayerKind.SPARSE_CONV, n_in=len(voxel_coords),
+        n_out=len(voxel_coords), c_in=96, c_out=96, rows=maps.n_maps,
+        n_maps=maps.n_maps, kernel_volume=maps.kernel_volume,
+    )
+    mmu = MemoryManagementUnit(POINTACC_FULL)
+    cost = benchmark.pedantic(
+        mmu.sparse_conv_cost,
+        setup=lambda: ((spec, copy_value(maps)), {}),
+        rounds=20,
+    )
+    assert cost.block_points is not None

@@ -125,8 +125,8 @@ def simulate_conv_cache(maps: MapTable, config: CacheConfig) -> CacheStats:
     Replays are memoized on the table per cache geometry (the same
     convention — tables are immutable — as ``MapTable.sorted_by``):
     networks reuse one map table across paired layers, and the MMU's
-    block-size auto-tune replays each table under every candidate
-    geometry per layer, so shared tables would otherwise pay the full
+    block-size auto-tune replays each table under several candidate
+    geometries per layer, so shared tables would otherwise pay the
     sweep once per consumer.  Returned stats are fresh copies.
     """
     geometry = (config.capacity_bytes, config.block_points, config.c_in,
@@ -145,11 +145,13 @@ def simulate_conv_cache(maps: MapTable, config: CacheConfig) -> CacheStats:
     if n_access_points == 0:
         memo[geometry] = stats
         return CacheStats(stats.accesses, stats.misses, stats.dram_bytes)
-    # This function is the backend's hot loop: the block-size sweep runs
-    # it 8x per conv layer, each pass over the full map stream.  Two
-    # micro-shapes matter: power-of-two block sizes divide by shifting,
-    # and set ids (< n_sets, small) sort with fewer radix passes in a
-    # narrow dtype.
+    # This function is the backend's hot loop: on POINTACC_FULL the
+    # block-size sweep runs it once per conv layer for power-of-two channel
+    # counts and 4-5 times for 96/192/384 channels
+    # (``MemoryManagementUnit.sparse_conv_cost`` skips sizes that provably
+    # cannot win), each pass over the full map stream.  Two micro-shapes matter: power-of-two block sizes divide by
+    # shifting, and set ids (< n_sets, small) sort with fewer radix passes
+    # in a narrow dtype.
     bp = config.block_points
     if bp & (bp - 1) == 0:
         block_ids = table.in_idx >> bp.bit_length() - 1

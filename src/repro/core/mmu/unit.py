@@ -57,15 +57,35 @@ class MemoryManagementUnit:
     def sparse_conv_cost(
         self, spec: LayerSpec, maps: MapTable | None = None
     ) -> MemCost:
-        """Fetch-on-demand cost with per-layer block-size auto-tuning."""
+        """Fetch-on-demand cost with per-layer block-size auto-tuning.
+
+        The tuner keeps the first strict minimum of total bytes.  A
+        candidate ``2b`` is skipped, never replayed, when the cache at
+        block size ``b`` has an even set count ``N``: then coarse set ``s``
+        is exactly fine sets ``{2s, 2s+1}``, and while one coarse block
+        stays resident each fine set sees one fine block, so a coarse miss
+        covers at most two fine misses.  Input bytes therefore never fall
+        (``misses(2b) * 2b >= misses(b) * b``), the fixed traffic is equal,
+        and ``bytes(2b) >= bytes(b) >= best`` cannot win; the bound chains
+        across skipped sizes.  Odd ``N`` breaks it — a 10 B cache, ``c_in``
+        1, 2-byte elements and inputs ``0,1,6,1,6`` cost 10 B at block 1
+        (5 sets) but 8 B at block 2 (2 sets) — so those are replayed.
+        """
         if maps is None:
             maps = spec.params.get("maps")
         best: tuple[float, FlowCost, CacheStats | None, int] | None = None
         if maps is not None:
+            point_bytes = max(spec.c_in, 1) * self.elem_bytes
+            prev_points, prev_sets = 0, 1
             for block_points in CANDIDATE_BLOCK_POINTS:
-                point_bytes = max(spec.c_in, 1) * self.elem_bytes
-                if block_points * point_bytes > self.input_buffer_bytes:
+                block_bytes = block_points * point_bytes
+                if block_bytes > self.input_buffer_bytes:
                     break
+                n_sets = self.input_buffer_bytes // block_bytes
+                bounded = block_points == 2 * prev_points and prev_sets % 2 == 0
+                prev_points, prev_sets = block_points, n_sets
+                if bounded:
+                    continue
                 cost, stats = fetch_on_demand_cost(
                     spec,
                     self.input_buffer_bytes,

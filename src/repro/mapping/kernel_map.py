@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pointcloud.coords import coords_to_keys, kernel_offsets
+from ..pointcloud.coords import coords_to_keys, kernel_offsets, key_deltas
 from . import hooks
 from .maps import MapTable
 
@@ -163,13 +163,22 @@ def kernel_map_mergesort(
 ) -> MapTable:
     """Merge-sort kernel mapping — PointAcc's algorithm (Fig. 9).
 
-    The input cloud is sorted once (shifting every point by a constant
-    ``-delta`` preserves lexicographic order, so the per-offset passes reuse
-    the sorted array).  For each offset the shifted input keys are merged
-    with the sorted output keys and equal adjacent keys are intersections,
-    i.e. maps.  This vectorized implementation computes exactly what the
-    MPU's merger + intersection detector compute; the cycle-level model lives
-    in ``repro.core.mpu``.
+    Each cloud is packed into ranking keys and sorted once.  Shifting every
+    point by a constant ``-delta`` preserves lexicographic order and
+    subtracts a constant from its packed key
+    (:func:`~repro.pointcloud.coords.key_deltas`), so an offset's pass is
+    one subtraction of the sorted input keys.  Merged with the sorted output
+    keys, equal adjacent keys are intersections, i.e. maps.  One per-axis
+    bounding-box test of ``p - delta`` replaces range-checking each shifted
+    cloud.  When input and output are one duplicate-free cloud and the
+    offsets are symmetric (the submanifold case), only the first half of
+    the offsets is probed: the zero centre offset is the identity, and the
+    rows of ``-delta`` are those of ``delta`` with input and output swapped.
+
+    The table is exactly what the MPU's merger + intersection detector
+    compute, row for row (the per-offset merge loop is kept as the reference
+    in the tests); the cycle-level model, which still charges every offset,
+    lives in ``repro.core.mpu``.
     """
     in_coords, out_coords = _validate(in_coords, out_coords)
     offsets = _resolve_offsets(in_coords, kernel_size, tensor_stride, offsets)
@@ -182,44 +191,60 @@ def kernel_map_mergesort(
 def _mergesort_compute(
     in_coords: np.ndarray, out_coords: np.ndarray, offsets: np.ndarray
 ) -> MapTable:
-    if len(in_coords) == 0 or len(out_coords) == 0:
+    k = len(offsets)
+    if len(in_coords) == 0 or len(out_coords) == 0 or k == 0:
         empty = np.empty(0, dtype=np.int64)
-        return MapTable(empty, empty, empty, kernel_volume=len(offsets))
+        return MapTable(empty, empty, empty, kernel_volume=k)
 
-    in_order = np.argsort(coords_to_keys(in_coords), kind="stable")
-    sorted_in = in_coords[in_order]
-    out_keys = coords_to_keys(out_coords)
-    out_order = np.argsort(out_keys, kind="stable")
-    sorted_out_keys = out_keys[out_order]
+    in_keys = coords_to_keys(in_coords)
+    in_order = np.argsort(in_keys, kind="stable")
+    sorted_in_keys = in_keys[in_order]
+    same = in_coords.shape == out_coords.shape and np.array_equal(
+        in_coords, out_coords
+    )
+    if same:
+        out_order, sorted_out_keys = in_order, sorted_in_keys
+    else:
+        out_keys = coords_to_keys(out_coords)
+        out_order = np.argsort(out_keys, kind="stable")
+        sorted_out_keys = out_keys[out_order]
+    # Every p - delta is packable iff the two corners of their per-axis
+    # bounding box are: this raises exactly where packing each shifted cloud
+    # would, and makes key(p - delta) == key(p) - key_delta exact.
+    coords_to_keys(np.stack([
+        in_coords.min(axis=0) - offsets.max(axis=0),
+        in_coords.max(axis=0) - offsets.min(axis=0),
+    ]))
+    deltas = key_deltas(offsets)
+    # A sentinel no packed key equals: every probe position is in bounds.
+    padded_out_keys = np.append(sorted_out_keys, -1)
 
-    ins, outs, weights = [], [], []
-    for w, delta in enumerate(offsets):
-        # Shift input by -delta: intersections satisfy p - delta == q.
-        shifted_keys = coords_to_keys(sorted_in - delta[None, :])
-        # Merge + detect-intersection == searchsorted equality probe on the
-        # two sorted arrays (both sides are duplicate-free).
-        pos = np.searchsorted(sorted_out_keys, shifted_keys)
-        pos_clipped = np.minimum(pos, len(sorted_out_keys) - 1)
-        hit = (
-            (len(sorted_out_keys) > 0)
-            & (pos < len(sorted_out_keys))
-            & (sorted_out_keys[pos_clipped] == shifted_keys)
-        )
-        if not np.any(hit):
-            continue
-        p_idx = in_order[np.flatnonzero(hit)]
-        q_idx = out_order[pos[hit]]
-        ins.append(p_idx)
-        outs.append(q_idx)
-        weights.append(np.full(len(p_idx), w, dtype=np.int64))
-    if not ins:
-        empty = np.empty(0, dtype=np.int64)
-        return MapTable(empty, empty, empty, kernel_volume=len(offsets))
+    # Submanifold symmetry: over one duplicate-free cloud with offsets[-1 - w]
+    # == -offsets[w], the rows of -delta are the rows of delta with in/out
+    # swapped — already in row order, since a translation preserves key
+    # order — and a zero centre offset maps every point to itself.
+    symmetric = (
+        same
+        and k % 2 == 1
+        and np.array_equal(offsets[::-1], -offsets)
+        and not np.any(sorted_in_keys[1:] == sorted_in_keys[:-1])
+    )
+    blocks = []
+    for delta in deltas[: k // 2] if symmetric else deltas:
+        # Merge + detect-intersection == searchsorted equality probe of the
+        # input keys shifted by -delta against the sorted output keys.
+        shifted = sorted_in_keys - delta
+        pos = np.searchsorted(sorted_out_keys, shifted)
+        hit = padded_out_keys[pos] == shifted
+        blocks.append((in_order[hit], out_order[pos[hit]]))
+    if symmetric:
+        blocks.append((in_order, in_order))
+        blocks += [(q_idx, p_idx) for p_idx, q_idx in reversed(blocks[:-1])]
     return MapTable(
-        np.concatenate(ins),
-        np.concatenate(outs),
-        np.concatenate(weights),
-        kernel_volume=len(offsets),
+        np.concatenate([p_idx for p_idx, _ in blocks]),
+        np.concatenate([q_idx for _, q_idx in blocks]),
+        np.repeat(np.arange(k), [len(p_idx) for p_idx, _ in blocks]),
+        kernel_volume=k,
     )
 
 

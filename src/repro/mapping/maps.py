@@ -62,17 +62,25 @@ class MapTable:
         Memoized per instance: cost models replay the same table under
         several dataflow variants, and tables are immutable by the same
         convention every mapping consumer in this library relies on, so
-        the lexsort only ever needs to run once per ordering.
+        the lexsort only ever needs to run once per ordering.  A table
+        already in order (every merge-sort map over sorted clouds is, by
+        weight) skips it: the result shares this table's arrays.
         """
         cached = self._sorted.get(by)
         if cached is not None:
             return cached
         if by == "weight":
-            order = np.lexsort((self.out_idx, self.weight_idx))
+            major, minor = self.weight_idx, self.out_idx
         elif by == "output":
-            order = np.lexsort((self.weight_idx, self.out_idx))
+            major, minor = self.out_idx, self.weight_idx
         else:
             raise ValueError(f"by must be 'weight' or 'output', got {by!r}")
+        major_step = np.diff(major)
+        if np.all((major_step > 0) | ((major_step == 0) & (np.diff(minor) >= 0))):
+            # A stable sort of an ordered sequence is the identity.
+            order = slice(None)
+        else:
+            order = np.lexsort((minor, major))
         table = MapTable(
             self.in_idx[order],
             self.out_idx[order],

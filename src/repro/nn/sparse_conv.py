@@ -58,6 +58,47 @@ def sparse_conv_apply(
     return out
 
 
+def _map_key(tensor: SparseTensor, out_tensor: SparseTensor, kernel_size: int) -> tuple:
+    """Per-forward map-sharing key: the identity of both coordinate arrays,
+    plus the kernel size and both strides, which fix the offsets.  Strided
+    and submanifold convs have ``in stride <= out stride`` and transposed
+    convs ``in stride > out stride``, so their keys never meet."""
+    return (
+        id(tensor.coords),
+        id(out_tensor.coords),
+        kernel_size,
+        tensor.tensor_stride,
+        out_tensor.tensor_stride,
+    )
+
+
+def _shared_maps(
+    map_cache: dict | None,
+    tensor: SparseTensor,
+    out_tensor: SparseTensor,
+    kernel_size: int,
+    build,
+) -> tuple[MapTable, bool]:
+    """``(maps, cached)``: the maps an earlier conv of this forward built for
+    these two clouds, else ``build()``'s, stored for the convs after it.
+
+    Convs over the same clouds share maps (MinkowskiEngine's
+    coordinate-manager behaviour; the paper computes maps "every time
+    downsampling the point cloud", i.e. once per stride level).  Clouds
+    pass from conv to conv as the same arrays, so identity finds them; each
+    entry holds both arrays, so no id in a live key can be recycled.
+    """
+    if map_cache is None:
+        return build(), False
+    key = _map_key(tensor, out_tensor, kernel_size)
+    entry = map_cache.get(key)
+    if entry is not None:
+        return entry[2], True
+    maps = build()
+    map_cache[key] = (tensor.coords, out_tensor.coords, maps)
+    return maps, False
+
+
 class _SparseConvBase:
     def __init__(
         self,
@@ -174,24 +215,6 @@ class SparseConv(_SparseConvBase):
         offsets = kernel_offsets(self.kernel_size, self.ndim) * tensor.tensor_stride
         return kernel_map_mergesort(tensor.coords, out_tensor.coords, offsets=offsets)
 
-    def _map_cache_key(
-        self, tensor: SparseTensor, out_tensor: SparseTensor
-    ) -> tuple:
-        # Two convs at the same strides over the same clouds share maps
-        # (MinkowskiEngine's coordinate-manager behaviour; the paper computes
-        # maps "every time downsampling the point cloud", i.e. once per
-        # stride level).  A sparse coordinate fingerprint guards collisions.
-        probe = tensor.coords[:: max(1, tensor.n // 7)]
-        return (
-            "conv",
-            self.kernel_size,
-            tensor.tensor_stride,
-            out_tensor.tensor_stride,
-            tensor.n,
-            out_tensor.n,
-            int(probe.sum()),
-        )
-
     def __call__(
         self,
         tensor: SparseTensor,
@@ -218,17 +241,10 @@ class SparseConv(_SparseConvBase):
                         rows=tensor.n,
                     )
                 )
-        cached = False
-        maps = None
-        key = None
-        if map_cache is not None:
-            key = self._map_cache_key(tensor, out_tensor)
-            maps = map_cache.get(key)
-            cached = maps is not None
-        if maps is None:
-            maps = self.build_maps(tensor, out_tensor)
-            if map_cache is not None:
-                map_cache[key] = maps
+        maps, cached = _shared_maps(
+            map_cache, tensor, out_tensor, self.kernel_size,
+            lambda: self.build_maps(tensor, out_tensor),
+        )
         if trace is not None:
             trace.record(
                 LayerSpec(
@@ -273,14 +289,35 @@ class SparseConvTranspose(_SparseConvBase):
         kernel_volume = kernel_size**ndim
         super().__init__(c_in, c_out, kernel_volume, rng, relu, bn, name)
 
-    def build_maps(self, tensor: SparseTensor, out_tensor: SparseTensor) -> MapTable:
+    @staticmethod
+    def _check_upsamples(tensor: SparseTensor, out_tensor: SparseTensor) -> None:
         if out_tensor.tensor_stride >= tensor.tensor_stride:
             raise ValueError(
                 "transpose conv upsamples: output stride must be finer "
                 f"({out_tensor.tensor_stride} >= {tensor.tensor_stride})"
             )
+
+    def build_maps(self, tensor: SparseTensor, out_tensor: SparseTensor) -> MapTable:
+        self._check_upsamples(tensor, out_tensor)
         offsets = -kernel_offsets(self.kernel_size, self.ndim) * out_tensor.tensor_stride
         return kernel_map_mergesort(tensor.coords, out_tensor.coords, offsets=offsets)
+
+    def _twin_maps(
+        self, map_cache: dict | None, tensor: SparseTensor, out_tensor: SparseTensor
+    ) -> MapTable:
+        """The maps of this conv's strided twin, transposed, if this forward
+        ran the twin: the same-kernel strided conv that built this coarse
+        cloud from this fine one.  Its rows ``p - delta == q`` are this
+        conv's rows ``q + delta == p`` with input and output swapped, in
+        the same order (a translation preserves key order), so
+        :meth:`build_maps` would only recompute them."""
+        twin = None
+        if map_cache is not None:
+            twin = map_cache.get(_map_key(out_tensor, tensor, self.kernel_size))
+        if twin is None:
+            return self.build_maps(tensor, out_tensor)
+        maps = twin[2]
+        return MapTable(maps.out_idx, maps.in_idx, maps.weight_idx, maps.kernel_volume)
 
     def __call__(
         self,
@@ -296,26 +333,15 @@ class SparseConvTranspose(_SparseConvBase):
         out_tensor = SparseTensor(
             out_cloud.coords, None, out_cloud.tensor_stride, _sorted=True
         )
-        cached = False
-        maps = None
-        key = None
-        if map_cache is not None:
-            probe = tensor.coords[:: max(1, tensor.n // 7)]
-            key = (
-                "conv_t",
-                self.kernel_size,
-                tensor.tensor_stride,
-                out_tensor.tensor_stride,
-                tensor.n,
-                out_tensor.n,
-                int(probe.sum()),
-            )
-            maps = map_cache.get(key)
-            cached = maps is not None
-        if maps is None:
-            maps = self.build_maps(tensor, out_tensor)
-            if map_cache is not None:
-                map_cache[key] = maps
+        # Checked before any lookup: it is what keeps this conv's keys
+        # apart from those of same-stride convs.
+        self._check_upsamples(tensor, out_tensor)
+        # A map taken from the twin is still one the modelled MPU computes
+        # (``cached`` stays False); only the host skips recomputing it.
+        maps, cached = _shared_maps(
+            map_cache, tensor, out_tensor, self.kernel_size,
+            lambda: self._twin_maps(map_cache, tensor, out_tensor),
+        )
         if trace is not None:
             trace.record(
                 LayerSpec(

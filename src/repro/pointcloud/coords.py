@@ -24,6 +24,7 @@ __all__ = [
     "lexicographic_order",
     "lexicographic_sort",
     "coords_to_keys",
+    "key_deltas",
     "keys_to_coords",
     "quantize",
     "quantize_unique",
@@ -85,6 +86,23 @@ def coords_to_keys(coords: np.ndarray) -> np.ndarray:
     for d in range(ndim):
         keys = (keys << _KEY_BITS_PER_AXIS) | shifted[:, d]
     return keys
+
+
+def key_deltas(offsets: np.ndarray) -> np.ndarray:
+    """Packed-key shift of each offset row.
+
+    The per-axis fields of :func:`coords_to_keys` add without carries, so
+    ``coords_to_keys(p + delta) == coords_to_keys(p) + key_deltas(delta)``
+    whenever ``p`` and ``p + delta`` are both packable.  Computed by
+    arithmetic, not packing: ``delta`` itself need not be packable.
+    """
+    offsets = _as_coord_array(offsets).astype(np.int64)
+    ndim = offsets.shape[1]
+    shifts = np.array(
+        [1 << (_KEY_BITS_PER_AXIS * (ndim - 1 - d)) for d in range(ndim)],
+        dtype=np.int64,
+    )
+    return offsets @ shifts
 
 
 def keys_to_coords(keys: np.ndarray, ndim: int) -> np.ndarray:

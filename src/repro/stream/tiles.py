@@ -402,13 +402,9 @@ def _delta_keys(halo: int, ndim: int) -> np.ndarray:
     """Packed-key deltas of the halo box: the per-axis bit fields of
     :func:`~repro.pointcloud.coords.coords_to_keys` are additive for
     in-range offsets, so ``key(tile + delta) == key(tile) + delta_key``."""
-    from ..pointcloud.coords import _KEY_BITS_PER_AXIS
+    from ..pointcloud.coords import key_deltas
 
-    shifts = np.array(
-        [1 << (_KEY_BITS_PER_AXIS * (ndim - 1 - d)) for d in range(ndim)],
-        dtype=np.int64,
-    )
-    return halo_box(halo, ndim) @ shifts
+    return key_deltas(halo_box(halo, ndim))
 
 
 @functools.lru_cache(maxsize=32)

@@ -1,10 +1,14 @@
 """Tests for MIR container, cache, dataflows and the MMU."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.config import POINTACC_FULL
+from repro.core.config import POINTACC_EDGE, POINTACC_FULL
 from repro.core.mmu import (
+    CANDIDATE_BLOCK_POINTS,
     CacheConfig,
     InputFeatureCache,
     MIRContainer,
@@ -14,7 +18,7 @@ from repro.core.mmu import (
     simulate_conv_cache,
 )
 from repro.mapping.kernel_map import kernel_map_mergesort
-from repro.mapping.maps import MapTable
+from repro.mapping.maps import MapTable, copy_value
 from repro.nn.trace import LayerKind, LayerSpec
 
 
@@ -230,3 +234,90 @@ class TestMMUUnit:
         eb = 2
         assert cost.dram_read_bytes == 100 * 8 * eb + 8 * 16 * eb
         assert cost.dram_write_bytes == 100 * 16 * eb
+
+
+def _stream_table(in_idx) -> MapTable:
+    """A table whose fetch-on-demand stream is exactly ``in_idx``."""
+    n = len(in_idx)
+    return MapTable(in_idx, np.arange(n), np.zeros(n, dtype=np.int64), 1)
+
+
+def _exhaustive_sweep(mmu, spec, maps):
+    """Every candidate block size replayed; the first strict minimum wins."""
+    best = None
+    for block_points in CANDIDATE_BLOCK_POINTS:
+        if block_points * max(spec.c_in, 1) * mmu.elem_bytes > mmu.input_buffer_bytes:
+            break
+        cost, stats = fetch_on_demand_cost(
+            spec, mmu.input_buffer_bytes, block_points=block_points,
+            elem_bytes=mmu.elem_bytes, maps=maps,
+        )
+        if best is None or cost.total_bytes < best[0]:
+            best = (cost.total_bytes, cost, stats, block_points)
+    return best
+
+
+class TestSweepPruning:
+    """The MMU skips block size 2b when the set count at b is even."""
+
+    @given(
+        stream=st.lists(st.integers(0, 63), min_size=1, max_size=80),
+        block_points=st.sampled_from([1, 2, 4, 8]),
+        c_in=st.integers(1, 4),
+        half_sets=st.integers(1, 6),
+        slack=st.integers(0, 1000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_even_set_count_pairing_bound(
+        self, stream, block_points, c_in, half_sets, slack
+    ):
+        block_bytes = block_points * c_in * 2
+        capacity = 2 * half_sets * block_bytes + slack % block_bytes
+        fine = CacheConfig(capacity, block_points, c_in)
+        coarse = CacheConfig(capacity, 2 * block_points, c_in)
+        assert fine.n_sets % 2 == 0 and coarse.n_sets == fine.n_sets // 2
+        maps = _stream_table(stream)
+        assert (
+            simulate_conv_cache(maps, coarse).dram_bytes
+            >= simulate_conv_cache(maps, fine).dram_bytes
+        )
+
+    def test_odd_set_count_can_prefer_the_larger_block(self):
+        """Why odd set counts are still replayed: 10 B, c_in 1, 2-byte
+        elements, stream 0,1,6,1,6 — block 1 (5 sets) moves 10 B, block 2
+        (2 sets) 8 B, and the MMU must find block 2."""
+        maps = _stream_table([0, 1, 6, 1, 6])
+        assert simulate_conv_cache(maps, CacheConfig(10, 1, 1)).dram_bytes == 10
+        assert simulate_conv_cache(maps, CacheConfig(10, 2, 1)).dram_bytes == 8
+        sram = dataclasses.replace(POINTACC_FULL.sram, input_kb=10 / 1024)
+        mmu = MemoryManagementUnit(dataclasses.replace(POINTACC_FULL, sram=sram))
+        spec = _conv_spec(n_in=7, n_out=5, c_in=1, c_out=1, n_maps=5, kv=1)
+        cost = mmu.sparse_conv_cost(spec, maps)
+        assert cost.block_points == 2
+        assert cost.cache_stats.dram_bytes == 8
+
+    @pytest.mark.parametrize("config", [POINTACC_FULL, POINTACC_EDGE],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("c_in", [1, 3, 4, 96, 192, 384, 1500])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_pruned_sweep_equals_exhaustive(self, voxel_tensor, config, c_in,
+                                            shuffle):
+        maps = kernel_map_mergesort(voxel_tensor.coords, voxel_tensor.coords, 3, 1)
+        if shuffle:
+            order = np.random.default_rng(c_in).permutation(voxel_tensor.n)
+            maps = MapTable(order[maps.in_idx], maps.out_idx, maps.weight_idx,
+                            maps.kernel_volume)
+        spec = _conv_spec(n_in=voxel_tensor.n, n_out=voxel_tensor.n, c_in=c_in,
+                          n_maps=maps.n_maps)
+        mmu = MemoryManagementUnit(config)
+        got = mmu.sparse_conv_cost(spec, copy_value(maps))
+        _, cost, stats, block_points = _exhaustive_sweep(mmu, spec, copy_value(maps))
+        assert got.block_points == block_points
+        assert got.dram_read_bytes == cost.read_bytes
+        assert got.dram_write_bytes == cost.write_bytes
+        assert got.cache_stats == stats
+
+    def test_capacity_break_is_reached(self):
+        """c_in 1500 fills the FULL input buffer before block 128."""
+        point_bytes = 1500 * POINTACC_FULL.bytes_per_element
+        assert 128 * point_bytes > MemoryManagementUnit(POINTACC_FULL).input_buffer_bytes

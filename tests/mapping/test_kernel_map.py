@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.mapping import (
     kernel_map,
@@ -9,7 +11,8 @@ from repro.mapping import (
     kernel_map_hash,
     kernel_map_mergesort,
 )
-from repro.pointcloud.coords import kernel_offsets
+from repro.mapping.maps import MapTable
+from repro.pointcloud.coords import coords_to_keys, kernel_offsets
 
 
 @pytest.fixture
@@ -133,3 +136,190 @@ class TestSubmanifoldProperty:
         per_out = maps.maps_per_output(small_tensor.n)
         assert per_out.max() <= 27
         assert per_out.min() >= 1  # center offset always hits
+
+
+def per_offset_mergesort(in_coords, out_coords, offsets):
+    """Row-order reference: one merge per offset, each shifted input cloud
+    packed (and range-checked) on its own — the direct transcription of
+    Fig. 9 that ``kernel_map_mergesort`` must match row for row."""
+    in_coords = np.asarray(in_coords, dtype=np.int64)
+    out_coords = np.asarray(out_coords, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    if len(in_coords) == 0 or len(out_coords) == 0:
+        return MapTable(empty, empty, empty, kernel_volume=len(offsets))
+    in_order = np.argsort(coords_to_keys(in_coords), kind="stable")
+    sorted_in = in_coords[in_order]
+    out_keys = coords_to_keys(out_coords)
+    out_order = np.argsort(out_keys, kind="stable")
+    sorted_out_keys = out_keys[out_order]
+    ins, outs, weights = [], [], []
+    for w, delta in enumerate(offsets):
+        shifted_keys = coords_to_keys(sorted_in - delta[None, :])
+        pos = np.searchsorted(sorted_out_keys, shifted_keys)
+        pos_clipped = np.minimum(pos, len(sorted_out_keys) - 1)
+        hit = (pos < len(sorted_out_keys)) & (
+            sorted_out_keys[pos_clipped] == shifted_keys
+        )
+        ins.append(in_order[np.flatnonzero(hit)])
+        outs.append(out_order[pos[hit]])
+        weights.append(np.full(int(hit.sum()), w, dtype=np.int64))
+    return MapTable(
+        np.concatenate(ins), np.concatenate(outs), np.concatenate(weights),
+        kernel_volume=len(offsets),
+    )
+
+
+def assert_same_rows(got: MapTable, want: MapTable) -> None:
+    assert got.kernel_volume == want.kernel_volume
+    assert np.array_equal(got.in_idx, want.in_idx)
+    assert np.array_equal(got.out_idx, want.out_idx)
+    assert np.array_equal(got.weight_idx, want.weight_idx)
+
+
+EDGE = 1 << 20  # packable coordinates span [-EDGE, EDGE - 1] per axis
+
+small_clouds = hnp.arrays(
+    np.int64, st.tuples(st.integers(0, 30), st.just(3)),
+    elements=st.integers(-4, 4),
+)
+
+
+@st.composite
+def cloud_pairs(draw):
+    """(in, out) clouds: sorted or shuffled, with or without duplicate
+    coordinates, and out either the same cloud or another one."""
+    cloud = draw(small_clouds)
+    if draw(st.booleans()):
+        cloud = np.unique(cloud, axis=0)
+    if draw(st.booleans()):
+        cloud = cloud[draw(st.permutations(range(len(cloud))))]
+    relation = draw(st.sampled_from(["same", "quantized", "other"]))
+    if relation == "same":
+        out = cloud
+    elif relation == "quantized":
+        out = np.unique(np.floor_divide(cloud, 2) * 2, axis=0).reshape(-1, 3)
+    else:
+        out = draw(small_clouds)
+    return cloud, out
+
+
+class TestMergesortRowOrder:
+    """``kernel_map_mergesort`` against the per-offset reference loop."""
+
+    @given(pair=cloud_pairs(), ksize=st.integers(1, 3), stride=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_offsets_match_reference(self, pair, ksize, stride):
+        in_coords, out_coords = pair
+        offsets = kernel_offsets(ksize, 3) * stride
+        assert_same_rows(
+            kernel_map_mergesort(in_coords, out_coords, offsets=offsets),
+            per_offset_mergesort(in_coords, out_coords, offsets),
+        )
+
+    @given(
+        pair=cloud_pairs(),
+        offsets=hnp.arrays(
+            np.int64, st.tuples(st.integers(1, 9), st.just(3)),
+            elements=st.integers(-3, 3),
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_explicit_offsets_match_reference(self, pair, offsets):
+        in_coords, out_coords = pair
+        assert_same_rows(
+            kernel_map_mergesort(in_coords, out_coords, offsets=offsets),
+            per_offset_mergesort(in_coords, out_coords, offsets),
+        )
+
+    @given(offsets=hnp.arrays(
+        np.int64, st.tuples(st.integers(0, 4), st.just(3)),
+        elements=st.integers(-2, 2),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_offsets_match_reference(self, offsets):
+        """Symmetric sets with a zero centre: the half-probe shortcut."""
+        offsets = np.concatenate([offsets, np.zeros((1, 3), np.int64), -offsets[::-1]])
+        cloud = np.unique(
+            np.random.default_rng(len(offsets)).integers(-3, 4, (40, 3)), axis=0
+        )
+        assert_same_rows(
+            kernel_map_mergesort(cloud, cloud, offsets=offsets),
+            per_offset_mergesort(cloud, cloud, offsets),
+        )
+
+    def test_duplicates_defeat_the_symmetry_shortcut(self):
+        """A duplicated point maps only onto the first copy (stable order),
+        so the centre rows are not the identity."""
+        cloud = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+        got = kernel_map_mergesort(cloud, cloud, 3, 1)
+        assert_same_rows(got, per_offset_mergesort(cloud, cloud, kernel_offsets(3)))
+        centre = got.weight_idx == 13
+        assert got.out_idx[centre].tolist() == [0, 0, 2]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_clouds(self, n):
+        cloud = np.arange(3 * n, dtype=np.int64).reshape(n, 3)
+        for out in (cloud, np.zeros((1, 3), dtype=np.int64)):
+            assert_same_rows(
+                kernel_map_mergesort(cloud, out, 3, 1),
+                per_offset_mergesort(cloud, out, kernel_offsets(3)),
+            )
+
+
+edge_values = (
+    st.integers(-EDGE, -EDGE + 2)
+    | st.integers(EDGE - 3, EDGE - 1)
+    | st.integers(-2, 2)
+)
+
+
+class TestPackableRange:
+    """One bounding-box test stands in for packing every shifted cloud."""
+
+    @given(
+        cloud=hnp.arrays(
+            np.int64, st.tuples(st.integers(1, 6), st.just(3)),
+            elements=edge_values,
+        ),
+        offsets=hnp.arrays(
+            np.int64, st.tuples(st.integers(1, 5), st.just(3)),
+            elements=st.integers(-3, 3)
+            | st.integers(EDGE - 2, EDGE + 2)
+            | st.integers(-2 * EDGE - 1, -2 * EDGE + 3),
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_raises_exactly_when_a_shift_leaves_the_field(self, cloud, offsets):
+        shifted = cloud[:, None, :] - offsets[None, :, :]
+        leaves = bool(np.any((shifted < -EDGE) | (shifted > EDGE - 1)))
+        if leaves:
+            with pytest.raises(ValueError, match="packable range"):
+                per_offset_mergesort(cloud, cloud, offsets)
+            with pytest.raises(ValueError, match="packable range"):
+                kernel_map_mergesort(cloud, cloud, offsets=offsets)
+        else:
+            assert_same_rows(
+                kernel_map_mergesort(cloud, cloud, offsets=offsets),
+                per_offset_mergesort(cloud, cloud, offsets),
+            )
+
+    def test_unpackable_offset_with_packable_shifts(self):
+        offsets = np.array([[EDGE + 1, 0, 0]])
+        with pytest.raises(ValueError):
+            coords_to_keys(offsets)
+        in_coords = np.array([[EDGE - 1, 0, 0]])
+        out_coords = np.array([[-2, 0, 0]])
+        got = kernel_map_mergesort(in_coords, out_coords, offsets=offsets)
+        assert got.as_set() == {(0, 0, 0)}
+        assert_same_rows(got, per_offset_mergesort(in_coords, out_coords, offsets))
+
+    def test_edge_cloud_with_unit_kernel(self):
+        cloud = np.array([[EDGE - 1, -EDGE, 0], [0, 0, 0]])
+        with pytest.raises(ValueError, match="packable range"):
+            kernel_map_mergesort(cloud, cloud, 3, 1)
+        inner = np.array([[EDGE - 2, -EDGE + 1, 0], [0, 0, 0]])
+        assert_same_rows(
+            kernel_map_mergesort(inner, inner, 3, 1),
+            per_offset_mergesort(inner, inner, kernel_offsets(3)),
+        )

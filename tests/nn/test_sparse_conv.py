@@ -7,8 +7,10 @@ import pytest
 
 from repro.mapping.kernel_map import kernel_map_mergesort
 from repro.nn import SparseConv, SparseConvTranspose, Trace, sparse_conv_apply
+from repro.nn.models.registry import build_trace
 from repro.nn.trace import LayerKind
 from repro.pointcloud import SparseTensor
+from repro.pointcloud.coords import kernel_offsets
 
 
 def dense_conv3d_reference(grid, weights, kernel_size=3):
@@ -129,6 +131,28 @@ class TestSparseConvLayer:
         assert kmaps[0].params["cached"] is False
         assert kmaps[1].params["cached"] is True
 
+    def test_map_cache_tells_apart_clouds_with_equal_fingerprints(self):
+        """Two clouds agreeing on point count, stride and coordinate sum
+        must not share maps: the second needs its own weights 10/16."""
+        conv = SparseConv(1, 1, 3, 1)
+        first = SparseTensor(np.array([[0, 0, 0], [0, 0, 1]]), np.ones((2, 1)))
+        second = SparseTensor(np.array([[0, 0, 0], [0, 1, 0]]), np.ones((2, 1)))
+        cache = {}
+        trace = Trace()
+        conv(first, trace, cache)
+        conv(second, trace, cache)
+        first_maps, second_maps = (
+            s.params["maps"] for s in trace.by_kind(LayerKind.SPARSE_CONV)
+        )
+        assert set(first_maps.weight_idx.tolist()) == {12, 13, 14}
+        assert set(second_maps.weight_idx.tolist()) == {10, 13, 16}
+        assert second_maps.as_set() == kernel_map_mergesort(
+            second.coords, second.coords, 3, 1
+        ).as_set()
+        assert [s.params["cached"] for s in trace.by_kind(LayerKind.MAP_KERNEL)] == [
+            False, False
+        ]
+
     def test_channel_mismatch_raises(self, voxel_tensor):
         with pytest.raises(ValueError):
             SparseConv(4, 8)(voxel_tensor)
@@ -171,3 +195,46 @@ class TestSparseConvTranspose:
         up = SparseConvTranspose(8, 8, 2)
         with pytest.raises(ValueError):
             up.build_maps(voxel_tensor, voxel_tensor.downsample(2))
+
+    def test_same_stride_never_borrows_a_submanifold_map(self, voxel_tensor):
+        """With a same-stride conv's maps in the cache, a same-stride
+        transpose still fails instead of swapping those maps."""
+        cache = {}
+        SparseConv(8, 8, 2, 1)(voxel_tensor, None, cache)
+        with pytest.raises(ValueError):
+            SparseConvTranspose(8, 8, 2)(voxel_tensor, voxel_tensor, None, cache)
+
+    @pytest.mark.parametrize("ksize", [2, 3])
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_maps_taken_from_strided_twin_are_row_identical(
+        self, voxel_tensor, ksize, levels
+    ):
+        cache = {}
+        fine = voxel_tensor
+        for _ in range(levels - 1):
+            fine = SparseConv(8, 8, 2, 2)(fine, None, cache)
+        trace = Trace()
+        coarse = SparseConv(8, 8, ksize, 2)(fine, trace, cache)
+        SparseConvTranspose(8, 8, ksize)(coarse, fine, trace, cache)
+        down_maps, up_maps = (
+            s.params["maps"] for s in trace.by_kind(LayerKind.SPARSE_CONV)
+        )
+        want = kernel_map_mergesort(
+            coarse.coords, fine.coords,
+            offsets=-kernel_offsets(ksize) * fine.tensor_stride,
+        )
+        assert np.array_equal(up_maps.in_idx, want.in_idx)
+        assert np.array_equal(up_maps.out_idx, want.out_idx)
+        assert np.array_equal(up_maps.weight_idx, want.weight_idx)
+        assert up_maps.kernel_volume == want.kernel_volume
+        # Taken from the twin, not recomputed; still modelled as computed.
+        assert np.shares_memory(up_maps.in_idx, down_maps.out_idx)
+        up_kmap = trace.by_kind(LayerKind.MAP_KERNEL)[-1]
+        assert up_kmap.params["cached"] is False
+
+    def test_minknet_decoder_upsamples_record_computed_maps(self):
+        trace = build_trace("MinkNet(o)", scale=0.1, seed=0)
+        ups = [s for s in trace.by_kind(LayerKind.MAP_KERNEL)
+               if s.name.startswith("dec") and s.name.endswith(".up.kmap")]
+        assert len(ups) == 4
+        assert all(s.params["cached"] is False for s in ups)
