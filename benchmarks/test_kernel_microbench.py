@@ -8,6 +8,7 @@ substrate show up in ``--benchmark-only`` runs.
 import numpy as np
 import pytest
 
+from repro.core import PointAccModel
 from repro.core.config import POINTACC_FULL
 from repro.core.mmu import MemoryManagementUnit
 from repro.core.mmu.cache import CacheConfig, simulate_conv_cache
@@ -19,6 +20,7 @@ from repro.mapping import (
     knn_indices,
 )
 from repro.mapping.maps import copy_value
+from repro.nn.models.registry import run_benchmark
 from repro.nn.trace import LayerKind, LayerSpec
 from repro.pointcloud import generate_sample
 
@@ -110,3 +112,19 @@ def test_block_size_sweep_speed(benchmark, voxel_coords):
         rounds=20,
     )
     assert cost.block_points is not None
+
+
+def test_backend_cost_model_speed(benchmark):
+    """``PointAccModel.run`` on a geometry-only MinkNet(o) trace.  Every
+    round gets a fresh model and a freshly built trace, so no table's
+    replay memo is timed."""
+
+    def setup():
+        trace, _ = run_benchmark("MinkNet(o)", scale=0.25, seed=0,
+                                 geometry_only=True)
+        return (PointAccModel(POINTACC_FULL), trace), {}
+
+    report = benchmark.pedantic(
+        lambda model, trace: model.run(trace), setup=setup, rounds=10
+    )
+    assert report.total_seconds > 0

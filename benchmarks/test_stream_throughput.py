@@ -2,8 +2,8 @@
 
 The acceptance claim of the streaming subsystem: on an overlapping
 synthetic LiDAR sequence, a single-pass :class:`~repro.stream.StreamSession`
-— geometry-only trace construction, content-addressed map caches, the
-backend's record memo and resident weights — must clear >= 3x the
+— geometry-only trace construction on a resident weightless model,
+content-addressed map caches — must clear >= 3x the
 throughput of the cold per-frame baseline (:func:`repro.engine.run_cold`
 per frame: fresh functional simulation, no caches — exactly what serving
 this stream looked like before the subsystem existed), while every

@@ -18,13 +18,6 @@ is ``max(compute, dram)`` with the un-hidden remainder attributed to the
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
-from dataclasses import dataclass
-
-import numpy as np
-
-from ..mapping.maps import MapTable
 from ..nn.trace import LayerKind, LayerSpec, Trace
 from .config import PointAccConfig, POINTACC_FULL
 from .energy import DEFAULT_ENERGY, EnergyConstants, EnergyLedger
@@ -37,85 +30,20 @@ from .report import LayerRecord, PerfReport
 __all__ = ["PointAccModel"]
 
 
-def _map_digest(table: MapTable) -> bytes:
-    """Content digest of a map table, memoized on the instance.
-
-    The tile front's whole-call reuse hands the *same* table object to
-    every layer (and frame) presenting equal geometry, so after the first
-    hash the digest probe is a free attribute read.
-    """
-    digest = getattr(table, "_content_digest", None)
-    if digest is None:
-        h = hashlib.blake2b(digest_size=16)
-        for arr in (table.in_idx, table.out_idx, table.weight_idx):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        h.update(repr(int(table.kernel_volume)).encode())
-        digest = h.digest()
-        table._content_digest = digest
-    return digest
-
-
-def _params_key(params: dict):
-    """Hashable rendering of a spec's params, or ``None`` if any value is
-    of a type the memo does not understand (then the layer is costed
-    plainly — the memo must never guess at content identity)."""
-    parts = []
-    for name in sorted(params):
-        value = params[name]
-        if isinstance(value, MapTable):
-            parts.append((name, "map", _map_digest(value)))
-        elif isinstance(value, np.ndarray):
-            arr = np.ascontiguousarray(value)
-            parts.append((name, "arr", str(arr.dtype), arr.shape,
-                          arr.tobytes()))
-        elif isinstance(value, (bool, int, float, str, bytes, type(None))):
-            parts.append((name, repr(value)))
-        else:
-            return None
-    return tuple(parts)
-
-
-def _spec_key(spec: LayerSpec, *extra):
-    """Content key of one layer's cost inputs (``None`` = uncacheable)."""
-    params_key = _params_key(spec.params)
-    if params_key is None:
-        return None
-    return (
-        spec.name, spec.kind.value, spec.n_in, spec.n_out, spec.c_in,
-        spec.c_out, spec.rows, spec.n_maps, spec.kernel_volume,
-        spec.fusible, params_key, *extra,
-    )
-
-
-def _group_key(group: FusionGroup):
-    """Content key of a fused dense group: every member's key plus the
-    group-level planning facts its cost depends on."""
-    members = []
-    for spec in group.specs:
-        key = _spec_key(spec)
-        if key is None:
-            return None
-        members.append(key)
-    return ("fused", tuple(members), group.tile_points, group.elide_output)
-
-
 class PointAccModel:
     """Cycle-level cost model of one PointAcc configuration.
 
-    ``record_memo_entries`` bounds the per-layer cost-record memo: every
-    :class:`~repro.core.report.LayerRecord` this model produces is a pure
-    function of the layer's content (spec fields, params — map tables by
-    content digest — and the flow/fusion context), so near-identical
-    frames re-served by an engine share cost-model work per *layer*, not
-    just per whole trace.  Hits hand out independent copies; ``0``
-    disables the memo (the always-recompute ablation).
+    Every :class:`~repro.core.report.LayerRecord` is built directly from
+    its spec, so each report is a fresh object, and the model keeps no
+    state across runs.  Repeated work is saved where it is shared: the MMU
+    memoizes cache replays on each map table
+    (:func:`~repro.core.mmu.cache.simulate_conv_cache`).
     """
 
     def __init__(
         self,
         config: PointAccConfig = POINTACC_FULL,
         energy: EnergyConstants = DEFAULT_ENERGY,
-        record_memo_entries: int = 4096,
     ) -> None:
         self.config = config
         self.energy = energy
@@ -123,26 +51,6 @@ class PointAccModel:
         self.mmu = MemoryManagementUnit(config)
         self.mxu = MatrixUnit(config.pe_rows, config.pe_cols,
                               config.bytes_per_element)
-        self.record_memo_entries = int(record_memo_entries)
-        self._record_memo: OrderedDict = OrderedDict()
-        self.record_memo_stats = {"hits": 0, "misses": 0, "uncacheable": 0}
-
-    def _memo_record(self, key, build) -> LayerRecord:
-        """Return ``build()``'s record through the content-keyed memo."""
-        if key is None or self.record_memo_entries < 1:
-            self.record_memo_stats["uncacheable"] += 1
-            return build()
-        entry = self._record_memo.get(key)
-        if entry is not None:
-            self._record_memo.move_to_end(key)
-            self.record_memo_stats["hits"] += 1
-            return entry.copy()
-        self.record_memo_stats["misses"] += 1
-        record = build()
-        self._record_memo[key] = record.copy()
-        while len(self._record_memo) > self.record_memo_entries:
-            self._record_memo.popitem(last=False)
-        return record
 
     # ------------------------------------------------------------------
     # Mapping-op costing from spec counts
@@ -366,27 +274,17 @@ class PointAccModel:
         for spec in trace:
             kind = spec.kind
             if kind.is_mapping:
-                report.add(self._memo_record(
-                    _spec_key(spec), lambda: self._mapping_record(spec)
-                ))
+                report.add(self._mapping_record(spec))
             elif kind.is_movement:
                 continue  # absorbed by the MMU on PointAcc
             elif kind is LayerKind.SPARSE_CONV:
-                report.add(self._memo_record(
-                    _spec_key(spec, flow),
-                    lambda: self._sparse_conv_record(spec, flow),
-                ))
+                report.add(self._sparse_conv_record(spec, flow))
             elif kind is LayerKind.DENSE_MM:
                 group = group_of.get(id(spec))
                 if group is None:
-                    report.add(self._memo_record(
-                        _spec_key(spec), lambda: self._dense_record(spec)
-                    ))
+                    report.add(self._dense_record(spec))
                 elif first_of_group[id(spec)] == id(spec):
-                    report.add(self._memo_record(
-                        _group_key(group),
-                        lambda: self._fused_group_record(group),
-                    ))
+                    report.add(self._fused_group_record(group))
                 # non-head members are covered by the group record
             elif kind in (
                 LayerKind.POOL_MAX,
@@ -394,9 +292,7 @@ class PointAccModel:
                 LayerKind.INTERP,
                 LayerKind.ELEMWISE,
             ):
-                report.add(self._memo_record(
-                    _spec_key(spec), lambda: self._vector_record(spec)
-                ))
+                report.add(self._vector_record(spec))
             else:
                 raise ValueError(f"unhandled spec kind {kind}")
         # Static energy over the whole run.

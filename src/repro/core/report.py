@@ -9,7 +9,7 @@ EnergyLedger` (compute / SRAM / DRAM — Fig. 21b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .energy import EnergyLedger
 
@@ -36,23 +36,6 @@ class LayerRecord:
     @property
     def dram_bytes(self) -> float:
         return self.dram_read_bytes + self.dram_write_bytes
-
-    def copy(self) -> "LayerRecord":
-        """An independent copy with fresh category/energy/detail objects.
-
-        The backend cost-record memo hands copies out because records are
-        mutated after the fact — a report's static leakage is folded into
-        its last record — and a shared object would let one request's
-        report corrupt another's.
-        """
-        # dataclasses.replace keeps future scalar fields in sync by
-        # construction; only the mutable containers need fresh objects.
-        return replace(
-            self,
-            category_seconds=dict(self.category_seconds),
-            energy=replace(self.energy),
-            detail=dict(self.detail),
-        )
 
 
 @dataclass

@@ -42,14 +42,12 @@ class MapTable:
         self._sorted: dict = {}
 
     def __getstate__(self):
-        # Keep disk spills (SharedMapStore pickles) free of the sort memo,
-        # the MMU's cache-replay memo (see mmu/cache.py) and the backend
-        # record memo's content digest — per-instance accelerations, not
-        # content (the digest is re-derived on demand).
+        # Keep disk spills (SharedMapStore pickles) free of the sort memo
+        # and the MMU's cache-replay memo (see mmu/cache.py): per-instance
+        # accelerations, not content.
         state = self.__dict__.copy()
         state["_sorted"] = {}
         state.pop("_cache_sims", None)
-        state.pop("_content_digest", None)
         return state
 
     @property

@@ -1,9 +1,11 @@
 """Layer classes: stateful modules that compute and record trace specs.
 
 Weights are seeded-random (inference only; see DESIGN.md on the accuracy
-substitution) and initialized once at construction.  Every ``forward`` both
-computes real features with numpy and, when a :class:`~repro.nn.trace.Trace`
-is supplied, records :class:`~repro.nn.trace.LayerSpec`s describing the work.
+substitution) and initialized once at construction, from the parameter
+source :func:`new_param_rng` returns — shape tokens for a weightless model
+(:mod:`repro.nn.ghost`).  Every ``forward`` both computes real features
+with numpy and, when a :class:`~repro.nn.trace.Trace` is supplied, records
+:class:`~repro.nn.trace.LayerSpec`s describing the work.
 
 BatchNorm + ReLU are folded into :class:`Linear` (one DENSE_MM spec per
 layer), matching how every platform in the paper executes them fused with
@@ -15,14 +17,23 @@ from __future__ import annotations
 import numpy as np
 
 from . import functional as F
-from .ghost import GhostFeatures, is_ghost
+from .ghost import GhostFeatures, GhostParamSource, is_ghost
 from .trace import LayerKind, LayerSpec, Trace
 
 __all__ = ["Linear", "SharedMLP", "new_param_rng"]
 
 
-def new_param_rng(seed: int = 0) -> np.random.Generator:
-    """The RNG convention for weight init across the model zoo."""
+def new_param_rng(
+    seed: int = 0, weightless: bool = False
+) -> np.random.Generator | GhostParamSource:
+    """The parameter source for weight init across the model zoo.
+
+    A seeded RNG, or with ``weightless`` a source of shape tokens: layers
+    draw from either the same way, so a weightless model has every shape
+    of the seeded one and no parameter values.
+    """
+    if weightless:
+        return GhostParamSource()
     return np.random.default_rng(seed)
 
 
@@ -69,6 +80,10 @@ class Linear:
             # Geometry-only execution: same checks, same trace record (below),
             # no arithmetic — the record is all a backend ever consumes.
             y = GhostFeatures(len(x), self.c_out)
+        elif is_ghost(self.weight):
+            raise ValueError(
+                f"{self.name}: a weightless layer cannot compute real features"
+            )
         else:
             y = F.linear(x, self.weight, self.bias)
             if self.bn:

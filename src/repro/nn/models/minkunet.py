@@ -74,7 +74,12 @@ class ResidualBlock:
 
 
 class MinkowskiUNet:
-    """Configurable sparse U-Net over a :class:`SparseTensor` input."""
+    """Configurable sparse U-Net over a :class:`SparseTensor` input.
+
+    ``weightless`` draws every parameter as a shape token
+    (:class:`~repro.nn.ghost.GhostParamSource`): the model records the
+    same trace as the seeded one but serves geometry-only forwards only.
+    """
 
     notation = "MinkNet"
 
@@ -86,10 +91,11 @@ class MinkowskiUNet:
         dec_channels: tuple[int, ...] = (256, 128, 96, 96),
         blocks_per_stage: int = 1,
         seed: int = 0,
+        weightless: bool = False,
     ) -> None:
         if len(enc_channels) != len(dec_channels):
             raise ValueError("encoder/decoder stage counts must match")
-        rng = new_param_rng(seed)
+        rng = new_param_rng(seed, weightless)
         self.c_in = c_in
         self.n_classes = n_classes
         self.enc_channels = enc_channels
@@ -185,7 +191,9 @@ class MinkowskiUNetOutdoor(MinkowskiUNet):
     notation = "MinkNet(o)"
 
 
-def mini_minkunet(n_classes: int = 13, seed: int = 0) -> MinkowskiUNet:
+def mini_minkunet(
+    n_classes: int = 13, seed: int = 0, weightless: bool = False
+) -> MinkowskiUNet:
     """Mini-MinkowskiUNet (Fig. 16): shallower and narrower for edge co-design."""
     model = MinkowskiUNet(
         n_classes=n_classes,
@@ -194,6 +202,7 @@ def mini_minkunet(n_classes: int = 13, seed: int = 0) -> MinkowskiUNet:
         dec_channels=(32, 16, 16),
         blocks_per_stage=1,
         seed=seed,
+        weightless=weightless,
     )
     model.notation = "Mini-MinkowskiUNet"
     return model

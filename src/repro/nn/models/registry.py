@@ -58,21 +58,21 @@ class Benchmark:
     application: str
     dataset: str
     family: str  # "pointnet++" | "sparseconv"
-    model_factory: Callable[[int], object]
+    model_factory: Callable[..., object]  # (seed); sparseconv also weightless=
     voxel_size: float | None = None  # set for sparseconv models
     mesorasi_compatible: bool = False  # delayed aggregation applies
     n_points: int | None = None  # override the dataset's nominal size
     published: dict = field(default_factory=dict, hash=False, compare=False)
 
 
-def _minknet_indoor(seed: int) -> MinkowskiUNet:
-    model = MinkowskiUNet(n_classes=13, seed=seed)
+def _minknet_indoor(seed: int, weightless: bool = False) -> MinkowskiUNet:
+    model = MinkowskiUNet(n_classes=13, seed=seed, weightless=weightless)
     model.notation = "MinkNet(i)"
     return model
 
 
-def _minknet_outdoor(seed: int) -> MinkowskiUNet:
-    model = MinkowskiUNet(n_classes=19, seed=seed)
+def _minknet_outdoor(seed: int, weightless: bool = False) -> MinkowskiUNet:
+    model = MinkowskiUNet(n_classes=19, seed=seed, weightless=weightless)
     model.notation = "MinkNet(o)"
     return model
 
@@ -159,7 +159,9 @@ MINI_MINKUNET = Benchmark(
     application="segmentation",
     dataset="s3dis",
     family="sparseconv",
-    model_factory=lambda seed: mini_minkunet(seed=seed),
+    model_factory=lambda seed, weightless=False: mini_minkunet(
+        seed=seed, weightless=weightless
+    ),
     voxel_size=0.08,
     published={"miou": 62.6},  # PointNet++(s) 53.5 + 9.1 (Section 5.2.2)
 )
@@ -204,23 +206,32 @@ def get_benchmark(notation: str) -> Benchmark:
     return BENCHMARKS[notation]
 
 
+def _build_model(bench: Benchmark, seed: int, weightless: bool):
+    """``bench``'s model; only SparseConv factories take ``weightless``."""
+    if weightless:
+        return bench.model_factory(seed, weightless=True)
+    return bench.model_factory(seed)
+
+
 @lru_cache(maxsize=64)
-def _resident_model(base_notation: str, model_seed: int):
+def _resident_model(base_notation: str, model_seed: int, weightless: bool):
     """Model instances for sourced (streaming) workloads.
 
     A frame stream runs one network over many clouds; rebuilding the seeded
-    weights per frame is pure overhead (and in geometry-only mode the
-    weight *values* are never even read).  Models are stateless after
+    weights per frame is pure overhead.  Models are stateless after
     construction — every ``__call__`` takes its inputs and trace explicitly
-    — so sharing an instance cannot change a result.
+    — so sharing an instance cannot change a result.  ``weightless`` is
+    part of the key: a geometry-only stream gets a weightless model (shape
+    tokens, no weight values; see :mod:`repro.nn.ghost`), which a full run
+    of the same ``(benchmark, seed)`` must never be handed.
 
     Sized for fleet serving (:mod:`repro.fleet`): a fleet session keeps
     one ``(base benchmark, model seed)`` pair resident per distinct-world
     stream, and a round-robin over more streams than slots would rebuild
-    weights every single round — so the bound comfortably exceeds any
+    models every single round — so the bound comfortably exceeds any
     realistic concurrent stream x benchmark mix.
     """
-    return get_benchmark(base_notation).model_factory(model_seed)
+    return _build_model(get_benchmark(base_notation), model_seed, weightless)
 
 
 def run_benchmark(
@@ -230,7 +241,8 @@ def run_benchmark(
 
     ``geometry_only`` skips feature arithmetic for model families whose
     trace is a pure function of coordinates (currently SparseConv models,
-    via :class:`~repro.nn.ghost.GhostFeatures`); the returned trace is
+    via :class:`~repro.nn.ghost.GhostFeatures`) and builds their model
+    weightless, so no weight is drawn either; the returned trace is
     bit-identical to a full functional run's and the raw output is a shape
     token instead of real logits.  Families that need feature values for
     mapping (DGCNN's dynamic graph, PointNet++'s MLPs feeding nothing —
@@ -239,9 +251,10 @@ def run_benchmark(
     base, source = split_notation(notation)
     bench = get_benchmark(base)
     spec = get_dataset(bench.dataset)
+    weightless = geometry_only and bench.family == "sparseconv"
     if source is not None:
         cloud, model_seed = _resolve_sourced_cloud(source, scale, seed)
-        model = _resident_model(base, model_seed)
+        model = _resident_model(base, model_seed, weightless)
     else:
         n_points = None
         if bench.n_points is not None:
@@ -249,7 +262,7 @@ def run_benchmark(
         cloud = generate_sample(
             bench.dataset, seed=seed, scale=scale, n_points=n_points
         )
-        model = bench.model_factory(seed)
+        model = _build_model(bench, seed, weightless)
     trace = Trace(name=notation)
     if bench.family == "sparseconv":
         voxel = bench.voxel_size if bench.voxel_size is not None else spec.voxel_size

@@ -32,6 +32,7 @@ def sparse_conv_apply(
     weights: np.ndarray,
     maps: MapTable,
     n_out: int,
+    name: str = "sparse_conv",
 ) -> np.ndarray:
     """Execute the matmul portion of a sparse conv given maps.
 
@@ -39,6 +40,7 @@ def sparse_conv_apply(
     "gather by weight" groups (paper Fig. 4) and scatter-accumulates partial
     sums — the functional reference both for PointAcc's fetch-on-demand flow
     and the GPU's gather-matmul-scatter flow (identical arithmetic).
+    ``name`` labels the layer in errors.
     """
     if weights.ndim != 3:
         raise ValueError(f"weights must be (K, c_in, c_out), got {weights.shape}")
@@ -51,6 +53,8 @@ def sparse_conv_apply(
         # Geometry-only: the maps (already built) are the product; the
         # gather-matmul-scatter would only produce values nothing reads.
         return GhostFeatures(n_out, c_out)
+    if is_ghost(weights):
+        raise ValueError(f"{name}: a weightless layer cannot compute real features")
     out = np.zeros((n_out, c_out), dtype=np.float64)
     for w_idx, in_idx, out_idx in maps.per_weight():
         psum = in_features[in_idx] @ weights[w_idx]
@@ -259,7 +263,9 @@ class SparseConv(_SparseConvBase):
                 )
             )
         self._record_conv(trace, maps, tensor.n, out_tensor.n)
-        out = sparse_conv_apply(tensor.features, self.weights, maps, out_tensor.n)
+        out = sparse_conv_apply(
+            tensor.features, self.weights, maps, out_tensor.n, self.name
+        )
         return out_tensor.with_features(self._postprocess(out))
 
 
@@ -356,5 +362,7 @@ class SparseConvTranspose(_SparseConvBase):
                 )
             )
         self._record_conv(trace, maps, tensor.n, out_tensor.n)
-        out = sparse_conv_apply(tensor.features, self.weights, maps, out_tensor.n)
+        out = sparse_conv_apply(
+            tensor.features, self.weights, maps, out_tensor.n, self.name
+        )
         return out_tensor.with_features(self._postprocess(out))

@@ -130,3 +130,35 @@ class TestPointAccModel:
         conv_records = [r for r in rep.records if r.kind == "sparse_conv"]
         assert conv_records
         assert all("block_points" in r.detail for r in conv_records)
+
+
+class TestModelReuse:
+    """A model serves many runs (engines keep one per backend) and shares
+    the MMU's replay memo on each map table: reuse may never change a
+    report, and reports are the caller's to keep."""
+
+    def test_replay_equals_fresh_model(self, mink_trace):
+        warm = PointAccModel(POINTACC_FULL)
+        first = warm.run(mink_trace)
+        second = warm.run(mink_trace)
+        cold = PointAccModel(POINTACC_FULL).run(mink_trace)
+        assert first == cold
+        assert second == cold
+
+    def test_flows_on_one_model_do_not_alias(self, mink_trace):
+        model = PointAccModel(POINTACC_FULL)
+        fetch = model.run(mink_trace, flow="fetch_on_demand")
+        gather = model.run(mink_trace, flow="gather_scatter")
+        assert fetch != gather
+        assert gather == PointAccModel(POINTACC_FULL).run(
+            mink_trace, flow="gather_scatter"
+        )
+
+    def test_mutating_a_report_does_not_change_a_later_run(self, mink_trace):
+        model = PointAccModel(POINTACC_FULL)
+        reference = PointAccModel(POINTACC_FULL).run(mink_trace)
+        first = model.run(mink_trace)
+        first.records[0].seconds = -1.0
+        first.records[0].energy.compute_pj = -1.0
+        first.records[-1].energy.static_pj = -1.0
+        assert model.run(mink_trace) == reference

@@ -76,6 +76,21 @@ class TestMechanics:
         assert stats.per_stream["late"]["rejected"] == 2
         assert stats.per_stream["fine"]["completed"] == 2
 
+    @pytest.mark.parametrize("n_shards", [0, 1])
+    def test_every_executor_scores_deadlines(self, n_shards):
+        """An unmeetable deadline is missed on every frame, and a generous
+        one met, whatever the executor: a bare engine has no QoS layer, so
+        the session scores its frames against the round's wall time."""
+        for deadline_ms, want in ((0.001, (0, 2)), (1e9, (2, 0))):
+            fleet = _fleet([_spec("a", deadline_ms=deadline_ms)],
+                           n_shards=n_shards)
+            frames = fleet.run()["a"]
+            stats = fleet.stats()
+            assert (stats.deadline_met, stats.deadline_missed) == want
+            tally = stats.per_stream["a"]
+            assert (tally["deadline_met"], tally["deadline_missed"]) == want
+            assert [f.result.deadline_met for f in frames] == [want[0] > 0] * 2
+
     def test_cross_stream_hits_on_shared_world(self):
         fleet = _fleet([_tiled("a", 0.0), _tiled("b", 0.5)])
         fleet.run()

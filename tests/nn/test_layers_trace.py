@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, SharedMLP, Trace, new_param_rng
+from repro.nn.ghost import GhostFeatures, is_ghost
 from repro.nn.trace import LayerKind, LayerSpec
 
 
@@ -48,6 +49,18 @@ class TestLinear:
     def test_invalid_channels(self):
         with pytest.raises(ValueError):
             Linear(0, 4, new_param_rng(0))
+
+    def test_weightless_layer_refuses_real_features(self, rng):
+        layer = Linear(8, 16, new_param_rng(0, weightless=True), name="head")
+        with pytest.raises(ValueError, match="head: a weightless layer"):
+            layer(rng.normal(size=(4, 8)))
+        ghost_trace, full_trace = Trace(), Trace()
+        out = layer(GhostFeatures(4, 8), ghost_trace)
+        Linear(8, 16, new_param_rng(0), name="head")(
+            rng.normal(size=(4, 8)), full_trace
+        )
+        assert is_ghost(out) and out.shape == (4, 16)
+        assert ghost_trace.specs == full_trace.specs
 
 
 class TestSharedMLP:

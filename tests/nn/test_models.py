@@ -1,5 +1,7 @@
 """End-to-end tests of the benchmark model zoo (small scales)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,37 @@ class TestMiniMinkUNet:
         model = mini_minkunet(seed=0)
         tensor = model.prepare_input(indoor_cloud, 0.15)
         assert tensor.channels == model.c_in
+
+
+class TestParameterDrawOrder:
+    """Full models keep their parameter draws exactly: golden figures and
+    the weight-dependent F-PointNet++ traces rest on them.  The digests
+    cover every parameter array as drawn, in construction order."""
+
+    PINNED = {
+        "MinkNet(o)": (156, "23794cc7aab57f5a501dc7e559a37e0b"),
+        "F-PointNet++": (168, "e791a672146196aed66ec03f224d5b83"),
+    }
+
+    @pytest.mark.parametrize("notation", sorted(PINNED))
+    def test_seed0_draws_are_pinned(self, notation, monkeypatch):
+        draws = []
+        real = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = real(seed)
+
+            def normal(self, *args, **kwargs):
+                out = self._rng.normal(*args, **kwargs)
+                draws.append(out)
+                return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.random, "default_rng", Recording)
+            get_benchmark(notation).model_factory(0)
+        h = hashlib.blake2b(digest_size=16)
+        for arr in draws:
+            h.update(repr(arr.shape).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert (len(draws), h.hexdigest()) == self.PINNED[notation]

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.mapping.kernel_map import kernel_map_mergesort
-from repro.nn import SparseConv, SparseConvTranspose, Trace, sparse_conv_apply
+from repro.nn import (
+    SparseConv,
+    SparseConvTranspose,
+    Trace,
+    new_param_rng,
+    sparse_conv_apply,
+)
+from repro.nn.ghost import GhostFeatures
 from repro.nn.models.registry import build_trace
 from repro.nn.trace import LayerKind
 from repro.pointcloud import SparseTensor
@@ -156,6 +163,21 @@ class TestSparseConvLayer:
     def test_channel_mismatch_raises(self, voxel_tensor):
         with pytest.raises(ValueError):
             SparseConv(4, 8)(voxel_tensor)
+
+    def test_weightless_layer_runs_ghosts_and_refuses_real_features(
+        self, voxel_tensor
+    ):
+        conv = SparseConv(8, 16, 3, 2, new_param_rng(0, weightless=True),
+                          name="enc1.down")
+        full = SparseConv(8, 16, 3, 2, new_param_rng(0), name="enc1.down")
+        ghost_in = voxel_tensor.with_features(GhostFeatures(voxel_tensor.n, 8))
+        ghost_trace, full_trace = Trace(), Trace()
+        out = conv(ghost_in, ghost_trace)
+        want = full(voxel_tensor, full_trace)
+        assert out.features.shape == want.features.shape
+        assert ghost_trace.specs == full_trace.specs
+        with pytest.raises(ValueError, match=r"enc1\.down: a weightless layer"):
+            conv(voxel_tensor)
 
     def test_invalid_stride(self):
         with pytest.raises(ValueError):

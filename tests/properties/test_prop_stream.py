@@ -19,6 +19,7 @@ import pytest
 
 from repro.cluster import EngineCluster
 from repro.engine import SimRequest, run_cold
+from repro.engine.backends import backend_names
 from repro.stream import (
     FrameSequence,
     SequenceConfig,
@@ -110,20 +111,27 @@ def test_cluster_stream_bit_identical(sequence, oracles, n_shards, tmp_path):
 
 
 def test_geometry_only_equals_full_functional(sequence):
-    """The root claim behind geometry-only execution: feature arithmetic
-    cannot reach the report.  Run the same frames with geometry_only off
-    (full feature math) and on; reports must be equal exactly."""
-    notation = sequence.notation("MinkNet(o)")
-    for i in range(N_FRAMES):
-        functional = run_cold(
-            SimRequest(benchmark=notation, scale=0.25, seed=i,
-                       geometry_only=False)
-        )
-        geometry = run_cold(
-            SimRequest(benchmark=notation, scale=0.25, seed=i,
-                       geometry_only=True)
-        )
-        assert functional.reports["pointacc"] == geometry.reports["pointacc"]
+    """The root claim behind geometry-only execution: neither feature
+    arithmetic nor weight values can reach a report.  Run the same clouds
+    with geometry_only off (full weights, full feature math) and on
+    (weightless model, ghost features); every backend's report — and
+    mesorasi's rejection of SparseConv — must be equal exactly, on
+    stream-sourced frames and on dataset clouds."""
+    backends = tuple(backend_names())
+    for bench in ("MinkNet(i)", "MinkNet(o)", "Mini-MinkowskiUNet"):
+        cases = [(sequence.notation(bench), 0.25, i) for i in range(N_FRAMES)]
+        cases += [(bench, 0.06, seed) for seed in (0, 1)]
+        for notation, scale, seed in cases:
+            functional, geometry = (
+                run_cold(SimRequest(benchmark=notation, scale=scale, seed=seed,
+                                    geometry_only=mode), backends=backends)
+                for mode in (False, True)
+            )
+            assert functional.reports == geometry.reports, (notation, seed)
+            assert functional.errors == geometry.errors, (notation, seed)
+            assert set(functional.reports) | set(functional.errors) == set(
+                backends
+            )
 
 
 def test_warm_second_pass_still_bit_identical(sequence, oracles):

@@ -1,12 +1,41 @@
 """Frame sequences: determinism, overlap structure, registry plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.nn.models.registry import get_benchmark, run_benchmark, split_notation
+from repro.mapping.maps import MapTable
+from repro.nn.ghost import is_ghost
+from repro.nn.models.registry import (
+    BENCHMARKS,
+    _resident_model,
+    get_benchmark,
+    run_benchmark,
+    split_notation,
+)
 from repro.stream import FrameSequence, SequenceConfig, get_sequence
 
 CFG = SequenceConfig(seed=5, n_frames=6, base_points=3000)
+SPARSECONV = ("MinkNet(i)", "MinkNet(o)", "Mini-MinkowskiUNet")
+
+
+def _assert_same_specs(full, geo, case) -> None:
+    """Spec for spec, every field plus params (map tables by rows)."""
+    assert len(full) == len(geo), case
+    for a, b in zip(full, geo):
+        where = (*case, a.name)
+        assert a == b, where  # every field but params
+        assert a.params.keys() == b.params.keys(), where
+        for key, value in a.params.items():
+            other = b.params[key]
+            if isinstance(value, MapTable):
+                assert value.kernel_volume == other.kernel_volume, where
+                for name in ("in_idx", "out_idx", "weight_idx"):
+                    assert np.array_equal(getattr(value, name),
+                                          getattr(other, name)), where
+            else:
+                assert value == other, (*where, key)
 
 
 @pytest.fixture
@@ -92,10 +121,42 @@ class TestRegistryPlumbing:
         assert [s.name for s in t2] == [s.name for s in t4]
 
     def test_geometry_only_sparseconv_trace_matches_functional(self, seq):
-        notation = seq.notation("MinkNet(i)")
-        full, _ = run_benchmark(notation, scale=0.3, seed=1)
-        geo, out = run_benchmark(notation, scale=0.3, seed=1, geometry_only=True)
-        assert [s.name for s in full] == [s.name for s in geo]
-        for a, b in zip(full, geo):
-            assert (a.kind, a.n_in, a.n_out, a.c_in, a.c_out, a.rows, a.n_maps) \
-                == (b.kind, b.n_in, b.n_out, b.c_in, b.c_out, b.rows, b.n_maps)
+        """A geometry-only run (weightless model, ghost features) records
+        the full-weight functional run's trace spec for spec — map rows and
+        ``cached`` flags included — on stream-sourced and dataset clouds."""
+        for bench in SPARSECONV:
+            for notation, scale in ((seq.notation(bench), 0.3), (bench, 0.06)):
+                for seed in (1, 2):
+                    case = (notation, seed)
+                    full, logits = run_benchmark(notation, scale=scale, seed=seed)
+                    geo, out = run_benchmark(
+                        notation, scale=scale, seed=seed, geometry_only=True
+                    )
+                    assert isinstance(logits, np.ndarray), case
+                    assert is_ghost(out) and out.shape == logits.shape, case
+                    assert geo.input_points == full.input_points, case
+                    _assert_same_specs(full, geo, case)
+
+    def test_full_run_never_gets_the_weightless_model(self, seq, monkeypatch):
+        """Geometry-only first, then full, for one (benchmark, seed) in one
+        process: each mode builds its own model through the registry
+        factory, and the full run returns a fresh model's real logits."""
+        bench = BENCHMARKS["MinkNet(o)"]
+        builds = []
+
+        def factory(seed, **kwargs):
+            builds.append(kwargs)
+            return bench.model_factory(seed, **kwargs)
+
+        monkeypatch.setitem(BENCHMARKS, "MinkNet(o)",
+                            dataclasses.replace(bench, model_factory=factory))
+        notation = seq.notation("MinkNet(o)")
+        _resident_model.cache_clear()
+        _, ghost = run_benchmark(notation, scale=0.3, seed=1, geometry_only=True)
+        _, logits = run_benchmark(notation, scale=0.3, seed=1)
+        _resident_model.cache_clear()
+        _, fresh = run_benchmark(notation, scale=0.3, seed=1)
+        assert builds == [{"weightless": True}, {}, {}]
+        assert is_ghost(ghost)
+        assert isinstance(logits, np.ndarray)
+        assert np.array_equal(logits, fresh)
