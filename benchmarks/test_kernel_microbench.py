@@ -20,9 +20,10 @@ from repro.mapping import (
     knn_indices,
 )
 from repro.mapping.maps import copy_value
-from repro.nn.models.registry import run_benchmark
+from repro.nn.models.registry import _resident_model, run_benchmark
 from repro.nn.trace import LayerKind, LayerSpec
 from repro.pointcloud import generate_sample
+from repro.stream import FrameSequence, SequenceConfig
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +129,27 @@ def test_backend_cost_model_speed(benchmark):
         lambda model, trace: model.run(trace), setup=setup, rounds=10
     )
     assert report.total_seconds > 0
+
+
+@pytest.mark.parametrize("geometry_only", [False, True],
+                         ids=["full", "geometry_only"])
+def test_pointnet2_stream_trace_speed(benchmark, geometry_only):
+    """One PointNet++(s) stream-frame trace build (~4k points), full vs
+    geometry-only (weightless model, ghost features).  Every round gets a
+    fresh resident model, built in setup, so a round times the forward and
+    its mapping only, on a model no earlier round ran."""
+    sequence = FrameSequence(SequenceConfig(seed=11, n_frames=2))
+    notation = sequence.notation("PointNet++(s)")
+
+    def setup():
+        _resident_model.cache_clear()
+        _resident_model("PointNet++(s)", sequence.config.seed, geometry_only)
+        return (), {}
+
+    trace, _ = benchmark.pedantic(
+        lambda: run_benchmark(notation, scale=0.2, seed=1,
+                              geometry_only=geometry_only),
+        setup=setup, rounds=5,
+    )
+    _resident_model.cache_clear()
+    assert len(trace.by_kind(LayerKind.MAP_FPS)) == 4

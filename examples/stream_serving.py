@@ -15,10 +15,11 @@ and walks its three ideas:
    boundary halo) recompute — and the result is bit-identical to a cold
    run.  (SparseConv kernel maps and voxelize are one sort-based pass
    over the cloud and recompute faster than they decompose.)
-3. *Geometry-only execution*: for SparseConv networks the trace is a pure
-   function of coordinates, so the stream skips the dense feature math
-   entirely (and the property suite proves the reports cannot tell) —
-   try ``--benchmark "MinkNet(o)"``.
+3. *Geometry-only execution*: for the SparseConv models and
+   PointNet++(c), (ps) and (s) the trace is a pure function of
+   coordinates, so the stream skips the dense feature math entirely (and
+   the property suite proves the reports cannot tell) — the default
+   PointNet++(c) stream runs this way, as does ``--benchmark "MinkNet(o)"``.
 
 Run:  python examples/stream_serving.py [--frames N] [--scale S]
 """

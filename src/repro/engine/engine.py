@@ -62,12 +62,15 @@ class SimRequest:
     they cannot change a simulated result.
 
     ``geometry_only`` requests the feature-skipping execution mode for
-    model families whose trace is a pure function of coordinates (see
-    :func:`repro.nn.models.registry.run_benchmark`).  Like the QoS fields
-    it stays out of the workload key: a geometry-only build and a full
-    functional build of the same workload produce bit-identical traces and
-    reports (property-enforced), so they are the same workload — only
-    cheaper.  The streaming pipeline sets it for sparseconv frame streams.
+    networks whose registry entry declares ``coords_only_mapping`` — the
+    SparseConv models and PointNet++(c), (ps) and (s), whose traces are a
+    pure function of coordinates (see
+    :func:`repro.nn.models.registry.run_benchmark`); other networks ignore
+    it.  Like the QoS fields it stays out of the workload key: a
+    geometry-only build and a full functional build of the same workload
+    produce bit-identical traces and reports (property-enforced), so they
+    are the same workload — only cheaper.  Stream and fleet sessions set
+    it for every declared network by default.
     """
 
     benchmark: str

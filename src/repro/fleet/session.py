@@ -136,8 +136,10 @@ class FleetSession:
         :class:`~repro.stream.StreamSession`.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution per stream
-        exactly for SparseConv-family networks; booleans force it
-        fleet-wide.
+        exactly for networks whose registry entry declares
+        ``coords_only_mapping`` (the SparseConv models and PointNet++(c),
+        (ps) and (s)); booleans force it fleet-wide, and undeclared
+        networks ignore ``True``.
     cache_dir:
         Disk-spill directory for the session-built cluster's shared L2
         (ignored with an injected or ``n_shards == 0`` executor).
@@ -203,7 +205,7 @@ class FleetSession:
             )
         self._geometry_only = {
             spec.name: (
-                get_benchmark(spec.benchmark).family == "sparseconv"
+                get_benchmark(spec.benchmark).coords_only_mapping
                 if geometry_only == "auto"
                 else bool(geometry_only)
             )

@@ -3,12 +3,17 @@
 These are the arithmetic primitives the layer classes in
 ``repro.nn.layers`` wrap.  All operate on ``(rows, channels)`` feature
 matrices and are deliberately boring: correctness here anchors every
-functional test of the hardware models above.
+functional test of the hardware models above.  The pooling and
+interpolation kernels of the PointNet++ blocks also take a
+:class:`~repro.nn.ghost.GhostFeatures` token: same checks, a ghost of the
+output shape, no arithmetic (geometry-only execution).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .ghost import GhostFeatures, is_ghost
 
 __all__ = [
     "relu",
@@ -65,6 +70,8 @@ def max_pool_groups(features: np.ndarray, group_size: int) -> np.ndarray:
     rows, channels = features.shape
     if rows % group_size != 0:
         raise ValueError(f"{rows} rows not divisible by group size {group_size}")
+    if is_ghost(features):
+        return GhostFeatures(rows // group_size, channels)
     return features.reshape(rows // group_size, group_size, channels).max(axis=1)
 
 
@@ -100,6 +107,8 @@ def global_max_pool(features: np.ndarray) -> np.ndarray:
     """Max over all rows: (N, C) -> (C,)."""
     if len(features) == 0:
         raise ValueError("global max pool of empty feature matrix")
+    if is_ghost(features):
+        return GhostFeatures(features.shape[1])
     return features.max(axis=0)
 
 
@@ -113,6 +122,15 @@ def three_nn_interpolate(
     from ..mapping.knn import knn_indices
 
     idx, sq_dist = knn_indices(target_points, source_points, k=3)
+    if is_ghost(source_features):
+        # The neighbour search above is mapping and runs on coordinates
+        # either way; only the weighted gather is feature arithmetic.
+        if len(source_features) != len(source_points):
+            raise ValueError(
+                f"{len(source_features)} source feature rows for "
+                f"{len(source_points)} source points"
+            )
+        return GhostFeatures(len(target_points), source_features.shape[1])
     weights = 1.0 / (sq_dist + eps)
     weights = weights / weights.sum(axis=1, keepdims=True)
     gathered = source_features[idx]  # (N, 3, C)

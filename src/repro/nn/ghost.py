@@ -1,20 +1,25 @@
 """Shape-only array stand-in for geometry-only model execution.
 
-For every model family in the paper except DGCNN's dynamic graph, mapping
-operations consume *coordinates* only — feature values never influence
-which maps exist, so the layer trace (and therefore every backend report)
-is a pure function of geometry.  The streaming subsystem exploits this:
-when a frame only needs a trace, running the dense matmuls is wasted work
-that dominates wall clock (profiling puts SparseConv feature math at ~90%
-of a MinkNet trace build).
+A network whose mapping operations read *coordinates* only — feature
+values never influence which maps exist — has a layer trace (and
+therefore every backend report) that is a pure function of geometry.  The
+benchmark registry declares this per network
+(:attr:`~repro.nn.models.registry.Benchmark.coords_only_mapping`): the
+SparseConv models and PointNet++(c), (ps) and (s).  PointNet, DGCNN (whose
+dynamic graph runs kNN on features) and F-PointNet++ (whose frustum masks
+threshold logits) are not declared and always compute real features.
+When a declared frame only needs a trace, running the dense matmuls is
+wasted work: most of a MinkNet trace build and about half of a
+PointNet++(s) stream frame.
 
 :class:`GhostFeatures` is a shape token that flows through the network in
 place of a real array.  As features, a ``(rows, channels)`` ghost: layers
 that see it still perform every shape/channel check and still record
 exactly the same :class:`~repro.nn.trace.LayerSpec`s — they just skip the
-arithmetic and emit a new ghost of the correct output shape.  As
-parameters, a ghost of the weight's shape: a geometry-only SparseConv
-model is built *weightless*, drawing every parameter from
+arithmetic and emit a new ghost of the correct output shape.  Mapping
+operations (kernel maps, FPS, ball query, kNN) still run on the real
+coordinates.  As parameters, a ghost of the weight's shape: a
+geometry-only model is built *weightless*, drawing every parameter from
 :class:`GhostParamSource` instead of an RNG (no layer code changes — a
 layer draws from whatever source it is given), because no geometry-only
 forward ever reads a weight value.  A weightless layer refuses real
@@ -24,6 +29,8 @@ bit-identical to full functional runs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,8 +42,8 @@ class GhostFeatures:
     any shape for a weightless parameter.
 
     Mimics just enough of the ndarray surface (``shape``, ``ndim``,
-    ``len``, ``abs``) for the layer-level checks, parameter construction
-    and trace records to run unchanged.
+    ``len``, ``abs``, ``reshape``) for the layer-level checks, parameter
+    construction and trace records to run unchanged.
     """
 
     __slots__ = ("shape",)
@@ -53,6 +60,20 @@ class GhostFeatures:
 
     def __abs__(self) -> "GhostFeatures":
         return self  # elementwise: same shape; tokens are immutable
+
+    def reshape(self, *shape: int) -> "GhostFeatures":
+        """Same size, new shape; one dimension may be ``-1`` (inferred).
+
+        The point models' ``x.reshape(1, -1)`` / ``y.reshape(-1)``; there
+        is deliberately no ``__getitem__``, which would make numpy treat a
+        ghost as a sequence (``np.abs`` would then build an object array).
+        """
+        size = math.prod(self.shape)
+        known = math.prod(n for n in shape if n != -1)
+        new = tuple(size // max(known, 1) if n == -1 else n for n in shape)
+        if math.prod(new) != size:
+            raise ValueError(f"cannot reshape ghost {self.shape} to {shape}")
+        return GhostFeatures(*new)
 
     def __add__(self, other):
         """Residual adds: shapes must agree, the sum is again a ghost."""
@@ -83,12 +104,12 @@ def is_ghost(x) -> bool:
     return isinstance(x, GhostFeatures)
 
 
-def concat_channels(a, b):
-    """Channel-wise concat that tolerates ghosts (both sides must match)."""
-    if is_ghost(a) or is_ghost(b):
-        if len(a) != len(b):
-            raise ValueError(
-                f"concat row mismatch: {len(a)} vs {len(b)}"
-            )
-        return GhostFeatures(len(a), a.shape[1] + b.shape[1])
-    return np.concatenate([a, b], axis=1)
+def concat_channels(*parts):
+    """Channel-wise concat of ``(rows, channels)`` blocks that tolerates
+    ghosts (row counts must match)."""
+    if any(is_ghost(p) for p in parts):
+        rows = [len(p) for p in parts]
+        if len(set(rows)) != 1:
+            raise ValueError(f"concat row mismatch: {rows}")
+        return GhostFeatures(rows[0], sum(p.shape[1] for p in parts))
+    return np.concatenate(parts, axis=1)

@@ -96,10 +96,8 @@ class FrustumPointNet2:
 
     def _segment(self, pts: np.ndarray, trace: Trace | None) -> np.ndarray:
         n = len(pts)
-        self.sa1.npoint = max(4, min(128, n // 8))
-        self.sa2.npoint = max(4, min(32, n // 32))
-        p1, f1 = self.sa1(pts, None, trace)
-        p2, f2 = self.sa2(p1, f1, trace)
+        p1, f1 = self.sa1(pts, None, trace, max(4, min(128, n // 8)))
+        p2, f2 = self.sa2(p1, f1, trace, max(4, min(32, n // 32)))
         g = self.sa3(p2, f2, trace)
         d2 = self.fp2(p2, f2, p2.mean(axis=0, keepdims=True), g[None, :], trace)
         d1 = self.fp1(p1, f1, p2, d2, trace)

@@ -11,6 +11,12 @@ Three configurations matching Table 2:
 
 Layer hyperparameters follow the reference implementation; point counts
 scale with the input so small test clouds still exercise every block.
+
+``weightless`` builds a model that draws every parameter as a shape token
+(:class:`~repro.nn.ghost.GhostParamSource`); it serves geometry-only
+forwards only, on a cloud whose features are a
+:class:`~repro.nn.ghost.GhostFeatures` of width ``c_in``.  A forward
+writes no model state, so one instance may serve many clouds at once.
 """
 
 from __future__ import annotations
@@ -35,14 +41,32 @@ def _scaled(npoint: int, n_input: int, nominal_input: int) -> int:
     return max(4, int(round(npoint * n_input / nominal_input)))
 
 
+def _input_features(cloud: PointCloud, c_in: int) -> np.ndarray | None:
+    """The point features the first SA stage reads.
+
+    Features of the network's width (a geometry-only ghost included) are
+    used as given; otherwise an xyz-only network reads none and the others
+    read deterministic pseudo-color (S3DIS inputs carry color).
+    """
+    feats = cloud.features
+    if feats is not None and feats.shape[1] == c_in:
+        return feats
+    if c_in == 0:
+        return None
+    return np.tile(cloud.points, (1, (c_in + 2) // 3))[:, :c_in]
+
+
 class PointNet2SSGCls:
     """PointNet++ SSG classification: 2 SA stages + global SA + FC head."""
 
     notation = "PointNet++(c)"
     nominal_points = 1024
+    c_in = 0  # xyz only
 
-    def __init__(self, n_classes: int = 40, seed: int = 0) -> None:
-        rng = new_param_rng(seed)
+    def __init__(
+        self, n_classes: int = 40, seed: int = 0, weightless: bool = False
+    ) -> None:
+        rng = new_param_rng(seed, weightless)
         self.sa1 = SetAbstraction(512, 0.2, 32, 0, [64, 64, 128], rng, name="sa1")
         self.sa2 = SetAbstraction(128, 0.4, 64, 128, [128, 128, 256], rng, name="sa2")
         self.sa3 = GlobalSetAbstraction(256, [256, 512, 1024], rng, name="sa3")
@@ -53,12 +77,12 @@ class PointNet2SSGCls:
     def __call__(self, cloud: PointCloud, trace: Trace | None = None) -> np.ndarray:
         points = cloud.points
         n = len(points)
-        self.sa1.npoint = _scaled(512, n, self.nominal_points)
-        self.sa2.npoint = _scaled(128, n, self.nominal_points)
-        p1, f1 = self.sa1(points, None, trace)
-        p2, f2 = self.sa2(p1, f1, trace)
-        g = self.sa3(p2, f2, trace)[None, :]
-        return self.head(g, trace)[0]
+        feats = _input_features(cloud, self.c_in)
+        p1, f1 = self.sa1(points, feats, trace,
+                          _scaled(512, n, self.nominal_points))
+        p2, f2 = self.sa2(p1, f1, trace, _scaled(128, n, self.nominal_points))
+        g = self.sa3(p2, f2, trace).reshape(1, -1)
+        return self.head(g, trace).reshape(-1)
 
 
 class PointNet2MSGPartSeg:
@@ -66,9 +90,12 @@ class PointNet2MSGPartSeg:
 
     notation = "PointNet++(ps)"
     nominal_points = 2048
+    c_in = 0  # xyz only
 
-    def __init__(self, n_parts: int = 50, seed: int = 0) -> None:
-        rng = new_param_rng(seed)
+    def __init__(
+        self, n_parts: int = 50, seed: int = 0, weightless: bool = False
+    ) -> None:
+        rng = new_param_rng(seed, weightless)
         self.sa1 = SetAbstractionMSG(
             512,
             [(0.1, 32, [32, 32, 64]), (0.2, 64, [64, 64, 128]),
@@ -95,13 +122,14 @@ class PointNet2MSGPartSeg:
     def __call__(self, cloud: PointCloud, trace: Trace | None = None) -> np.ndarray:
         points = cloud.points
         n = len(points)
-        self.sa1.npoint = _scaled(512, n, self.nominal_points)
-        self.sa2.npoint = _scaled(128, n, self.nominal_points)
-        p1, f1 = self.sa1(points, None, trace)
-        p2, f2 = self.sa2(p1, f1, trace)
+        feats = _input_features(cloud, self.c_in)
+        p1, f1 = self.sa1(points, feats, trace,
+                          _scaled(512, n, self.nominal_points))
+        p2, f2 = self.sa2(p1, f1, trace, _scaled(128, n, self.nominal_points))
         g = self.sa3(p2, f2, trace)
         # Propagate the global feature back down the hierarchy.
-        d2 = self.fp3(p2, f2, p2.mean(axis=0, keepdims=True), g[None, :], trace)
+        d2 = self.fp3(p2, f2, p2.mean(axis=0, keepdims=True), g.reshape(1, -1),
+                      trace)
         d1 = self.fp2(p1, f1, p2, d2, trace)
         d0 = self.fp1(points, None, p1, d1, trace)
         return self.head(d0, trace)
@@ -113,8 +141,14 @@ class PointNet2SSGSemSeg:
     notation = "PointNet++(s)"
     nominal_points = 4096
 
-    def __init__(self, n_classes: int = 13, c_in: int = 6, seed: int = 0) -> None:
-        rng = new_param_rng(seed)
+    def __init__(
+        self,
+        n_classes: int = 13,
+        c_in: int = 6,
+        seed: int = 0,
+        weightless: bool = False,
+    ) -> None:
+        rng = new_param_rng(seed, weightless)
         self.c_in = c_in
         self.sa1 = SetAbstraction(1024, 0.1, 32, c_in, [32, 32, 64], rng, name="sa1")
         self.sa2 = SetAbstraction(256, 0.2, 32, 64, [64, 64, 128], rng, name="sa2")
@@ -131,18 +165,12 @@ class PointNet2SSGSemSeg:
     def __call__(self, cloud: PointCloud, trace: Trace | None = None) -> np.ndarray:
         points = cloud.points
         n = len(points)
-        if cloud.features is not None and cloud.features.shape[1] == self.c_in:
-            feats = cloud.features
-        else:
-            # S3DIS inputs carry color; synthesize deterministic pseudo-color.
-            feats = np.tile(points, (1, (self.c_in + 2) // 3))[:, : self.c_in]
-        for sa, npoint in ((self.sa1, 1024), (self.sa2, 256), (self.sa3, 64),
-                           (self.sa4, 16)):
-            sa.npoint = _scaled(npoint, n, self.nominal_points)
-        p1, f1 = self.sa1(points, feats, trace)
-        p2, f2 = self.sa2(p1, f1, trace)
-        p3, f3 = self.sa3(p2, f2, trace)
-        p4, f4 = self.sa4(p3, f3, trace)
+        feats = _input_features(cloud, self.c_in)
+        p1, f1 = self.sa1(points, feats, trace,
+                          _scaled(1024, n, self.nominal_points))
+        p2, f2 = self.sa2(p1, f1, trace, _scaled(256, n, self.nominal_points))
+        p3, f3 = self.sa3(p2, f2, trace, _scaled(64, n, self.nominal_points))
+        p4, f4 = self.sa4(p3, f3, trace, _scaled(16, n, self.nominal_points))
         d3 = self.fp4(p3, f3, p4, f4, trace)
         d2 = self.fp3(p2, f2, p3, d3, trace)
         d1 = self.fp2(p1, f1, p2, d2, trace)

@@ -52,13 +52,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Benchmark:
-    """One row of Table 2."""
+    """One row of Table 2.
+
+    ``coords_only_mapping`` declares that the network's mapping operations
+    read coordinates only — no feature value decides which maps exist — so
+    its trace is a pure function of geometry and it may run geometry-only
+    (:func:`run_benchmark`).  Declared: the SparseConv models and
+    PointNet++(c), (ps) and (s).  Not declared: PointNet, DGCNN (its
+    dynamic graph runs kNN on features) and F-PointNet++ (its frustum
+    masks threshold logits).  A declared model's factory also takes
+    ``weightless=``.
+    """
 
     notation: str
     application: str
     dataset: str
     family: str  # "pointnet++" | "sparseconv"
-    model_factory: Callable[..., object]  # (seed); sparseconv also weightless=
+    model_factory: Callable[..., object]  # (seed); declared also weightless=
+    coords_only_mapping: bool = False
     voxel_size: float | None = None  # set for sparseconv models
     mesorasi_compatible: bool = False  # delayed aggregation applies
     n_points: int | None = None  # override the dataset's nominal size
@@ -92,7 +103,10 @@ BENCHMARKS: dict[str, Benchmark] = {
         application="classification",
         dataset="modelnet40",
         family="pointnet++",
-        model_factory=lambda seed: PointNet2SSGCls(seed=seed),
+        model_factory=lambda seed, weightless=False: PointNet2SSGCls(
+            seed=seed, weightless=weightless
+        ),
+        coords_only_mapping=True,
         mesorasi_compatible=True,
         published={"accuracy": 90.7},
     ),
@@ -101,7 +115,10 @@ BENCHMARKS: dict[str, Benchmark] = {
         application="part segmentation",
         dataset="shapenet",
         family="pointnet++",
-        model_factory=lambda seed: PointNet2MSGPartSeg(seed=seed),
+        model_factory=lambda seed, weightless=False: PointNet2MSGPartSeg(
+            seed=seed, weightless=weightless
+        ),
+        coords_only_mapping=True,
         mesorasi_compatible=True,
         published={"instance_miou": 85.1},
     ),
@@ -128,7 +145,10 @@ BENCHMARKS: dict[str, Benchmark] = {
         application="segmentation",
         dataset="s3dis",
         family="pointnet++",
-        model_factory=lambda seed: PointNet2SSGSemSeg(seed=seed),
+        model_factory=lambda seed, weightless=False: PointNet2SSGSemSeg(
+            seed=seed, weightless=weightless
+        ),
+        coords_only_mapping=True,
         mesorasi_compatible=True,
         n_points=4096,  # S3DIS is processed in 4096-point blocks
         published={"miou": 53.5},
@@ -139,6 +159,7 @@ BENCHMARKS: dict[str, Benchmark] = {
         dataset="s3dis",
         family="sparseconv",
         model_factory=_minknet_indoor,
+        coords_only_mapping=True,
         voxel_size=0.05,
         published={"miou": 65.4},
     ),
@@ -148,6 +169,7 @@ BENCHMARKS: dict[str, Benchmark] = {
         dataset="semantickitti",
         family="sparseconv",
         model_factory=_minknet_outdoor,
+        coords_only_mapping=True,
         voxel_size=0.1,
         published={"miou": 61.1},
     ),
@@ -162,6 +184,7 @@ MINI_MINKUNET = Benchmark(
     model_factory=lambda seed, weightless=False: mini_minkunet(
         seed=seed, weightless=weightless
     ),
+    coords_only_mapping=True,
     voxel_size=0.08,
     published={"miou": 62.6},  # PointNet++(s) 53.5 + 9.1 (Section 5.2.2)
 )
@@ -207,7 +230,7 @@ def get_benchmark(notation: str) -> Benchmark:
 
 
 def _build_model(bench: Benchmark, seed: int, weightless: bool):
-    """``bench``'s model; only SparseConv factories take ``weightless``."""
+    """``bench``'s model; only declared factories take ``weightless``."""
     if weightless:
         return bench.model_factory(seed, weightless=True)
     return bench.model_factory(seed)
@@ -239,19 +262,21 @@ def run_benchmark(
 ) -> tuple[Trace, object]:
     """Run one benchmark functionally; return its trace and raw output.
 
-    ``geometry_only`` skips feature arithmetic for model families whose
-    trace is a pure function of coordinates (currently SparseConv models,
-    via :class:`~repro.nn.ghost.GhostFeatures`) and builds their model
-    weightless, so no weight is drawn either; the returned trace is
-    bit-identical to a full functional run's and the raw output is a shape
-    token instead of real logits.  Families that need feature values for
-    mapping (DGCNN's dynamic graph, PointNet++'s MLPs feeding nothing —
-    conservatively, everything non-SparseConv) ignore the flag.
+    ``geometry_only`` skips feature arithmetic for networks that declare
+    ``coords_only_mapping`` (the SparseConv models and PointNet++(c), (ps)
+    and (s)): the model is built weightless, so no weight is drawn either,
+    and its forward runs on :class:`~repro.nn.ghost.GhostFeatures` from
+    the first layer on while every mapping operation still runs on the
+    real coordinates.  The returned trace is bit-identical to a full
+    functional run's and the raw output is a shape token instead of real
+    logits.  Undeclared networks — PointNet, DGCNN (whose dynamic graph
+    runs kNN on features) and F-PointNet++ (whose frustum masks threshold
+    logits) — ignore the flag.
     """
     base, source = split_notation(notation)
     bench = get_benchmark(base)
     spec = get_dataset(bench.dataset)
-    weightless = geometry_only and bench.family == "sparseconv"
+    weightless = geometry_only and bench.coords_only_mapping
     if source is not None:
         cloud, model_seed = _resolve_sourced_cloud(source, scale, seed)
         model = _resident_model(base, model_seed, weightless)
@@ -266,7 +291,7 @@ def run_benchmark(
     trace = Trace(name=notation)
     if bench.family == "sparseconv":
         voxel = bench.voxel_size if bench.voxel_size is not None else spec.voxel_size
-        if geometry_only:
+        if weightless:
             tensor = cloud.voxelize(voxel)
             tensor = tensor.with_features(GhostFeatures(tensor.n, model.c_in))
         else:
@@ -274,6 +299,8 @@ def run_benchmark(
         output = model(tensor, trace)
         trace.input_points = tensor.n
     else:
+        if weightless:
+            cloud = cloud.with_features(GhostFeatures(cloud.n, model.c_in))
         output = model(cloud, trace)
         trace.input_points = cloud.n
     return trace, output

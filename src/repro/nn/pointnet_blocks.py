@@ -4,6 +4,11 @@ These blocks emit the full operation sequence of Table 1's PointNet++-based
 row: FPS (output cloud construction), ball query (neighbor search), explicit
 gather, shared-MLP matmuls, and max-pool aggregation — so the recorded trace
 carries exactly the mapping/movement/matmul mix the paper profiles in Fig. 6.
+
+Every block also runs on :class:`~repro.nn.ghost.GhostFeatures` (an
+xyz-only stage gets a ghost with zero channels): FPS, ball query and the
+FP kNN still run on the real coordinates, the same specs are recorded, and
+no feature is computed.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import numpy as np
 from ..mapping.ball_query import ball_query_indices
 from ..mapping.fps import farthest_point_sampling
 from . import functional as F
+from .ghost import GhostFeatures, concat_channels, is_ghost
 from .layers import SharedMLP
 from .trace import LayerKind, LayerSpec, Trace
 
@@ -37,6 +43,12 @@ def _group_features(
 ) -> np.ndarray:
     """Gather per-group inputs: relative coordinates concat point features."""
     n_centers, k = group_idx.shape
+    if is_ghost(features):
+        if len(features) != len(points):
+            raise ValueError(
+                f"{len(features)} feature rows for {len(points)} points"
+            )
+        return GhostFeatures(n_centers * k, 3 + features.shape[1])
     grouped_xyz = points[group_idx] - centers[:, None, :]  # (M, k, 3)
     if features is None:
         grouped = grouped_xyz
@@ -74,9 +86,12 @@ class SetAbstraction:
         points: np.ndarray,
         features: np.ndarray | None,
         trace: Trace | None = None,
+        npoint: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """``npoint`` overrides the constructor's center count for this
+        call (models scale it with the input size)."""
         n = len(points)
-        npoint = min(self.npoint, n)
+        npoint = min(self.npoint if npoint is None else npoint, n)
         center_idx = farthest_point_sampling(points, npoint)
         centers = points[center_idx]
         _record(
@@ -166,9 +181,12 @@ class SetAbstractionMSG:
         points: np.ndarray,
         features: np.ndarray | None,
         trace: Trace | None = None,
+        npoint: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
+        """``npoint`` overrides the constructor's center count for this
+        call (models scale it with the input size)."""
         n = len(points)
-        npoint = min(self.npoint, n)
+        npoint = min(self.npoint if npoint is None else npoint, n)
         center_idx = farthest_point_sampling(points, npoint)
         centers = points[center_idx]
         _record(
@@ -226,7 +244,7 @@ class SetAbstractionMSG:
                 ),
             )
             outputs.append(pooled)
-        return centers, np.concatenate(outputs, axis=1)
+        return centers, concat_channels(*outputs)
 
 
 class GlobalSetAbstraction:
@@ -259,7 +277,7 @@ class GlobalSetAbstraction:
         if features is None:
             grouped = grouped_xyz
         else:
-            grouped = np.concatenate([grouped_xyz, features], axis=1)
+            grouped = concat_channels(grouped_xyz, features)
         out = self.mlp(grouped, trace)
         _record(
             trace,
@@ -352,7 +370,7 @@ class FeaturePropagation:
                     f"{self.name}: expected skip width {self.c_skip}, "
                     f"got {target_features.shape[1]}"
                 )
-            combined = np.concatenate([interpolated, target_features], axis=1)
+            combined = concat_channels(interpolated, target_features)
         else:
             if self.c_skip != 0:
                 raise ValueError(f"{self.name}: missing skip features")

@@ -48,7 +48,8 @@ class PointCloud:
     """A set of points ``{(p_k, f_k)}`` with continuous coordinates.
 
     ``features`` may be ``None`` for geometry-only clouds (mapping operations
-    take only coordinates as input — paper Section 2.1).
+    take only coordinates as input — paper Section 2.1), or a shape token
+    for a geometry-only model run (see :mod:`repro.nn.ghost`).
     """
 
     points: np.ndarray
@@ -56,7 +57,7 @@ class PointCloud:
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64)
-        if self.features is not None:
+        if self.features is not None and not _is_ghost(self.features):
             self.features = np.asarray(self.features, dtype=np.float64)
         _check_points_features(self.points, self.features)
 

@@ -13,8 +13,9 @@ mapping work the tile tier reused.
 
 By default a session builds its own single engine with a
 :class:`~repro.stream.incremental.TileMapCache` front and requests
-geometry-only execution for SparseConv networks (where the trace is a
-pure function of coordinates — see :mod:`repro.nn.ghost`).  Pass a
+geometry-only execution for networks whose mapping reads coordinates
+only (the SparseConv models and PointNet++(c), (ps) and (s), whose trace
+is a pure function of coordinates — see :mod:`repro.nn.ghost`).  Pass a
 pre-built ``engine=`` or ``cluster=`` to reuse existing fleets; the
 session then respects their cache configuration.
 """
@@ -139,7 +140,9 @@ class StreamSession:
         cross-stream tile attribution can tell vehicles apart.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution exactly for
-        SparseConv-family networks; booleans force it.
+        networks whose registry entry declares ``coords_only_mapping``
+        (the SparseConv models and PointNet++(c), (ps) and (s)); booleans
+        force it, and undeclared networks ignore ``True``.
     deadline_ms / period_ms / drop_late:
         QoS: frame *i* arrives at ``i * period_ms`` on the session clock
         and carries ``deadline_ms`` of budget.  With ``drop_late`` a frame
@@ -177,7 +180,7 @@ class StreamSession:
         self.notation = sequence.notation(benchmark)
         self.scale = float(scale)
         if geometry_only == "auto":
-            geometry_only = get_benchmark(benchmark).family == "sparseconv"
+            geometry_only = get_benchmark(benchmark).coords_only_mapping
         self.geometry_only = bool(geometry_only)
         self.tenant = tenant
         self.deadline_ms = deadline_ms

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.models.registry import CLOUD_SCHEMES
 from repro.pointcloud import PointCloud, generate_sample
 
 
@@ -27,6 +28,20 @@ def indoor_cloud():
 def outdoor_cloud():
     """A small SemanticKITTI-like LiDAR scan."""
     return generate_sample("semantickitti", seed=7, n_points=2000)
+
+
+@pytest.fixture
+def duplicated_source(monkeypatch):
+    """A cloud source for ``"<benchmark>@<source>"`` notations: an S3DIS
+    cloud with every third point repeated (ties in FPS, ball query and
+    kNN), model seed 0."""
+
+    def resolve(token, scale, seed):
+        cloud = generate_sample("s3dis", seed=seed, scale=scale)
+        return PointCloud(np.concatenate([cloud.points, cloud.points[::3]])), 0
+
+    monkeypatch.setitem(CLOUD_SCHEMES, "dup", resolve)
+    return "dup:x"
 
 
 @pytest.fixture

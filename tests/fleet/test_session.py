@@ -63,7 +63,7 @@ class TestMechanics:
         assert request.deadline_ms == 250.0
         assert request.priority == 3
         assert request.seed == 1
-        assert request.geometry_only  # MinkNet -> sparseconv family
+        assert request.geometry_only  # MinkNet declares coords_only_mapping
 
     def test_cluster_qos_rejects_spent_deadlines(self):
         fleet = _fleet([_spec("late", deadline_ms=-1.0),

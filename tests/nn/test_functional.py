@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.ghost import GhostFeatures, is_ghost
 
 
 class TestBasics:
@@ -50,10 +51,13 @@ class TestPooling:
         x = np.array([[1.0], [5.0], [2.0], [0.0], [3.0], [4.0]])
         out = F.max_pool_groups(x, 3)
         assert out.ravel().tolist() == [5.0, 4.0]
+        ghost = F.max_pool_groups(GhostFeatures(6, 1), 3)
+        assert is_ghost(ghost) and ghost.shape == out.shape
 
     def test_max_pool_indivisible_raises(self):
-        with pytest.raises(ValueError):
-            F.max_pool_groups(np.zeros((5, 2)), 3)
+        for x in (np.zeros((5, 2)), GhostFeatures(5, 2)):
+            with pytest.raises(ValueError):
+                F.max_pool_groups(x, 3)
 
     def test_avg_pool_groups(self):
         x = np.array([[2.0], [4.0], [6.0], [8.0]])
@@ -62,10 +66,12 @@ class TestPooling:
     def test_global_max_pool(self, rng):
         x = rng.normal(size=(20, 5))
         assert np.allclose(F.global_max_pool(x), x.max(axis=0))
+        assert F.global_max_pool(GhostFeatures(20, 5)).shape == (5,)
 
     def test_global_max_pool_empty_raises(self):
-        with pytest.raises(ValueError):
-            F.global_max_pool(np.empty((0, 3)))
+        for x in (np.empty((0, 3)), GhostFeatures(0, 3)):
+            with pytest.raises(ValueError):
+                F.global_max_pool(x)
 
 
 class TestScatter:
@@ -94,6 +100,13 @@ class TestInterpolation:
         out = F.three_nn_interpolate(src, src, feats)
         # Querying at the sources returns (nearly) the source features.
         assert np.allclose(out, feats, atol=1e-4)
+
+    def test_ghost_features_keep_shape_checks(self, rng):
+        src, tgt = rng.random((20, 3)), rng.random((7, 3))
+        out = F.three_nn_interpolate(tgt, src, GhostFeatures(20, 4))
+        assert is_ghost(out) and out.shape == (7, 4)
+        with pytest.raises(ValueError, match="19 source feature rows"):
+            F.three_nn_interpolate(tgt, src, GhostFeatures(19, 4))
 
     def test_interpolation_within_convex_range(self, rng):
         src = rng.random((30, 3))

@@ -52,6 +52,10 @@ class TestLinear:
 
     def test_weightless_layer_refuses_real_features(self, rng):
         layer = Linear(8, 16, new_param_rng(0, weightless=True), name="head")
+        # Every parameter is a shape token (np.abs on bn_var included).
+        params = (layer.weight, layer.bias, layer.bn_gamma, layer.bn_beta,
+                  layer.bn_mean, layer.bn_var)
+        assert all(is_ghost(p) for p in params)
         with pytest.raises(ValueError, match="head: a weightless layer"):
             layer(rng.normal(size=(4, 8)))
         ghost_trace, full_trace = Trace(), Trace()

@@ -14,9 +14,32 @@ from repro.nn.models import (
     run_benchmark,
 )
 from repro.nn.trace import LayerKind
+from repro.pointcloud import generate_sample
 
 
 SCALE = 0.08
+POINT_NETWORKS = sorted(
+    n for n, b in BENCHMARKS.items() if b.family == "pointnet++"
+)
+
+
+def _state(obj):
+    """Every attribute reachable from ``obj``: arrays by value, modules
+    (any object with a ``__dict__``) attribute by attribute."""
+    if isinstance(obj, np.ndarray):
+        return obj.shape, obj.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return [_state(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _state(value) for key, value in obj.items()}
+    if hasattr(obj, "__dict__"):
+        return _state(vars(obj))
+    return obj
+
+
+def _output_arrays(out) -> list:
+    """A network's raw output as arrays (F-PointNet++ returns detections)."""
+    return [det["box"] for det in out] if isinstance(out, list) else [out]
 
 
 class TestZoo:
@@ -70,6 +93,17 @@ class TestZoo:
         assert a.total_macs == b.total_macs
         assert len(a) == len(b)
 
+    @pytest.mark.parametrize("notation", POINT_NETWORKS)
+    def test_forward_writes_no_model_state(self, notation):
+        """Stream serving shares one resident model across clouds (and
+        threads), so a forward on a cloud of another size than the
+        nominal one must leave every module attribute as constructed."""
+        bench = get_benchmark(notation)
+        model = bench.model_factory(0)
+        before = _state(model)
+        model(generate_sample(bench.dataset, seed=1, scale=0.25))
+        assert _state(model) == before
+
 
 class TestFamilies:
     def test_pointnet_family_has_no_sparse_conv(self):
@@ -110,6 +144,25 @@ class TestFamilies:
         for bench in BENCHMARKS.values():
             assert bench.published, bench.notation
 
+    def test_coords_only_mapping_declaration(self):
+        declared = {n for n, b in BENCHMARKS.items() if b.coords_only_mapping}
+        assert declared == {"MinkNet(i)", "MinkNet(o)", "PointNet++(c)",
+                            "PointNet++(ps)", "PointNet++(s)"}
+        assert MINI_MINKUNET.coords_only_mapping
+
+    @pytest.mark.parametrize("notation", ["PointNet", "DGCNN", "F-PointNet++"])
+    def test_undeclared_networks_ignore_geometry_only(self, notation):
+        """No mapping (PointNet) or a mapping that reads features (DGCNN's
+        dynamic graph, F-PointNet++'s masks): the flag changes nothing."""
+        full_trace, full = run_benchmark(notation, scale=0.25, seed=0)
+        trace, out = run_benchmark(notation, scale=0.25, seed=0,
+                                   geometry_only=True)
+        assert len(trace) == len(full_trace)
+        arrays, reference = _output_arrays(out), _output_arrays(full)
+        assert len(arrays) == len(reference) >= 1
+        for a, b in zip(arrays, reference):
+            assert isinstance(a, np.ndarray) and np.array_equal(a, b)
+
 
 class TestMiniMinkUNet:
     def test_forward(self, indoor_cloud):
@@ -127,11 +180,15 @@ class TestMiniMinkUNet:
 class TestParameterDrawOrder:
     """Full models keep their parameter draws exactly: golden figures and
     the weight-dependent F-PointNet++ traces rest on them.  The digests
-    cover every parameter array as drawn, in construction order."""
+    cover every parameter array as drawn, in construction order, and were
+    computed before the PointNet++ constructors took ``weightless``."""
 
     PINNED = {
         "MinkNet(o)": (156, "23794cc7aab57f5a501dc7e559a37e0b"),
         "F-PointNet++": (168, "e791a672146196aed66ec03f224d5b83"),
+        "PointNet++(c)": (68, "6c8e63c5096d545222a2d7780a69c2fc"),
+        "PointNet++(ps)": (152, "839e939fa1f1fc654499740e6804b8b4"),
+        "PointNet++(s)": (134, "497c4604d78dba0553181c455fe817f0"),
     }
 
     @pytest.mark.parametrize("notation", sorted(PINNED))
@@ -148,9 +205,14 @@ class TestParameterDrawOrder:
                 draws.append(out)
                 return out
 
+        bench = get_benchmark(notation)
         with monkeypatch.context() as patch:
             patch.setattr(np.random, "default_rng", Recording)
-            get_benchmark(notation).model_factory(0)
+            bench.model_factory(0)
+            if bench.coords_only_mapping:  # a weightless build draws nothing
+                n_full = len(draws)
+                bench.model_factory(0, weightless=True)
+                assert len(draws) == n_full
         h = hashlib.blake2b(digest_size=16)
         for arr in draws:
             h.update(repr(arr.shape).encode())

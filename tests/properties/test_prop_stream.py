@@ -11,8 +11,9 @@ phenomena only.
 
 A second family proves the geometry-only claim at its root: a
 geometry-only run's report equals a *full functional* run's report on the
-same frames (features computed and then ignored), for the SparseConv
-family where the mode applies.
+same frames (features computed and then ignored), for every network that
+declares ``coords_only_mapping`` (the SparseConv models and PointNet++(c),
+(ps) and (s)).
 """
 
 import pytest
@@ -38,9 +39,9 @@ TILE_CONFIGS = [
     {"tile_size": 10.0, "halo": 0},
 ]
 
-# One SparseConv stream (geometry-only; the front declines its kernel maps
-# and voxelize) and one PointNet++ stream (FPS passthrough + ball-query/kNN
-# tiles + functional).
+# One SparseConv stream (the front declines its kernel maps and voxelize)
+# and one PointNet++ stream (FPS passthrough + ball-query/kNN tiles), both
+# geometry-only, against full functional cold runs.
 BENCHMARKS = ["MinkNet(o)", "PointNet++(c)"]
 
 
@@ -110,17 +111,20 @@ def test_cluster_stream_bit_identical(sequence, oracles, n_shards, tmp_path):
     assert cluster.tile_cache.stats().decomposed_calls == 0
 
 
-def test_geometry_only_equals_full_functional(sequence):
+def test_geometry_only_equals_full_functional(sequence, duplicated_source):
     """The root claim behind geometry-only execution: neither feature
     arithmetic nor weight values can reach a report.  Run the same clouds
     with geometry_only off (full weights, full feature math) and on
     (weightless model, ghost features); every backend's report — and
     mesorasi's rejection of SparseConv — must be equal exactly, on
-    stream-sourced frames and on dataset clouds."""
+    stream-sourced frames, on dataset clouds (at scale 0.005 smaller than
+    a ball query's k) and on a cloud with duplicate points."""
     backends = tuple(backend_names())
-    for bench in ("MinkNet(i)", "MinkNet(o)", "Mini-MinkowskiUNet"):
+    for bench in ("MinkNet(i)", "MinkNet(o)", "Mini-MinkowskiUNet",
+                  "PointNet++(c)", "PointNet++(ps)", "PointNet++(s)"):
         cases = [(sequence.notation(bench), 0.25, i) for i in range(N_FRAMES)]
         cases += [(bench, 0.06, seed) for seed in (0, 1)]
+        cases += [(bench, 0.005, 0), (f"{bench}@{duplicated_source}", 0.02, 0)]
         for notation, scale, seed in cases:
             functional, geometry = (
                 run_cold(SimRequest(benchmark=notation, scale=scale, seed=seed,

@@ -39,10 +39,13 @@ class TestSessionBasics:
         assert req.deadline_ms == 1e6
 
     def test_geometry_only_auto(self, seq):
+        """``"auto"`` follows the registry's coords_only_mapping declaration."""
         assert StreamSession(seq, "MinkNet(o)").geometry_only
-        assert not StreamSession(seq, "PointNet++(c)").geometry_only
-        assert StreamSession(seq, "PointNet++(c)",
-                             geometry_only=True).geometry_only
+        assert StreamSession(seq, "PointNet++(c)").geometry_only
+        assert not StreamSession(seq, "DGCNN").geometry_only
+        assert not StreamSession(seq, "F-PointNet++").geometry_only
+        assert not StreamSession(seq, "PointNet++(c)",
+                                 geometry_only=False).geometry_only
 
     def test_executor_exclusivity_and_validation(self, seq):
         with pytest.raises(ValueError):

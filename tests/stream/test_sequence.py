@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.mapping.hooks import use_map_cache
 from repro.mapping.maps import MapTable
 from repro.nn.ghost import is_ghost
 from repro.nn.models.registry import (
@@ -17,7 +18,8 @@ from repro.nn.models.registry import (
 from repro.stream import FrameSequence, SequenceConfig, get_sequence
 
 CFG = SequenceConfig(seed=5, n_frames=6, base_points=3000)
-SPARSECONV = ("MinkNet(i)", "MinkNet(o)", "Mini-MinkowskiUNet")
+DECLARED = ("MinkNet(i)", "MinkNet(o)", "Mini-MinkowskiUNet",
+            "PointNet++(c)", "PointNet++(ps)", "PointNet++(s)")
 
 
 def _assert_same_specs(full, geo, case) -> None:
@@ -36,6 +38,19 @@ def _assert_same_specs(full, geo, case) -> None:
                                           getattr(other, name)), where
             else:
                 assert value == other, (*where, key)
+
+
+class _MapCalls:
+    """A map cache that computes every call and records its op, input
+    bytes and parameters."""
+
+    def __init__(self):
+        self.calls = []
+
+    def memoize(self, op, arrays, params, compute):
+        self.calls.append((op, [np.asarray(a).tobytes() for a in arrays],
+                           sorted(params.items())))
+        return compute()
 
 
 @pytest.fixture
@@ -120,37 +135,50 @@ class TestRegistryPlumbing:
         t4, _ = run_benchmark(notation, scale=0.4, seed=4)
         assert [s.name for s in t2] == [s.name for s in t4]
 
-    def test_geometry_only_sparseconv_trace_matches_functional(self, seq):
+    def test_geometry_only_trace_matches_functional(self, seq,
+                                                    duplicated_source):
         """A geometry-only run (weightless model, ghost features) records
         the full-weight functional run's trace spec for spec — map rows and
-        ``cached`` flags included — on stream-sourced and dataset clouds."""
-        for bench in SPARSECONV:
-            for notation, scale in ((seq.notation(bench), 0.3), (bench, 0.06)):
+        ``cached`` flags included — on stream-sourced and dataset clouds,
+        dataset clouds smaller than a ball query's k, and a cloud with
+        duplicate points.  Both runs make the same mapping calls on the
+        same coordinates: ghosts skip feature math, never mapping."""
+        for bench in DECLARED:
+            for notation, scale in ((seq.notation(bench), 0.3), (bench, 0.06),
+                                    (bench, 0.005),
+                                    (f"{bench}@{duplicated_source}", 0.02)):
                 for seed in (1, 2):
                     case = (notation, seed)
-                    full, logits = run_benchmark(notation, scale=scale, seed=seed)
-                    geo, out = run_benchmark(
-                        notation, scale=scale, seed=seed, geometry_only=True
-                    )
+                    full_calls, geo_calls = _MapCalls(), _MapCalls()
+                    with use_map_cache(full_calls):
+                        full, logits = run_benchmark(notation, scale=scale,
+                                                     seed=seed)
+                    with use_map_cache(geo_calls):
+                        geo, out = run_benchmark(notation, scale=scale,
+                                                 seed=seed, geometry_only=True)
+                    assert full_calls.calls, case
+                    assert geo_calls.calls == full_calls.calls, case
                     assert isinstance(logits, np.ndarray), case
                     assert is_ghost(out) and out.shape == logits.shape, case
                     assert geo.input_points == full.input_points, case
                     _assert_same_specs(full, geo, case)
 
-    def test_full_run_never_gets_the_weightless_model(self, seq, monkeypatch):
+    @pytest.mark.parametrize("name", ["MinkNet(o)", "PointNet++(s)"])
+    def test_full_run_never_gets_the_weightless_model(self, seq, monkeypatch,
+                                                      name):
         """Geometry-only first, then full, for one (benchmark, seed) in one
         process: each mode builds its own model through the registry
         factory, and the full run returns a fresh model's real logits."""
-        bench = BENCHMARKS["MinkNet(o)"]
+        bench = BENCHMARKS[name]
         builds = []
 
         def factory(seed, **kwargs):
             builds.append(kwargs)
             return bench.model_factory(seed, **kwargs)
 
-        monkeypatch.setitem(BENCHMARKS, "MinkNet(o)",
+        monkeypatch.setitem(BENCHMARKS, name,
                             dataclasses.replace(bench, model_factory=factory))
-        notation = seq.notation("MinkNet(o)")
+        notation = seq.notation(name)
         _resident_model.cache_clear()
         _, ghost = run_benchmark(notation, scale=0.3, seed=1, geometry_only=True)
         _, logits = run_benchmark(notation, scale=0.3, seed=1)
