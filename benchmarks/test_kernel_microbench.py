@@ -14,6 +14,7 @@ from repro.core.mmu import MemoryManagementUnit
 from repro.core.mmu.cache import CacheConfig, simulate_conv_cache
 from repro.core.mpu import ComparatorArray, StreamingMerger, mpu_topk
 from repro.mapping import (
+    ball_query_indices,
     farthest_point_sampling,
     kernel_map_hash,
     kernel_map_mergesort,
@@ -53,9 +54,28 @@ def test_fps_speed(benchmark, lidar_points):
 
 
 def test_knn_speed(benchmark, lidar_points):
+    """Two shapes per round: 512 queries x 8k points at k = 32, and a
+    PointNet++ feature-propagation layer (fp1: ~4k points interpolated
+    from ~1k centroids, k = 3)."""
     queries = lidar_points[:512]
-    idx, _ = benchmark(knn_indices, queries, lidar_points, 32)
+    dense, centroids = lidar_points[:4096], lidar_points[:4096:4]
+
+    def both():
+        return (knn_indices(queries, lidar_points, 32),
+                knn_indices(dense, centroids, 3))
+
+    (idx, _), (fp_idx, _) = benchmark(both)
     assert idx.shape == (512, 32)
+    assert fp_idx.shape == (4096, 3)
+
+
+def test_ball_query_speed(benchmark, lidar_points):
+    """A PointNet++ set-abstraction layer (sa1: ~1k centroids grouping
+    ~4k points, r = 0.1, k = 32)."""
+    points = lidar_points[:4096]
+    centroids = points[::4]
+    idx = benchmark(ball_query_indices, centroids, points, 0.1, 32)
+    assert idx.shape == (1024, 32)
 
 
 def test_streaming_merger_speed(benchmark):

@@ -25,7 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...mapping.fps import farthest_point_sampling
+from ...mapping.fps import (
+    coordinate_columns,
+    farthest_point_sampling,
+    squared_distances_to,
+)
 from ...mapping.knn import knn_indices
 from ...pointcloud.coords import coords_to_keys, pairwise_squared_distance
 from .comparator import ComparatorArray
@@ -147,7 +151,11 @@ class MPUPipeline:
         n_samples = min(n_samples, n)
         selected = np.empty(n_samples, dtype=np.int64)
         selected[0] = 0
-        min_sq = pairwise_squared_distance(points, points[:1])[:, 0]
+        # The reference's distance update, so equidistant points tie the
+        # same way (a GEMM-expanded seed row breaks ties differently).
+        columns = coordinate_columns(points)
+        scratch, sq = np.empty(n), np.empty(n)
+        min_sq = squared_distances_to(columns, 0, np.empty(n), scratch)
         trace.touch("FS", n)
         trace.touch("CD", n)
         for t in range(1, n_samples):
@@ -157,8 +165,8 @@ class MPUPipeline:
             selected[t] = nxt
             # CD: distance update against the new output point, forwarded
             # back through FS (the blue loop).
-            diff = points - points[nxt]
-            np.minimum(min_sq, np.einsum("ij,ij->i", diff, diff), out=min_sq)
+            np.minimum(min_sq, squared_distances_to(columns, nxt, sq, scratch),
+                       out=min_sq)
             trace.touch("CD", n)
             trace.touch("FS", n)
         trace.loops.add("CD->FS")

@@ -35,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..engine.engine import SimRequest, SimulationEngine
-from ..nn.models.registry import get_benchmark
+from ..nn.models.registry import resolve_geometry_only
 from ..obs.ledger import current_ledger
 from ..obs.trace import current_tracer, span
 from ..stream.incremental import TileMapCache
@@ -138,8 +138,10 @@ class FleetSession:
         ``"auto"`` (default) enables geometry-only execution per stream
         exactly for networks whose registry entry declares
         ``coords_only_mapping`` (the SparseConv models and PointNet++(c),
-        (ps) and (s)); booleans force it fleet-wide, and undeclared
-        networks ignore ``True``.
+        (ps) and (s)); ``False`` forces full features fleet-wide, and
+        ``True`` raises ``ValueError`` if any stream's network is
+        undeclared (see
+        :func:`~repro.nn.models.registry.resolve_geometry_only`).
     cache_dir:
         Disk-spill directory for the session-built cluster's shared L2
         (ignored with an injected or ``n_shards == 0`` executor).
@@ -204,11 +206,7 @@ class FleetSession:
                 "yourself otherwise"
             )
         self._geometry_only = {
-            spec.name: (
-                get_benchmark(spec.benchmark).coords_only_mapping
-                if geometry_only == "auto"
-                else bool(geometry_only)
-            )
+            spec.name: resolve_geometry_only(spec.benchmark, geometry_only)
             for spec in self.streams
         }
         self._notations = {

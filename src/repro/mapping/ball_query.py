@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..pointcloud.coords import pairwise_squared_distance
+from ..pointcloud.coords import pairwise_squared_distance, squared_distance_blocks
 from . import hooks
 from .maps import MapTable
 
-__all__ = ["ball_query_indices", "ball_query_maps"]
+__all__ = ["ball_query_bruteforce", "ball_query_indices", "ball_query_maps"]
 
 
 def ball_query_indices(
@@ -47,9 +47,9 @@ def ball_query_indices(
             "ball_query",
             (queries, references),
             {"radius": float(radius), "k": k},
-            lambda: _ball_query_compute(queries, references, radius, k),
+            lambda: _ball_query_compute(queries, references, radius, k)[0],
         )
-    return _ball_query_compute(queries, references, radius, k)
+    return _ball_query_compute(queries, references, radius, k)[0]
 
 
 def _ball_query_compute(
@@ -57,7 +57,49 @@ def _ball_query_compute(
     references: np.ndarray,
     radius: float,
     k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ball query from each row block's in-radius pairs, never a whole row.
+
+    The pairs are ordered by (row, distance, index) -- ``nonzero`` lists a
+    row's columns ascending and ``lexsort`` is stable -- and each row keeps
+    its first ``k``, which is :func:`ball_query_bruteforce`'s answer.
+    Returns ``(result, in_radius)``: the padded index rows and each row's
+    count of in-radius references (the tile front's certificate reads it).
+    """
+    r2 = radius * radius
+    result = np.empty((len(queries), k), dtype=np.int64)
+    in_radius = np.empty(len(queries), dtype=np.int64)
+    col = np.arange(k)
+    for lo, block in squared_distance_blocks(queries, references):
+        out = result[lo:lo + len(block)]
+        rows, cols = np.nonzero(block <= r2)
+        order = np.lexsort((block[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        counts = np.bincount(rows, minlength=len(block))
+        in_radius[lo:lo + len(block)] = counts
+        rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        keep = rank < k
+        out[rows[keep], rank[keep]] = cols[keep]
+        # Nothing in radius: the nearest reference.  Every short row is
+        # then padded with its first (nearest) neighbour.
+        empty = counts == 0
+        out[empty, 0] = block[empty].argmin(axis=1)
+        filled = np.clip(counts, 1, k)
+        out[:] = np.where(col < filled[:, None], out, out[:, :1])
+    return result, in_radius
+
+
+def ball_query_bruteforce(
+    queries: np.ndarray,
+    references: np.ndarray,
+    radius: float,
+    k: int,
 ) -> np.ndarray:
+    """Reference ball query: lexsort every full row, keep the first k.
+
+    Same contract as :func:`ball_query_indices` (no cache consulted); the
+    property suite pins the pair-selection kernel to it.
+    """
     result, _, _ = _ball_query_details(queries, references, radius, k)
     return result
 
@@ -68,7 +110,7 @@ def _ball_query_details(
     radius: float,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ball-query kernel plus the per-row facts incremental reuse needs.
+    """The reference ball query plus the per-row facts tile reuse needs.
 
     Returns ``(result, in_radius, kth_sq)``: the padded index rows, the
     *raw* count of in-radius candidates per row (before the pad-to-1

@@ -46,6 +46,7 @@ __all__ = [
     "build_trace",
     "run_benchmark",
     "register_cloud_scheme",
+    "resolve_geometry_only",
     "split_notation",
 ]
 
@@ -255,6 +256,25 @@ def _resident_model(base_notation: str, model_seed: int, weightless: bool):
     realistic concurrent stream x benchmark mix.
     """
     return _build_model(get_benchmark(base_notation), model_seed, weightless)
+
+
+def resolve_geometry_only(benchmark: str, geometry_only: bool | str = "auto") -> bool:
+    """The execution mode a serving session runs ``benchmark`` in.
+
+    ``"auto"`` picks geometry-only exactly when the network declares
+    ``coords_only_mapping``; ``False`` forces full features; ``True`` on
+    an undeclared network raises, because its trace reads feature values
+    and :func:`run_benchmark` would compute them anyway.
+    """
+    declared = get_benchmark(benchmark).coords_only_mapping
+    if geometry_only == "auto":
+        return declared
+    if geometry_only and not declared:
+        raise ValueError(
+            f"{benchmark} cannot run geometry-only: it does not declare "
+            f"coords_only_mapping (its mapping reads feature values)"
+        )
+    return bool(geometry_only)
 
 
 def run_benchmark(

@@ -32,6 +32,7 @@ __all__ = [
     "unique_coords",
     "kernel_offsets",
     "pairwise_squared_distance",
+    "squared_distance_blocks",
     "squared_distance_to_set",
     "bounding_box",
 ]
@@ -206,17 +207,53 @@ def kernel_offsets(kernel_size: int, ndim: int = 3) -> np.ndarray:
     return np.array(list(itertools.product(*axes)), dtype=np.int64)
 
 
-def pairwise_squared_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between two point sets, shape (|a|, |b|)."""
+#: Bytes of the distance matrix finished per row block: small enough that a
+#: block is still in cache when the neighbour kernels select from it.
+_BLOCK_BYTES = 2 << 20
+
+
+def _distance_operands(a: np.ndarray, b: np.ndarray):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    # ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b, clipped for float error.
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.maximum(sq, 0.0)
+    return a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+
+
+def _finish_blocks(gram: np.ndarray, a_sq: np.ndarray, b_sq: np.ndarray):
+    """Turn ``gram`` into squared distances in place, one row block at a
+    time, yielding ``(lo, block)`` as each block is done.
+
+    The GEMM is always the one whole ``a @ b.T``: a sub-block GEMM may
+    round differently in the last ulp, the elementwise tail never does.
+    """
+    step = max(1, _BLOCK_BYTES // (8 * max(1, gram.shape[1])))
+    norms = np.empty((min(step, len(gram)), gram.shape[1]))
+    for lo in range(0, len(gram), step):
+        block = gram[lo:lo + step]
+        rows = norms[:len(block)]
+        # ||a - b||^2 = ||a||^2 + ||b||^2 - 2 a.b, clipped for float error.
+        np.add(a_sq[lo:lo + step, None], b_sq[None, :], out=rows)
+        block *= 2.0
+        np.subtract(rows, block, out=block)
+        np.maximum(block, 0.0, out=block)
+        yield lo, block
+
+
+def pairwise_squared_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between two point sets, shape (|a|, |b|)."""
+    gram, a_sq, b_sq = _distance_operands(a, b)
+    for _ in _finish_blocks(gram, a_sq, b_sq):
+        pass
+    return gram
+
+
+def squared_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """:func:`pairwise_squared_distance` handed out one row block at a time.
+
+    Yields ``(lo, block)``, ``block`` being rows ``lo:lo + len(block)`` of
+    the matrix, bit for bit, while it is still in cache.  Blocks are views
+    of one private buffer, so the caller may overwrite them.
+    """
+    return _finish_blocks(*_distance_operands(a, b))
 
 
 def squared_distance_to_set(points: np.ndarray, point_set: np.ndarray) -> np.ndarray:

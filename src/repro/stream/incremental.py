@@ -30,7 +30,10 @@ padding and tie-breaking.  Two op families qualify:
     the covered bound.  Everything else falls back per-row.
 
 Both are global and superlinear (a distance matrix per call), which is
-what makes partitioning pay.  Everything else falls through to the
+what made partitioning pay while the kernels sorted whole rows.  Since
+they select from row blocks instead, the whole-cloud solve costs less
+than the front on the drives measured (README, "Streaming"), and the
+front is due for deletion.  Everything else falls through to the
 chain's whole-content digest path untouched: kernel maps and voxelize are
 one O(n log n) ranking pass over the cloud (PointAcc's merge-sort mapping)
 that recomputes faster than it decomposes; FPS is inherently global and

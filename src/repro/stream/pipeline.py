@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from ..engine.engine import SimRequest, SimResult, SimulationEngine
 from ..engine.map_cache import MapCache
-from ..nn.models.registry import get_benchmark
+from ..nn.models.registry import resolve_geometry_only
 from ..obs.ledger import current_ledger
 from ..obs.trace import current_tracer, span
 from .incremental import TileMapCache
@@ -141,8 +141,10 @@ class StreamSession:
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution exactly for
         networks whose registry entry declares ``coords_only_mapping``
-        (the SparseConv models and PointNet++(c), (ps) and (s)); booleans
-        force it, and undeclared networks ignore ``True``.
+        (the SparseConv models and PointNet++(c), (ps) and (s)); ``False``
+        forces full features, and ``True`` on an undeclared network raises
+        ``ValueError`` (see
+        :func:`~repro.nn.models.registry.resolve_geometry_only`).
     deadline_ms / period_ms / drop_late:
         QoS: frame *i* arrives at ``i * period_ms`` on the session clock
         and carries ``deadline_ms`` of budget.  With ``drop_late`` a frame
@@ -179,9 +181,7 @@ class StreamSession:
         self.benchmark = benchmark
         self.notation = sequence.notation(benchmark)
         self.scale = float(scale)
-        if geometry_only == "auto":
-            geometry_only = get_benchmark(benchmark).coords_only_mapping
-        self.geometry_only = bool(geometry_only)
+        self.geometry_only = resolve_geometry_only(benchmark, geometry_only)
         self.tenant = tenant
         self.deadline_ms = deadline_ms
         self.period_ms = float(period_ms)

@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..mapping.ball_query import _ball_query_details
+from ..mapping.ball_query import _ball_query_compute
 from ..mapping.hooks import batch_get, batch_put, current_tenant
 from ..mapping.knn import _knn_compute
 from ..obs.ledger import current_ledger
@@ -187,10 +187,11 @@ def _ball_tile(queries, halo_refs, params, r_cov):
     top-k and all in radius.
     """
     radius, k = params["radius"], params["k"]
-    loc, in_radius, kth_sq = _ball_query_details(queries, halo_refs, radius, k)
+    loc, in_radius = _ball_query_compute(queries, halo_refs, radius, k)
     if r_cov >= radius:
         cert = in_radius >= 1
     elif len(halo_refs) >= k:
+        kth_sq = _knn_compute(queries, halo_refs, k)[1][:, k - 1]
         cert = kth_sq <= r_cov * r_cov
     else:
         cert = np.zeros(len(queries), dtype=bool)
@@ -202,7 +203,7 @@ def _knn_rows(queries, references, params):
 
 
 def _ball_rows(queries, references, params):
-    return _ball_query_details(queries, references, params["radius"],
+    return _ball_query_compute(queries, references, params["radius"],
                                params["k"])[:1]
 
 

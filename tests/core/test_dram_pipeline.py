@@ -110,6 +110,26 @@ class TestMPUPipeline:
         assert trace.active_stages() == ["FS", "CD", "ST"]
         assert {"CD->FS", "ST->CD"} <= trace.loops
 
+    @pytest.mark.parametrize("lattice", [
+        # Points 1 and 2 are equidistant from point 0.
+        [[-1, 3, 1], [-1, 0, 1], [1, 2, 3]],
+        [[1, -3, 0], [2, 0, 1], [2, -2, -3]],
+    ])
+    def test_fps_breaks_ties_like_the_reference(self, lattice):
+        pipe = MPUPipeline()
+        assert pipe.verify_fps(np.array(lattice) * 0.1, 3)
+
+    def test_fps_matches_reference_on_lattices(self):
+        """Integer lattices scaled by 0.1 are full of equidistant points;
+        every tie must fall the way the reference breaks it."""
+        pipe = MPUPipeline()
+        rng = np.random.default_rng(0)
+        grid = np.stack(np.meshgrid(*[np.arange(3)] * 3), -1).reshape(-1, 3)
+        for _ in range(100):
+            cloud = rng.integers(-3, 4, size=(int(rng.integers(3, 30)), 3))
+            assert pipe.verify_fps(cloud * 0.1, 8)
+            assert pipe.verify_fps(rng.permutation(grid) * 0.1, 10)
+
     def test_stage_names_constant(self):
         assert STAGES == ("FS", "CD", "ST", "BF", "MS", "DI")
 

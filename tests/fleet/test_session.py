@@ -149,3 +149,16 @@ class TestValidation:
     def test_negative_shards(self):
         with pytest.raises(ValueError):
             FleetSession([_spec("a")], n_shards=-1)
+
+    def test_forced_geometry_only_checked_per_stream(self):
+        """One undeclared network in the fleet makes a forced True raise,
+        naming that network; "auto" resolves each stream on its own."""
+        specs = [_spec("a"), _spec("b", 1.0, benchmark="DGCNN")]
+        with pytest.raises(ValueError, match="DGCNN"):
+            FleetSession(specs, geometry_only=True)
+        fleet = FleetSession(specs, n_shards=0)
+        assert fleet.request(specs[0], 0).geometry_only
+        assert not fleet.request(specs[1], 0).geometry_only
+        modes = {name: s["geometry_only"]
+                 for name, s in fleet.summary()["streams"].items()}
+        assert modes == {"a": True, "b": False}

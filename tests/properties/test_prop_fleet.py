@@ -8,7 +8,9 @@ and alone** (:func:`repro.engine.run_cold` per frame: fresh functional
 simulation, no caches, no fleet).  The matrix covers {2, 4} streams x
 overlapping vs disjoint world regions x engine vs cluster execution x
 a SparseConv network (whole-op digest sharing only) vs a PointNet++
-network (kNN / ball-query world tiles, shared across streams).
+network (kNN / ball-query world tiles, shared across streams).  A second
+test serves the same fleets without the tile front, where kNN and ball
+query run the selection kernels on whole clouds.
 """
 
 import pytest
@@ -90,3 +92,23 @@ def test_fleet_bit_identical_to_cold_alone(oracles, n_streams, regions,
         assert world.cross_hits > 0  # sharing actually engaged
     else:
         assert world.cross_hits == 0  # and never invents overlap
+
+
+@pytest.mark.parametrize("bench_name", BENCHMARKS)
+@pytest.mark.parametrize("n_shards", [0, 2], ids=["engine", "cluster"])
+def test_fleet_without_front_bit_identical(oracles, n_shards, bench_name):
+    """Without the tile front, kNN / ball-query calls run the selection
+    kernels on whole clouds, shared only through the digest tiers, and
+    every frame still equals its cold oracle."""
+    specs = _specs(2, "overlapping", bench_name)
+    fleet = FleetSession(specs, n_shards=n_shards, use_tiles=False)
+    assert fleet.tile_cache is None and fleet.world_store is None
+    results = fleet.run()
+    for spec in specs:
+        cold = oracles[spec.sequence.notation(bench_name)]
+        for cold_result, frame in zip(cold, results[spec.name]):
+            assert frame.completed
+            assert (
+                frame.result.reports["pointacc"]
+                == cold_result.reports["pointacc"]
+            ), f"{spec.name} frame {frame.index} diverged from cold oracle"

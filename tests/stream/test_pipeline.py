@@ -47,6 +47,16 @@ class TestSessionBasics:
         assert not StreamSession(seq, "PointNet++(c)",
                                  geometry_only=False).geometry_only
 
+    @pytest.mark.parametrize("network", ["PointNet", "DGCNN", "F-PointNet++"])
+    def test_forced_geometry_only_on_undeclared_network_raises(self, seq,
+                                                               network):
+        """Its trace reads feature values, so a forced True could only be
+        stamped on requests that compute full features anyway."""
+        with pytest.raises(ValueError, match=network.replace("+", r"\+")):
+            StreamSession(seq, network, geometry_only=True)
+        assert StreamSession(seq, "PointNet++(s)",
+                             geometry_only=True).geometry_only
+
     def test_executor_exclusivity_and_validation(self, seq):
         with pytest.raises(ValueError):
             StreamSession(seq, engine=SimulationEngine(),
