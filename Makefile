@@ -11,8 +11,8 @@
 #   make bench-cluster- cluster throughput + persistence smoke at reduced scale
 #   make bench-stream - streaming throughput (warm stream vs cold per-frame)
 #                       at reduced scale
-#   make bench-fleet  - fleet throughput (cross-stream sharing vs per-stream
-#                       caching; the benchmark pins its own scale)
+#   make bench-fleet  - fleet throughput (shared fleet vs separate sessions,
+#                       bit-identity; the benchmark pins its own scale)
 #   make bench-workers- worker-process scaling (fleet at workers={0,2,4};
 #                       skips below 4 cores; the benchmark pins its own scale)
 #   make bench-compare BASE=a.json CAND=b.json

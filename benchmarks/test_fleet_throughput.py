@@ -1,25 +1,18 @@
-"""Fleet throughput: one shared fleet vs per-stream-only caching.
+"""Fleet throughput: one shared fleet vs separate per-stream sessions.
 
 Serving **4 overlapping streams** through one
-:class:`~repro.fleet.FleetSession` (shared executor, world-keyed tile
-store) is timed against the same 4 streams served with *per-stream-only
-caching* (each stream its own :class:`~repro.stream.StreamSession`:
-private engine, private tile front, identical tile configuration).  Every
-stream's reports must stay bit-identical between the two.
+:class:`~repro.fleet.FleetSession` (one shared executor and its whole-op
+map cache) is timed against the same 4 streams served as separate
+sessions (each stream its own :class:`~repro.stream.StreamSession`:
+private engine, private map cache).  Every stream's reports must stay
+bit-identical between the two.
 
 The timed workload is a *lockstep convoy* of MinkNet(o) vehicles (same
 trajectory, per-vehicle sensor noise) sweeping fast enough that
 consecutive frames of one vehicle never overlap (``speed = 2 * fov``):
 temporal reuse has nothing to grab, so any difference between the arms is
-cross-stream.  The ratio is printed, not floored.  Earlier floors (1.5x,
-then 1.15x sharing and 1.1x over the per-tile front) measured kernel-map
-tile sharing; kernel maps and voxelize now take the whole-op digest path,
-which removed the tile overhead from the solo side as much as the
-sharing from the fleet side (see CHANGES.md for the measured runs).
-
-Cross-stream sharing itself is asserted where tiles still exist: a
-PointNet++(c) convoy, whose kNN / ball-query tiles must earn cross-stream
-hits, and a disjoint-world control that must earn none.
+cross-stream.  The ratio is printed, not floored (see CHANGES.md for the
+measured runs behind earlier floors).
 
 Every timed arm is measured over ``REPEATS`` fresh runs, interleaved, and
 compared min-to-min — wall-clock noise only ever adds time, so the best
@@ -38,7 +31,7 @@ REPEATS = 3
 FOV = 48.0
 
 
-def _specs(scale, benchmark="MinkNet(o)"):
+def _specs(scale):
     # One road, one convoy: identical world and trajectory, per-vehicle
     # sensor seeds.  jitter=0 keeps dynamic objects byte-shared across
     # sensors (the moving returns' *positions* are not sensor noise);
@@ -50,7 +43,7 @@ def _specs(scale, benchmark="MinkNet(o)"):
                 seed=7, n_frames=N_FRAMES, base_points=20000, fov=FOV,
                 speed=2 * FOV, jitter=0.0, clutter_points=4, sensor_seed=i,
             )),
-            benchmark=benchmark,
+            benchmark="MinkNet(o)",
             scale=scale,
             n_frames=N_FRAMES,
         )
@@ -73,10 +66,12 @@ def _run_fleet(specs):
     fleet = FleetSession(specs, n_shards=1, l2=None)
     t0 = time.perf_counter()
     results = fleet.run()
-    return fleet, results, time.perf_counter() - t0
+    return results, time.perf_counter() - t0
 
 
 def test_fleet_sharing_vs_per_stream_caching(scale):
+    """Bit-identity of the shared fleet against separate sessions, and
+    their wall-clock ratio (printed)."""
     # Dense frames, where map compute outweighs fixed per-frame costs;
     # the benchmark pins its own scale rather than following the harness
     # knob.
@@ -92,7 +87,7 @@ def test_fleet_sharing_vs_per_stream_caching(scale):
     for _ in range(REPEATS):
         solo_results, solo_s = _run_solo(specs, eff)
         solo_times.append(solo_s)
-        _, fleet_results, fleet_s = _run_fleet(specs)
+        fleet_results, fleet_s = _run_fleet(specs)
         fleet_times.append(fleet_s)
 
     # Bit-identity: the fleet may never change a stream's results.
@@ -103,52 +98,20 @@ def test_fleet_sharing_vs_per_stream_caching(scale):
                 == fleet_frame.result.reports["pointacc"]
             ), f"fleet changed stream {name} frame {fleet_frame.index}"
 
-    # Cross-stream sharing, where tiles exist: a PointNet++ convoy.
-    tiled, _, _ = _run_fleet(_specs(0.25, "PointNet++(c)"))
-    world = tiled.summary()["world_tiles"]
-
     solo_s, fleet_s = min(solo_times), min(fleet_times)
     speedup = solo_s / fleet_s
     total = N_STREAMS * N_FRAMES
     rows = [
-        ["per-stream caching", f"{solo_s * 1e3:.0f}",
+        ["separate sessions", f"{solo_s * 1e3:.0f}",
          f"{total / solo_s:.2f}"],
         ["shared fleet", f"{fleet_s * 1e3:.0f}", f"{total / fleet_s:.2f}"],
     ]
     print("\n" + ExperimentResult(
         experiment_id="bench-fleet",
         title=(f"{N_STREAMS} MinkNet(o) convoy streams x {N_FRAMES} frames "
-               f"@ scale {eff}: {speedup:.2f}x; PointNet++(c) convoy "
-               f"cross-stream tile hits {world['cross_hits']}/"
-               f"{world['lookups']}"),
+               f"@ scale {eff}: {speedup:.2f}x"),
         headers=["mode", "wall ms", "frames/s"],
         rows=rows,
-        data={"speedup": speedup, "world_tiles": world},
+        data={"speedup": speedup},
     ).table())
 
-    assert world["cross_hits"] > 0, "fleet shows no cross-stream tile hits"
-    assert world["shared_keys"] > 0
-
-
-def test_disjoint_fleet_shares_nothing(scale):
-    """Control: four streams in four *different* worlds share no tiles —
-    cross-stream hits are earned by geometry, not by accounting."""
-    eff = min(max(scale, 0.2), 0.4)
-    specs = [
-        StreamSpec(
-            name=f"veh{i}",
-            sequence=FrameSequence(SequenceConfig(
-                seed=20 + i, n_frames=2, base_points=6000, fov=24.0,
-                speed=2.0,
-            )),
-            benchmark="PointNet++(c)",
-            scale=eff,
-            n_frames=2,
-        )
-        for i in range(N_STREAMS)
-    ]
-    fleet = FleetSession(specs, n_shards=1, l2=None)
-    fleet.run()
-    world = fleet.world_store.stats()
-    assert world.cross_hits == 0
-    assert world.misses > 0

@@ -73,27 +73,3 @@ def test_warm_streaming_vs_cold_per_frame(scale):
         f"{SPEEDUP_FLOOR}x floor (cold {cold_s:.3f}s vs warm {warm_s:.3f}s)"
     )
 
-
-def test_tile_reuse_beats_whole_op_digests(scale):
-    """Ablation: on the same overlapping stream, a session with the tile
-    front must reuse kNN / ball-query work that a digest-only session
-    cannot (whole frames are never bit-identical, so whole-op digests of
-    those calls never hit)."""
-    eff = min(max(scale, 0.2), 0.5)
-    sequence = FrameSequence(SequenceConfig(
-        seed=2, n_frames=4, base_points=12000, fov=28.0, speed=1.5,
-    ))
-    tiled = StreamSession(sequence, "PointNet++(c)", scale=eff)
-    tiled.run(4)
-    digest_only = StreamSession(sequence, "PointNet++(c)", scale=eff,
-                                use_tiles=False)
-    digest_only.run(4)
-
-    assert tiled.tile_cache.stats().tile_hits > 0
-    # Digest-only: every kNN / ball-query lookup misses (frames never
-    # repeat).
-    by_op = digest_only.executor.stats().map_cache["by_op"]
-    for op in ("knn", "ball_query"):
-        assert by_op.get(op, {}).get("hits", 0) == 0
-    assert any(by_op.get(op, {}).get("misses", 0) > 0
-               for op in ("knn", "ball_query"))

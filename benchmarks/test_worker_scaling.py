@@ -10,10 +10,10 @@ comes from *parallelism* rather than caching.
 The workload is built so caching cannot stand in for parallelism —
 otherwise a cache-hit-rich configuration would hide a broken worker path:
 
-* four **disjoint** worlds (different seeds), so cross-stream tile
+* four **disjoint** worlds (different seeds), so cross-stream map
   sharing has nothing to share;
 * ``speed = 2 * fov``: consecutive frames of one stream never overlap,
-  so temporal tile reuse has nothing to grab either;
+  so temporal map reuse has nothing to grab either;
 * ``l2=None``: no shared store to blur the process boundary.
 
 Every frame is then full compute, and the only difference between the

@@ -1,20 +1,15 @@
-"""Fleet serving: concurrent tenant streams sharing one world's tiles.
+"""Fleet serving: concurrent tenant streams over one shared cluster.
 
-The streaming example serves one vehicle; real deployments serve fleets,
-and vehicles traversing the same map region keep recomputing each other's
-geometry.  This example runs repro.fleet on a small convoy and walks its
-two ideas:
+The streaming example serves one vehicle; real deployments serve fleets.
+This example runs repro.fleet on a small convoy: several `FrameSequence`
+streams interleave through one shared `EngineCluster` in rounds — in
+order per stream, QoS-ordered across streams, with per-tenant
+fair-share accounting and per-stream tallies.  Each vehicle's kNN and
+ball query rank its whole frame, and the streams share the cluster's
+whole-op map caches.
 
-1. *Multi-stream tenancy*: several `FrameSequence` streams interleave
-   through one shared `EngineCluster` in rounds — in order per stream,
-   QoS-ordered across streams, with per-tenant fair-share accounting.
-2. *Cross-stream tile sharing*: the `WorldTileStore` front keys tile
-   sub-results by world-region content digest, never by stream identity,
-   so one vehicle's kNN / ball-query tiles serve the whole convoy — and
-   every hit is attributed self vs cross-stream.
-
-As everywhere in this repo, sharing is wall-clock only: each stream's
-reports stay bit-identical to running it cold and alone.
+As everywhere in this repo, sharing an executor is wall-clock only: each
+stream's reports stay bit-identical to running it cold and alone.
 
 Run:  python examples/fleet_serving.py [--streams N] [--frames N] [--scale S]
 """
@@ -58,17 +53,14 @@ def main() -> None:
         print(f"{r:5d} {cells}")
 
     summary = fleet.summary()
-    world = summary["world_tiles"]
     print(f"\n{summary['completed']} frames from {args.streams} streams at "
-          f"{summary['throughput_fps']:.1f} frames/s")
-    print(f"world tiles: {world['self_hits']} self hits, "
-          f"{world['cross_hits']} cross-stream hits "
-          f"({world['shared_keys']} world-tile keys shared across vehicles)")
-    for name, counts in sorted(world["by_stream"].items()):
-        print(f"  {name}: {counts['hits']} tile hits, "
-              f"{counts['misses']} computed")
+          f"{summary['throughput_fps']:.1f} frames/s "
+          f"in {summary['rounds']} rounds")
+    for name, tally in sorted(summary["per_stream"].items()):
+        print(f"  per-stream {name}: {tally['completed']}/{tally['frames']} "
+              f"completed")
 
-    # The sharing claim is only interesting because it is *exact*: any
+    # Serving a fleet is only interesting because it is *exact*: any
     # frame replayed cold — fresh functional simulation, no caches, no
     # fleet — produces the same report, bit for bit.
     spec = specs[-1]

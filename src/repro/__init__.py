@@ -18,12 +18,11 @@ Python/numpy:
 * a sharded serving cluster over those engines — workload-affinity
   routing, a tiered L1/L2/disk map cache that persists across CLI
   invocations, and deadline/tenant QoS (``repro.cluster``),
-* a temporal streaming subsystem serving LiDAR frame sequences with
-  tile-granular incremental kNN/ball-query reuse and geometry-only trace
-  construction (``repro.stream``),
-* fleet serving: several concurrent tenant streams over one cluster with
-  cross-stream world-tile sharing and per-stream hit attribution
-  (``repro.fleet``).
+* a temporal streaming subsystem serving LiDAR frame sequences in order
+  with whole-cloud neighbour search and geometry-only trace construction
+  (``repro.stream``),
+* fleet serving: several concurrent tenant streams over one shared
+  cluster with per-stream QoS and tallies (``repro.fleet``).
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.

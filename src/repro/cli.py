@@ -14,16 +14,15 @@ Commands:
                      with tiered (L1/L2/disk) map caching and deadline QoS;
 * ``bench-cluster``— warm cluster vs cold single engine throughput, plus
                      the disk-persistence warm-start path;
-* ``serve-stream`` — serve a temporal LiDAR frame sequence with
-                     tile-granular incremental map reuse;
+* ``serve-stream`` — serve a temporal LiDAR frame sequence in order;
 * ``bench-stream`` — warm streaming vs cold per-frame simulation;
 * ``serve-fleet``  — serve several concurrent tenant streams over one
-                     cluster with cross-stream world-tile sharing;
-* ``bench-fleet``  — shared fleet vs the same streams with per-stream-only
-                     caching;
+                     shared cluster;
+* ``bench-fleet``  — shared fleet vs the same streams served as separate
+                     sessions;
 * ``trace-report`` — per-phase time breakdown + top-N slow frames from a
                      ``--trace`` JSONL file (``--ledger-file`` joins a
-                     ledger for a top-recompute-causes section);
+                     ledger for an evictions-by-tier section);
 * ``trace-diff``   — align two ``--trace`` files by phase and attribute
                      the self-time delta ("plan +38% on ~same calls").
 
@@ -38,8 +37,8 @@ recorder's retained slowest / deadline-missed frames), ``--metrics PATH``
 (a :class:`repro.obs.MetricsRegistry` snapshot with per-phase latency
 histograms and counters derived from the same spans, plus the handler's
 session/cluster summary ingested as a registry source), and ``--ledger
-PATH`` (the :class:`repro.obs.RecomputeLedger` event log recording *why*
-each tile hit, recomputed, or fell back).
+PATH`` (the :class:`repro.obs.RecomputeLedger` event log recording each
+map-cache eviction and the frame whose build caused it).
 """
 
 from __future__ import annotations
@@ -269,6 +268,15 @@ def _merge_by_op(dicts) -> dict:
             slot["hits"] += c["hits"]
             slot["misses"] += c["misses"]
     return merged
+
+
+def _executor_by_op(executor: dict) -> dict:
+    """Per-op map-cache counters of an engine or cluster summary."""
+    shards = executor.get("shards")
+    if isinstance(shards, list):
+        return _merge_by_op(
+            shard.get("map_cache", {}).get("by_op") for shard in shards)
+    return executor.get("map_cache", {}).get("by_op", {})
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -709,7 +717,7 @@ def cmd_bench_cluster(args) -> int:
 
 
 def cmd_serve_stream(args) -> int:
-    """Serve a synthetic LiDAR sequence with tile-granular map reuse."""
+    """Serve a synthetic LiDAR sequence frame by frame, in order."""
     if args.frames < 1:
         print(f"error: --frames must be >= 1, got {args.frames}", file=sys.stderr)
         return 2
@@ -718,17 +726,12 @@ def cmd_serve_stream(args) -> int:
     except (KeyError, ValueError) as exc:
         raise CLIError(str(exc)) from exc
     print(f"{'frame':>5s} {'points':>7s} {'pointacc ms':>12s} "
-          f"{'tile hits':>9s} {'wall ms':>8s} {'status':>8s}")
-    prev_hits = 0
+          f"{'wall ms':>8s} {'status':>8s}")
     for frame in session.play(args.frames):
-        tile_hits = 0
-        if session.tile_cache is not None:
-            hits = session.tile_cache.stats().tile_hits
-            tile_hits, prev_hits = hits - prev_hits, hits
         if frame.dropped or frame.rejected:
             status = "dropped" if frame.dropped else "rejected"
             print(f"{frame.index:5d} {'-':>7s} {'-':>12s} "
-                  f"{'-':>9s} {'-':>8s} {status:>8s}")
+                  f"{'-':>8s} {status:>8s}")
             continue
         rep = frame.result.reports.get("pointacc")
         modeled = f"{rep.total_seconds * 1e3:12.3f}" if rep else " unsupported"
@@ -737,7 +740,7 @@ def cmd_serve_stream(args) -> int:
             frame.result.deadline_met
         ]
         print(f"{frame.index:5d} {n_pts:7d} {modeled} "
-              f"{tile_hits:9d} {frame.latency_ms:8.1f} {deadline:>8s}")
+              f"{frame.latency_ms:8.1f} {deadline:>8s}")
     summary = session.summary()
     _ingest_metrics("stream", summary)
     print(f"\nserved {summary['completed']}/{summary['frames']} frames "
@@ -747,14 +750,8 @@ def cmd_serve_stream(args) -> int:
     print(f"latency: p50 {summary['latency_p50_ms']:.1f} ms, "
           f"p99 {summary['latency_p99_ms']:.1f} ms; "
           f"geometry-only: {'yes' if summary['geometry_only'] else 'no'}")
-    tiles = summary.get("tiles")
-    if tiles:
-        print(f"tile cache: {tiles['tile_hits']}/{tiles['tile_lookups']} "
-              f"sub-lookups hit ({tiles['tile_hit_rate'] * 100:.0f}%), "
-              f"{tiles['certified_rows']} rows certified, "
-              f"{tiles['fallback_rows']} rows recomputed globally")
-        print(f"tile reuse by op (hits/lookups): "
-              f"{_format_by_op(tiles['by_op'])}")
+    print(f"map lookups by op (hits/lookups): "
+          f"{_format_by_op(_executor_by_op(summary['executor']))}")
     session.close()
     return 0
 
@@ -806,18 +803,15 @@ def cmd_bench_stream(args) -> int:
     summary = session.summary()
     _ingest_metrics("stream", summary)
     session.close()  # stats collected; stop worker processes, when any
-    tiles = summary.get("tiles") or {}
     n = args.frames
     rows = [
-        ["cold per-frame", f"{cold_s:.3f}", f"{n / cold_s:.2f}", "-"],
-        ["warm streaming", f"{warm_s:.3f}", f"{n / warm_s:.2f}",
-         f"{tiles.get('tile_hits', 0)}/{tiles.get('tile_lookups', 0)}"],
+        ["cold per-frame", f"{cold_s:.3f}", f"{n / cold_s:.2f}"],
+        ["warm streaming", f"{warm_s:.3f}", f"{n / warm_s:.2f}"],
     ]
     print(format_table(
-        ["mode", "wall s", "frames/s", "tile hits"],
+        ["mode", "wall s", "frames/s"],
         rows,
-        title=(f"{n} frames: {args.benchmark} @ scale {args.scale}, "
-               f"tile {args.tile_size}m, halo {args.halo}"),
+        title=f"{n} frames: {args.benchmark} @ scale {args.scale}",
     ))
     code = _print_speedup(cold_s, warm_s, mismatch)
     if args.json:
@@ -826,15 +820,12 @@ def cmd_bench_stream(args) -> int:
             "frames": n,
             "benchmark": args.benchmark,
             "scale": args.scale,
-            "tile_size": args.tile_size,
-            "halo": args.halo,
             "cold_seconds": cold_s,
             "warm_seconds": warm_s,
             "speedup": cold_s / warm_s,
             "mismatches": mismatch,
             "latency_p50_ms": summary["latency_p50_ms"],
             "latency_p99_ms": summary["latency_p99_ms"],
-            "tiles": tiles,
         })
     return code
 
@@ -866,44 +857,14 @@ def _fleet_specs(args) -> list[StreamSpec]:
     return specs
 
 
-def _reject_no_batch(args) -> None:
-    if getattr(args, "no_batch", False):
-        raise CLIError(
-            "--no-batch was removed: the per-tile front no longer serves "
-            "traffic (it survives as repro.stream.incremental.PerTileOracle "
-            "for property tests only)"
-        )
-
-
 def _build_fleet_session(args) -> FleetSession:
     """Shared serve-fleet / bench-fleet session construction."""
-    _reject_no_batch(args)
     return FleetSession(
         _fleet_specs(args),
         backends=_parse_backends(args.backends),
         n_shards=args.shards,
-        tile_size=args.tile_size,
-        halo=args.halo,
-        use_tiles=not args.no_tiles,
-        share_world_tiles=not args.no_share,
         workers=args.workers,
     )
-
-
-def _print_world_tiles(summary: dict) -> None:
-    world = summary.get("world_tiles")
-    if not world:
-        return
-    print(f"world tiles: {world['self_hits']} self hits, "
-          f"{world['cross_hits']} cross-stream hits, "
-          f"{world['external_hits']} external, {world['misses']} misses "
-          f"({world['shared_keys']} tile keys shared across streams)")
-    per_op = {
-        op: {"hits": c["self_hits"] + c["cross_hits"] + c["external_hits"],
-             "misses": c["misses"]}
-        for op, c in world["by_op"].items()
-    }
-    print(f"tile reuse by op (hits/lookups): {_format_by_op(per_op)}")
 
 
 def cmd_serve_fleet(args) -> int:
@@ -946,13 +907,14 @@ def cmd_serve_fleet(args) -> int:
         print(f"stream {name}: {tally['completed']}/{tally['frames']} "
               f"completed, {tally['deadline_met']} met / "
               f"{tally['deadline_missed']} missed")
-    _print_world_tiles(summary)
+    print(f"map lookups by op (hits/lookups): "
+          f"{_format_by_op(_executor_by_op(summary['executor']))}")
     session.close()
     return 0
 
 
 def cmd_bench_fleet(args) -> int:
-    """Shared fleet vs the same streams with per-stream-only caching."""
+    """Shared fleet vs the same streams served as separate sessions."""
     if args.frames < 1:
         print(f"error: --frames must be >= 1, got {args.frames}",
               file=sys.stderr)
@@ -972,12 +934,11 @@ def cmd_bench_fleet(args) -> int:
         spec.sequence.frame(0, scale=spec.scale)
 
     # Baseline: the identical streams, each with its own engine and its
-    # own private tile cache — temporal reuse yes, cross-stream reuse no.
+    # own map cache — nothing shared across streams.
     solo_sessions = {
         spec.name: StreamSession(
             spec.sequence, spec.benchmark, backends=backends,
-            scale=spec.scale, tile_size=args.tile_size, halo=args.halo,
-            use_tiles=not args.no_tiles, tenant=spec.name,
+            scale=spec.scale, tenant=spec.name,
         )
         for spec in specs
     }
@@ -999,22 +960,19 @@ def cmd_bench_fleet(args) -> int:
     summary = session.summary()
     _ingest_metrics("fleet", summary)
     session.close()  # stats collected; stop worker processes, when any
-    world = summary.get("world_tiles", {})
     n = summary["frames"]
     rows = [
-        ["per-stream caching", f"{solo_s:.3f}", f"{n / solo_s:.2f}", "-"],
-        ["shared fleet", f"{fleet_s:.3f}", f"{n / fleet_s:.2f}",
-         f"{world.get('cross_hits', 0)}"],
+        ["separate sessions", f"{solo_s:.3f}", f"{n / solo_s:.2f}"],
+        ["shared fleet", f"{fleet_s:.3f}", f"{n / fleet_s:.2f}"],
     ]
     print(format_table(
-        ["mode", "wall s", "frames/s", "cross-stream hits"],
+        ["mode", "wall s", "frames/s"],
         rows,
         title=(f"{len(specs)} streams x {args.frames} frames: "
                f"{args.benchmark} @ scale {args.scale}, "
                f"{'disjoint' if args.disjoint else 'overlapping'} regions"),
     ))
     code = _print_speedup(solo_s, fleet_s, mismatch)
-    _print_world_tiles(summary)
     if args.json:
         _write_json(args.json, {
             "command": "bench-fleet",
@@ -1026,20 +984,16 @@ def cmd_bench_fleet(args) -> int:
             "start_gap": args.start_gap,
             "shards": args.shards,
             "workers": args.workers,
-            "tile_size": args.tile_size,
-            "halo": args.halo,
             "solo_seconds": solo_s,
             "fleet_seconds": fleet_s,
             "speedup": solo_s / fleet_s,
             "mismatches": mismatch,
-            "world_tiles": world,
         })
     return code
 
 
 def _build_stream_session(args) -> StreamSession:
     """Shared serve-stream / bench-stream session construction."""
-    _reject_no_batch(args)
     if args.workers > 0 and args.shards < 1:
         raise ValueError("--workers requires a cluster (--shards > 0)")
     sequence = FrameSequence(SequenceConfig(
@@ -1050,8 +1004,6 @@ def _build_stream_session(args) -> StreamSession:
     ))
     cluster = None
     if args.shards > 0:
-        from .stream import TileMapCache, streaming_map_cache
-
         # Worker processes fork when the cluster is built and resolve
         # stream-sourced benchmarks from their (inherited) process-local
         # registry — the sequence must be registered before that point.
@@ -1060,11 +1012,6 @@ def _build_stream_session(args) -> StreamSession:
         cluster = EngineCluster(
             n_shards=args.shards,
             backends=_parse_backends(args.backends),
-            tile_cache=(
-                TileMapCache(tile_size=args.tile_size, halo=args.halo)
-                if not args.no_tiles else None
-            ),
-            map_cache=streaming_map_cache,
             workers=args.workers,
         )
     return StreamSession(
@@ -1073,9 +1020,6 @@ def _build_stream_session(args) -> StreamSession:
         cluster=cluster,
         backends=_parse_backends(args.backends),
         scale=args.scale,
-        tile_size=args.tile_size,
-        halo=args.halo,
-        use_tiles=not args.no_tiles,
         deadline_ms=args.deadline_ms,
         period_ms=args.period_ms,
         drop_late=args.drop_late,
@@ -1136,8 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a metrics snapshot (per-phase latency "
                             "histograms and counters) as JSON")
         p.add_argument("--ledger", default=None, metavar="PATH",
-                       help="write the recompute-lineage ledger (why each "
-                            "tile hit, recomputed, or fell back) as JSONL")
+                       help="write the cache-lineage ledger (each map-cache "
+                            "eviction and its frame) as JSONL")
 
     srv_p = sub.add_parser(
         "serve-sim", help="stream a workload through the engine"
@@ -1211,15 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ego meters per frame")
         p.add_argument("--fov", type=float, default=24.0,
                        help="field-of-view half-side, meters")
-        p.add_argument("--tile-size", type=float, default=4.0,
-                       help="tile side for kNN/ball query, meters")
-        p.add_argument("--halo", type=int, default=1,
-                       help="halo width in tiles for kNN/ball query")
-        p.add_argument("--no-tiles", action="store_true",
-                       help="disable the tile front (digest tiers only)")
-        p.add_argument("--no-batch", action="store_true",
-                       help="removed: the per-tile front no longer serves "
-                            "traffic (passing this flag is an error)")
         p.add_argument("--backends", default="pointacc")
         p.add_argument("--shards", type=int, default=0,
                        help="> 0 serves through an engine cluster")
@@ -1234,7 +1169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ss_p = sub.add_parser(
         "serve-stream",
-        help="serve a LiDAR frame sequence with tile-granular map reuse",
+        help="serve a LiDAR frame sequence frame by frame, in order",
     )
     add_stream_args(ss_p)
     add_obs_args(ss_p)
@@ -1266,15 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="start_x stagger between vehicles, meters")
         p.add_argument("--disjoint", action="store_true",
                        help="give each stream its own world (no overlap)")
-        p.add_argument("--tile-size", type=float, default=4.0)
-        p.add_argument("--halo", type=int, default=1)
-        p.add_argument("--no-tiles", action="store_true",
-                       help="disable the tile front (digest tiers only)")
-        p.add_argument("--no-batch", action="store_true",
-                       help="removed: the per-tile front no longer serves "
-                            "traffic (passing this flag is an error)")
-        p.add_argument("--no-share", action="store_true",
-                       help="drop the WorldTileStore attribution front")
         p.add_argument("--backends", default="pointacc")
         p.add_argument("--shards", type=int, default=2,
                        help="cluster shards (0 = single shared engine)")
@@ -1285,14 +1211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sf_p = sub.add_parser(
         "serve-fleet",
-        help="serve concurrent tenant streams with cross-stream tile sharing",
+        help="serve concurrent tenant streams over one shared cluster",
     )
     add_fleet_args(sf_p)
     add_obs_args(sf_p)
 
     bf_p = sub.add_parser(
         "bench-fleet",
-        help="shared fleet vs per-stream-only caching throughput",
+        help="shared fleet vs separate per-stream sessions throughput",
     )
     add_fleet_args(bf_p)
     add_obs_args(bf_p)
@@ -1308,8 +1234,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr_p.add_argument("--top", type=int, default=5,
                       help="slow frames to detail")
     tr_p.add_argument("--ledger-file", default=None, metavar="PATH",
-                      help="join a --ledger JSONL by frame id for a top "
-                           "recompute-causes section")
+                      help="join a --ledger JSONL by frame id for an "
+                           "evictions-by-tier section")
 
     td_p = sub.add_parser(
         "trace-diff",

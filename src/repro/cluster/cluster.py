@@ -62,9 +62,7 @@ class ClusterStats:
     tenants: dict = field(default_factory=dict)  # tenant -> TenantAccount.summary()
     shards: list = field(default_factory=list)  # per-shard EngineStats.summary()
     l2: dict = field(default_factory=dict)  # SharedMapStore snapshot
-    front: dict = field(default_factory=dict)  # shared tile front snapshot
     workers: int = 0  # worker processes (0 = in-process execution)
-    front_inner: dict = field(default_factory=dict)  # inner front (worker mode)
 
     @property
     def throughput_rps(self) -> float:
@@ -84,9 +82,7 @@ class ClusterStats:
             "tenants": dict(self.tenants),
             "shards": list(self.shards),
             "l2": dict(self.l2),
-            "front": dict(self.front),
             "workers": self.workers,
-            "front_inner": dict(self.front_inner),
         }
 
 
@@ -106,9 +102,7 @@ class EngineCluster:
         Per-shard L1 policy: ``"auto"`` gives each shard a private
         :class:`MapCache`, ``None`` disables the L1 tier, and a callable
         is invoked once per shard to build its cache — the hook for
-        sizing L1s to the workload (tile-decomposed streaming emits
-        thousands of sub-entries per frame, far beyond the default
-        4096-entry bound).
+        sizing L1s to the workload.
     l2:
         The shared tier: ``"auto"`` builds a :class:`SharedMapStore`
         (persistent iff ``cache_dir`` is given), ``None`` disables L2, or
@@ -117,14 +111,6 @@ class EngineCluster:
         Disk-spill directory for the auto-built L2 store.  Lazy per-key
         probing means a second cluster pointed at the same directory
         warm-starts on its very first request.
-    tile_cache:
-        Optional content-aware front shared by every shard (see
-        :class:`~repro.engine.SimulationEngine`); tile sub-results land in
-        each shard's private L1 *and* the shared L2, so a tile computed on
-        one shard serves every shard — and persists with ``cache_dir``.
-        Fleet serving passes a :class:`~repro.fleet.WorldTileStore`-wrapped
-        front here so those hits are additionally attributed per stream;
-        its snapshot surfaces as ``ClusterStats.front``.
     workers:
         ``0`` (default) runs every shard in-process, exactly as before.
         ``N >= 1`` starts ``min(N, n_shards)`` worker processes
@@ -133,9 +119,7 @@ class EngineCluster:
         box.  Requests and results must pickle; ``l2`` must be left
         ``"auto"`` or ``None`` (each worker builds its own store — with a
         ``cache_dir`` those stores share the disk tier, which is the
-        cross-process L2); ``tile_cache`` is copied into each worker (hits
-        no longer cross workers in-memory, only via the disk tier).
-        Output stays bit-identical to ``workers=0``.
+        cross-process L2).  Output stays bit-identical to ``workers=0``.
     overlap:
         Pipeline trace building with backend cost-model evaluation inside
         each shard engine (frame k+1's trace builds while frame k's cost
@@ -154,7 +138,6 @@ class EngineCluster:
         map_cache: str | None = "auto",
         l2: SharedMapStore | str | None = "auto",
         cache_dir=None,
-        tile_cache=None,
         reuse_traces: bool = True,
         workers: int = 0,
         overlap: bool | None = None,
@@ -175,7 +158,6 @@ class EngineCluster:
             raise ValueError("cache_dir requires the auto-built L2 store")
         self.router = ShardRouter(n_shards, mode=routing)
         self.l2 = l2
-        self.tile_cache = tile_cache
         self.qos = QoSScheduler()
         def shard_l1():
             if map_cache == "auto":
@@ -198,7 +180,6 @@ class EngineCluster:
                 map_cache=map_cache,
                 l2="auto" if l2 is not None else None,
                 cache_dir=cache_dir,
-                tile_cache=tile_cache,
                 reuse_traces=reuse_traces,
                 overlap=overlap,
             )
@@ -210,7 +191,6 @@ class EngineCluster:
                     policy=policy,
                     map_cache=shard_l1(),
                     l2=l2,
-                    tile_cache=tile_cache,
                     reuse_traces=reuse_traces,
                     overlap=overlap,
                 )
@@ -380,8 +360,8 @@ class EngineCluster:
     def stats(self) -> ClusterStats:
         """Aggregated fleet snapshot (shard stats taken at call time).
 
-        In worker mode the per-shard engine summaries and L2 / tile-front
-        snapshots live in the worker processes; they are collected over
+        In worker mode the per-shard engine summaries and L2 snapshots
+        live in the worker processes; they are collected over
         the pipes and merged (counters summed, rates recomputed — see
         :func:`~repro.cluster.workers.merge_snapshots`)."""
         stats = ClusterStats(
@@ -402,17 +382,9 @@ class EngineCluster:
                 by_shard.update(payload["shards"])
             stats.shards = [by_shard[s] for s in sorted(by_shard)]
             stats.l2 = merge_snapshots(p["l2"] for p in payloads)
-            stats.front = merge_snapshots(p["front"] for p in payloads)
-            stats.front_inner = merge_snapshots(
-                p["front_inner"] for p in payloads
-            )
         else:
             stats.shards = [shard.stats().summary() for shard in self.shards]
             stats.l2 = self.l2.stats().snapshot() if self.l2 is not None else {}
-            stats.front = (
-                self.tile_cache.stats().snapshot()
-                if self.tile_cache is not None else {}
-            )
         return stats
 
     def save_cache(self, cache_dir=None) -> int:

@@ -22,7 +22,7 @@ over one duplex pipe; everything that crosses is pickled:
   sub-batch, executed under the shard engine's own scheduling policy,
   exactly like the in-process path;
 * ``("stats",)`` → per-shard :class:`~repro.engine.EngineStats` summaries
-  plus the worker's L2 / tile-front snapshots, merged by the parent into
+  plus the worker's L2 snapshot, merged by the parent into
   one :class:`~repro.cluster.ClusterStats`;
 * ``("close",)`` → clean shutdown.
 
@@ -50,7 +50,6 @@ bit-identical to ``workers=0`` (``tests/properties/test_prop_workers.py``)
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import traceback
 from multiprocessing.connection import wait as _wait
 
@@ -65,15 +64,12 @@ def engine_spec(
     map_cache,
     l2,
     cache_dir,
-    tile_cache,
     reuse_traces: bool,
     overlap: bool,
 ) -> dict:
     """The picklable recipe a worker rebuilds its shard engines from.
 
-    ``tile_cache`` is pickled *here*, once, while still pristine: each
-    worker unpickles its own private copy of the front (tile fronts hold
-    only plain dicts/arrays).  ``map_cache`` may be ``"auto"``, ``None``,
+    ``map_cache`` may be ``"auto"``, ``None``,
     or a module-level factory callable — all picklable by reference.
     ``l2`` must be ``"auto"`` or ``None``: a pre-built in-memory store
     cannot cross a process boundary (the cluster validates this before
@@ -87,7 +83,6 @@ def engine_spec(
         "map_cache": map_cache,
         "l2": l2,
         "cache_dir": os.fspath(cache_dir) if cache_dir is not None else None,
-        "tile_cache": pickle.dumps(tile_cache) if tile_cache is not None else None,
         "reuse_traces": bool(reuse_traces),
         "overlap": bool(overlap),
     }
@@ -112,9 +107,6 @@ def _worker_main(conn, worker_id: int, shard_ids, spec: dict) -> None:
     l2 = None
     if spec["l2"] == "auto":
         l2 = SharedMapStore(cache_dir=spec["cache_dir"])
-    tile_cache = (
-        pickle.loads(spec["tile_cache"]) if spec["tile_cache"] is not None else None
-    )
     map_cache = spec["map_cache"]
 
     def shard_l1():
@@ -130,7 +122,6 @@ def _worker_main(conn, worker_id: int, shard_ids, spec: dict) -> None:
             policy=spec["policy"],
             map_cache=shard_l1(),
             l2=l2,
-            tile_cache=tile_cache,
             reuse_traces=spec["reuse_traces"],
             overlap=spec["overlap"],
         )
@@ -166,15 +157,6 @@ def _worker_main(conn, worker_id: int, shard_ids, spec: dict) -> None:
                         for shard, engine in engines.items()
                     },
                     "l2": l2.stats().snapshot() if l2 is not None else {},
-                    "front": (
-                        tile_cache.stats().snapshot()
-                        if tile_cache is not None else {}
-                    ),
-                    "front_inner": (
-                        tile_cache.inner.stats().snapshot()
-                        if tile_cache is not None
-                        and hasattr(tile_cache, "inner") else {}
-                    ),
                 }
                 conn.send(("stats", payload))
             elif command == "close":

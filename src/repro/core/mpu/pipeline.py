@@ -121,17 +121,22 @@ class MPUPipeline:
         trace = StageTrace()
         n_ref = len(references)
         result = np.empty((len(queries), min(k, n_ref)), dtype=np.int64)
-        # Distances quantized to a fixed-point grid (the hardware compares
-        # fixed-point keys); ties broken by index via the stable sort.
-        for qi, q in enumerate(np.asarray(queries, dtype=np.float64)):
+        # One distance matrix on the operands knn_indices uses, so every
+        # distance is bit-equal to the reference's.  Each key is the exact
+        # distance's rank among all distances, then the index: ties break
+        # by index, and no two distinct distances share a key.
+        sq = pairwise_squared_distance(
+            np.asarray(queries, dtype=np.float64),
+            np.asarray(references, dtype=np.float64),
+        )
+        _, rank = np.unique(sq.ravel(), return_inverse=True)
+        keys = rank.reshape(sq.shape) * n_ref + np.arange(n_ref)
+        for qi in range(len(queries)):
             trace.touch("FS", n_ref)
-            sq = pairwise_squared_distance(q[None, :], references)[0]
             trace.touch("CD", n_ref)
-            keys = np.round(sq * 2**20).astype(np.int64) * n_ref + np.arange(
-                n_ref
-            )
             trace.touch("ST", n_ref)
-            topk, _ = mpu_topk(ComparatorArray.from_keys(keys), k, self.width)
+            topk, _ = mpu_topk(ComparatorArray.from_keys(keys[qi]), k,
+                               self.width)
             trace.touch("BF", n_ref)
             trace.touch("MS", n_ref)
             result[qi] = topk.payloads[: result.shape[1]]

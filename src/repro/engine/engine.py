@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from ..baselines.mesorasi import UnsupportedModelError
 from ..core.report import PerfReport
-from ..mapping.hooks import TieredLookup, request_context, use_map_cache
+from ..mapping.hooks import TieredLookup, use_map_cache
 from ..nn.models.registry import run_benchmark
 from ..obs.ledger import ledger_frame
 from ..obs.trace import current_tracer, span
@@ -173,13 +173,6 @@ class SimulationEngine:
         builds run against a :class:`~repro.mapping.hooks.TieredLookup`
         chain ``[map_cache, l2]`` — the engine's private L1 backed by the
         injected shared store — instead of the L1 alone.
-    tile_cache:
-        Optional content-aware front (e.g. the streaming subsystem's
-        :class:`~repro.stream.incremental.TileMapCache`) consulted before
-        the digest tiers; it decomposes supported mapping ops (kNN, ball
-        query) into spatial-tile sub-lookups addressed into the same tier
-        chain, so *overlapping* — not just identical — clouds hit.
-        Requires at least one digest tier to store sub-entries in.
     reuse_traces:
         Enable the request-level trace/report memo.
     overlap:
@@ -201,7 +194,6 @@ class SimulationEngine:
         policy: str = "fifo",
         map_cache: MapCache | None | str = "auto",
         l2=None,
-        tile_cache=None,
         reuse_traces: bool = True,
         overlap: bool = False,
     ) -> None:
@@ -213,16 +205,8 @@ class SimulationEngine:
         self.backends = {name: resolve_backend(name) for name in backends}
         self.map_cache = MapCache() if map_cache == "auto" else map_cache
         self.l2 = l2
-        self.tile_cache = tile_cache
         tiers = [t for t in (self.map_cache, l2) if t is not None]
-        if tile_cache is not None:
-            if not tiers:
-                raise ValueError(
-                    "tile_cache needs at least one cache tier to store "
-                    "sub-results in (map_cache and l2 are both disabled)"
-                )
-            self._lookup = TieredLookup(tiers, front=tile_cache)
-        elif len(tiers) > 1:
+        if len(tiers) > 1:
             self._lookup = TieredLookup(tiers)
         else:
             self._lookup = tiers[0] if tiers else None
@@ -252,10 +236,9 @@ class SimulationEngine:
         else:
             ctx = nullcontext()
             hits0 = misses0 = 0
-        # The tenant and ledger-frame contexts are observability only
-        # (cache-front hit attribution, recompute lineage); they must
-        # never reach the compute path.
-        with request_context(request.tenant), ledger_frame(request.tag), ctx:
+        # The ledger-frame context is observability only (eviction
+        # lineage); it must never reach the compute path.
+        with ledger_frame(request.tag), ctx:
             trace, _ = run_benchmark(
                 request.benchmark, scale=request.scale, seed=request.seed,
                 geometry_only=request.geometry_only,

@@ -155,11 +155,9 @@ class MapCache:
     def get(self, key: bytes, op: str = "?", copy: bool = True):
         """Owned copy of the entry under ``key``, or ``None`` (counted).
 
-        ``copy=False`` returns the stored object itself — for callers in
-        the immutable-value regime (the tile fronts: sub-entries are
-        composed from, never written to), where deep-copying thousands of
-        small arrays per frame is pure overhead.  Such a caller must never
-        mutate what it gets back.
+        ``copy=False`` returns the stored object itself — for callers that
+        never mutate what they get back (a tier chain promotes one stored
+        object through its tiers and hands its own caller a copy).
         """
         entry = self._entries.get(key)
         if entry is not None:
@@ -185,22 +183,6 @@ class MapCache:
         self._stats.stored_bytes += _value_bytes(stored)
         self._evicted.pop(key, None)
         self._evict()
-
-    def get_many(self, keys, op: str = "?", copy: bool = True) -> list:
-        """Batched :meth:`get`: one call, N probes, per-key counting.
-
-        Routed through :meth:`get` so subclasses with side channels (the
-        shared store's disk spill) stay correct; the win over N caller
-        loops is that the tier boundary — and, through
-        :meth:`repro.mapping.hooks.TieredLookup.get_many`, the whole
-        chain traversal — is crossed once per batch.
-        """
-        return [self.get(key, op, copy=copy) for key in keys]
-
-    def put_many(self, keys, values, op: str = "?", copy: bool = True) -> None:
-        """Batched :meth:`put` (same per-key semantics)."""
-        for key, value in zip(keys, values):
-            self.put(key, value, op, copy=copy)
 
     def memoize(self, op: str, arrays, params: dict, compute):
         """Return the cached result of ``compute()`` for this content key.

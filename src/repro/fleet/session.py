@@ -17,16 +17,13 @@ the next pending frame of every live stream as one window, so
   executor runs rounds in submission order under its own policy, and the
   session scores its deadlines against each round's wall time.
 
-The shared executor is what makes a fleet more than N sessions: its tile
-front is one :class:`~repro.fleet.WorldTileStore`-wrapped
-:class:`~repro.stream.TileMapCache`, so world-region kNN / ball-query
-tiles computed for one vehicle serve every vehicle driving the same map
-region — with hits attributed self vs cross-stream in
-:class:`FleetStats`.  Kernel maps and voxelize take the chain's whole-op
-digest path, so a MinkNet fleet shares identical whole calls through the
-cluster's L2 and no tiles.  None of it may change a result: each stream's
-output is bit-identical to running that stream cold and alone
-(``tests/properties/test_prop_fleet.py``).
+The shared executor is what makes a fleet more than N sessions: every
+vehicle's mapping calls go through the same whole-op digest tiers, so an
+identical call made for one vehicle is served from the shard L1 or the
+cluster L2 for the next.  kNN and ball query run on each whole frame
+through the selection kernels of :mod:`repro.mapping`.  None of it may
+change a result: each stream's output is bit-identical to running that
+stream cold and alone (``tests/properties/test_prop_fleet.py``).
 """
 
 from __future__ import annotations
@@ -38,10 +35,8 @@ from ..engine.engine import SimRequest, SimulationEngine
 from ..nn.models.registry import resolve_geometry_only
 from ..obs.ledger import current_ledger
 from ..obs.trace import current_tracer, span
-from ..stream.incremental import TileMapCache
-from ..stream.pipeline import FrameResult, streaming_map_cache
+from ..stream.pipeline import FrameResult
 from ..stream.sequence import FrameSequence
-from .world_store import WorldTileStore
 
 __all__ = ["FleetSession", "FleetStats", "StreamSpec"]
 
@@ -50,11 +45,11 @@ __all__ = ["FleetSession", "FleetStats", "StreamSpec"]
 class StreamSpec:
     """One tenant stream of the fleet.
 
-    ``name`` doubles as the QoS tenant (fair-share bucket) and the
-    attribution identity in :class:`~repro.fleet.WorldTileStore`; it must
-    be unique and non-empty within a session.  ``n_frames`` defaults to
-    the sequence's nominal length; streams of different lengths are fine
-    (exhausted streams simply drop out of later rounds).
+    ``name`` doubles as the QoS tenant (fair-share bucket) and the frame
+    tag prefix; it must be unique and non-empty within a session.
+    ``n_frames`` defaults to the sequence's nominal length; streams of
+    different lengths are fine (exhausted streams simply drop out of
+    later rounds).
     """
 
     name: str
@@ -73,7 +68,7 @@ class StreamSpec:
 
 @dataclass
 class FleetStats:
-    """Aggregate fleet behaviour: rounds, per-stream tallies, tile sharing."""
+    """Aggregate fleet behaviour: rounds and per-stream tallies."""
 
     rounds: int = 0
     frames: int = 0
@@ -122,18 +117,8 @@ class FleetSession:
         Optional pre-built executor (at most one); when neither is given
         the session builds its own from ``n_shards`` — an
         :class:`~repro.cluster.EngineCluster` for ``n_shards >= 1`` (the
-        QoS path), or a single large-L1 engine for ``n_shards == 0``.
-        Injected executors bring their own cache fronts; the ``tile_*`` /
-        sharing parameters then do not apply.
-    share_world_tiles:
-        Wrap the tile front in a :class:`~repro.fleet.WorldTileStore`
-        (default).  ``False`` keeps the bare
-        :class:`~repro.stream.TileMapCache` — sub-results still flow
-        through the shared chain (content keys carry no stream identity),
-        but hits are not attributed self/cross.
-    tile_size / halo / min_points / use_tiles:
-        Tile-front configuration for the session-built executor, as in
-        :class:`~repro.stream.StreamSession`.
+        QoS path), or a single engine for ``n_shards == 0``.  Injected
+        executors bring their own cache configuration.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution per stream
         exactly for networks whose registry entry declares
@@ -150,17 +135,15 @@ class FleetSession:
         ``None`` / a pre-built store, as in
         :class:`~repro.cluster.EngineCluster`).  A single-shard fleet
         already shares everything through that shard's L1, so ``None``
-        trades the write-through L2 for less per-tile bookkeeping.
+        drops the write-through L2 copy.
     workers:
         Worker processes for the session-built cluster
         (:class:`~repro.cluster.EngineCluster` ``workers=``): ``0``
         (default) keeps in-process execution; ``N >= 1`` runs shards in
-        real OS processes so streams simulate concurrently.  Each worker
-        gets its own copy of the tile front — cross-stream tile hits then
-        happen inside each worker (and via the disk L2 with a
-        ``cache_dir``), and the merged attribution surfaces through
-        ``summary()`` instead of the parent-side front.  Requires a
-        session-built cluster (``n_shards >= 1``, no injected executor).
+        real OS processes so streams simulate concurrently; shards in
+        different workers share maps only through the disk L2 of a
+        ``cache_dir``.  Requires a session-built cluster
+        (``n_shards >= 1``, no injected executor).
         Per-stream results stay bit-identical to ``workers=0``.
     """
 
@@ -174,11 +157,6 @@ class FleetSession:
         n_shards: int = 2,
         routing: str = "affinity",
         policy: str = "fifo",
-        tile_size: float = 4.0,
-        halo: int = 1,
-        min_points: int = 256,
-        use_tiles: bool = True,
-        share_world_tiles: bool = True,
         geometry_only: bool | str = "auto",
         cache_dir=None,
         l2="auto",
@@ -215,48 +193,25 @@ class FleetSession:
         }
         if engine is not None or cluster is not None:
             self.executor = engine if engine is not None else cluster
-            self.tile_cache = getattr(self.executor, "tile_cache", None)
-        else:
-            front = None
-            if use_tiles:
-                front = TileMapCache(
-                    tile_size=tile_size, halo=halo, min_points=min_points,
-                )
-                if share_world_tiles:
-                    front = WorldTileStore(front)
-            self.tile_cache = front
-            if n_shards >= 1:
-                from ..cluster.cluster import EngineCluster
+        elif n_shards >= 1:
+            from ..cluster.cluster import EngineCluster
 
-                self.executor = EngineCluster(
-                    n_shards=n_shards,
-                    backends=backends,
-                    policy=policy,
-                    routing=routing,
-                    cache_dir=cache_dir,
-                    l2=l2,
-                    tile_cache=front,
-                    map_cache=streaming_map_cache,
-                    workers=workers,
-                )
-            else:
-                self.executor = SimulationEngine(
-                    backends=backends,
-                    policy=policy,
-                    map_cache=streaming_map_cache(),
-                    tile_cache=front,
-                )
+            self.executor = EngineCluster(
+                n_shards=n_shards,
+                backends=backends,
+                policy=policy,
+                routing=routing,
+                cache_dir=cache_dir,
+                l2=l2,
+                workers=workers,
+            )
+        else:
+            self.executor = SimulationEngine(backends=backends, policy=policy)
         self._stats = FleetStats()
         self._next_frame = {spec.name: 0 for spec in self.streams}
         self._results: dict[str, list[FrameResult]] = {
             spec.name: [] for spec in self.streams
         }
-
-    @property
-    def world_store(self) -> WorldTileStore | None:
-        """The attribution front, when the executor carries one."""
-        front = self.tile_cache
-        return front if isinstance(front, WorldTileStore) else None
 
     # ------------------------------------------------------------------
     # Execution
@@ -360,7 +315,7 @@ class FleetSession:
         return self._stats
 
     def summary(self) -> dict:
-        """Session + world-tile + executor stats in one serializable dict."""
+        """Session + executor stats in one serializable dict."""
         out = self._stats.summary()
         out["streams"] = {
             spec.name: {
@@ -373,25 +328,7 @@ class FleetSession:
             }
             for spec in self.streams
         }
-        executor = self.executor.stats().summary()
-        if executor.get("workers"):
-            # Worker mode: each process holds its own copy of the front,
-            # so the parent-side objects never see a hit — the merged
-            # per-worker snapshots (collected over the pipes) are the
-            # fleet-level attribution.
-            if self.world_store is not None:
-                out["world_tiles"] = executor.get("front", {})
-                out["tiles"] = executor.get("front_inner", {})
-            elif self.tile_cache is not None:
-                out["tiles"] = executor.get("front", {})
-        else:
-            store = self.world_store
-            if store is not None:
-                out["world_tiles"] = store.stats().snapshot()
-                out["tiles"] = store.inner.stats().snapshot()
-            elif self.tile_cache is not None:
-                out["tiles"] = self.tile_cache.stats().snapshot()
-        out["executor"] = executor
+        out["executor"] = self.executor.stats().summary()
         ledger = current_ledger()
         if ledger is not None:
             out["ledger"] = ledger.summary()

@@ -47,9 +47,9 @@ def ball_query_indices(
             "ball_query",
             (queries, references),
             {"radius": float(radius), "k": k},
-            lambda: _ball_query_compute(queries, references, radius, k)[0],
+            lambda: _ball_query_compute(queries, references, radius, k),
         )
-    return _ball_query_compute(queries, references, radius, k)[0]
+    return _ball_query_compute(queries, references, radius, k)
 
 
 def _ball_query_compute(
@@ -57,26 +57,35 @@ def _ball_query_compute(
     references: np.ndarray,
     radius: float,
     k: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Ball query from each row block's in-radius pairs, never a whole row.
 
-    The pairs are ordered by (row, distance, index) -- ``nonzero`` lists a
-    row's columns ascending and ``lexsort`` is stable -- and each row keeps
-    its first ``k``, which is :func:`ball_query_bruteforce`'s answer.
-    Returns ``(result, in_radius)``: the padded index rows and each row's
-    count of in-radius references (the tile front's certificate reads it).
+    A row with more than ``k`` pairs first drops every pair farther than
+    its ``k``-th smallest distance (ties at that distance stay), so the
+    sort sees at most ``k`` pairs per row plus ties -- the MPU's TopK
+    truncation.  The pairs are then ordered by (row, distance, index) --
+    ``nonzero`` lists a row's columns ascending and ``lexsort`` is stable
+    -- and each row keeps its first ``k``, which is
+    :func:`ball_query_bruteforce`'s answer.
     """
     r2 = radius * radius
     result = np.empty((len(queries), k), dtype=np.int64)
-    in_radius = np.empty(len(queries), dtype=np.int64)
     col = np.arange(k)
     for lo, block in squared_distance_blocks(queries, references):
         out = result[lo:lo + len(block)]
         rows, cols = np.nonzero(block <= r2)
-        order = np.lexsort((block[rows, cols], rows))
+        dist = block[rows, cols]
+        dense = np.flatnonzero(np.bincount(rows, minlength=len(block)) > k)
+        if len(dense):
+            # A dense row's k smallest distances are all in radius, so its
+            # k-th smallest over the whole row is its cut.
+            cut = np.full(len(block), r2)
+            cut[dense] = np.partition(block[dense], k - 1, axis=1)[:, k - 1]
+            near = dist <= cut[rows]
+            rows, cols, dist = rows[near], cols[near], dist[near]
+        order = np.lexsort((dist, rows))
         rows, cols = rows[order], cols[order]
         counts = np.bincount(rows, minlength=len(block))
-        in_radius[lo:lo + len(block)] = counts
         rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
         keep = rank < k
         out[rows[keep], rank[keep]] = cols[keep]
@@ -86,7 +95,7 @@ def _ball_query_compute(
         out[empty, 0] = block[empty].argmin(axis=1)
         filled = np.clip(counts, 1, k)
         out[:] = np.where(col < filled[:, None], out, out[:, :1])
-    return result, in_radius
+    return result
 
 
 def ball_query_bruteforce(
@@ -100,26 +109,7 @@ def ball_query_bruteforce(
     Same contract as :func:`ball_query_indices` (no cache consulted); the
     property suite pins the pair-selection kernel to it.
     """
-    result, _, _ = _ball_query_details(queries, references, radius, k)
-    return result
-
-
-def _ball_query_details(
-    queries: np.ndarray,
-    references: np.ndarray,
-    radius: float,
-    k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reference ball query plus the per-row facts tile reuse needs.
-
-    Returns ``(result, in_radius, kth_sq)``: the padded index rows, the
-    *raw* count of in-radius candidates per row (before the pad-to-1
-    floor), and the distance of each row's last candidate — the
-    certificates :mod:`repro.stream.incremental` uses to decide whether a
-    tile-local answer provably equals the global one.
-    """
     sq = pairwise_squared_distance(queries, references)
-    r2 = radius * radius
     n_ref = sq.shape[1]
     k_eff = min(k, n_ref)
     order = np.lexsort((np.broadcast_to(np.arange(n_ref), sq.shape), sq), axis=1)
@@ -128,14 +118,13 @@ def _ball_query_details(
     # Candidates are distance-ascending, so in-radius flags form a prefix of
     # each row; count the prefix and pad the tail with the nearest point
     # (also the fallback when no candidate is in radius).
-    in_radius = (sorted_sq <= r2).sum(axis=1)
-    counts = np.maximum(in_radius, 1)
+    counts = np.maximum((sorted_sq <= radius * radius).sum(axis=1), 1)
     col = np.arange(k_eff)[None, :]
     result = np.where(col < counts[:, None], candidates, candidates[:, :1])
     if k_eff < k:
         pad = np.repeat(result[:, :1], k - k_eff, axis=1)
         result = np.concatenate([result, pad], axis=1)
-    return result.astype(np.int64), in_radius, sorted_sq[:, -1]
+    return result.astype(np.int64)
 
 
 def ball_query_maps(

@@ -28,67 +28,35 @@ shards run on.  Tiers are duck-typed: anything with ``key`` / ``get`` /
 ``put`` / ``stats()`` (the :class:`~repro.engine.map_cache.MapCache`
 surface) works, so this module needs no imports from the engine.  The
 owned copies come from :func:`repro.mapping.maps.copy_value`, the one
-definition every tier shares.  ``get_many`` / ``put_many`` batch the
-same semantics — one chain traversal for N keys, which is what the
-streaming tile planner issues per decomposed mapping call; tiers may
-implement their own batch methods or be driven per-key transparently.
-
-Content-aware front
--------------------
-Digest tiers only ever see whole-input content keys, so two clouds that
-overlap but are not bit-identical can never share an entry.  A *front* is
-an optional content-aware stage consulted before the digest path: anything
-with ``handles(op, arrays, params)`` and
-``memoize(op, arrays, params, compute, chain)`` (plus ``stats()``) may be
-installed as ``TieredLookup(tiers, front=...)``.  A front that handles an
-op may decompose it — e.g. the streaming tile cache
-(:class:`repro.stream.incremental.TileMapCache`) splits a cloud into
-spatial tiles and serves unchanged tiles from the chain's digest tiers via
-:meth:`TieredLookup.get` / :meth:`TieredLookup.put` — as long as it
-preserves the contract that a cache can only ever change wall-clock, never
-a result.  Ops a front does not handle fall through to the digest path
-unchanged.  Fronts compose by wrapping: a front may delegate to an inner
-front while interposing on the chain handle it passes down (the fleet's
-:class:`~repro.fleet.WorldTileStore` wraps the streaming tile front this
-way to attribute each tile sub-lookup to the tenant stream that issued it
-— see :func:`request_context`).
+definition every tier shares.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
-from ..obs.ledger import current_ledger as _current_ledger
-from ..obs.trace import span as _span
 from .maps import copy_value
 
 __all__ = [
     "TieredLookup",
     "TieredStats",
     "active_cache",
-    "batch_get",
-    "batch_put",
     "count_by_op",
-    "current_tenant",
-    "request_context",
     "use_map_cache",
 ]
 
 _ACTIVE = None
-_TENANT = ""
 
 
-def count_by_op(by_op: dict, op: str, hit: bool, n: int = 1) -> None:
+def count_by_op(by_op: dict, op: str, hit: bool) -> None:
     """Increment the shared per-op counter shape ``{op: {hits, misses}}``.
 
     One definition for every stats object that attributes cache behaviour
-    to mapping ops (``MapCacheStats``, :class:`TieredStats`, the stream
-    front's ``TileFrontStats``), so the by-op schema cannot drift apart.
-    ``n`` batches the increment — the tile planner counts one probe batch
-    per update.
+    to mapping ops (``MapCacheStats``, :class:`TieredStats`), so the by-op
+    schema cannot drift apart.
     """
     slot = by_op.setdefault(op, {"hits": 0, "misses": 0})
-    slot["hits" if hit else "misses"] += n
+    slot["hits" if hit else "misses"] += 1
 
 
 class TieredStats:
@@ -99,12 +67,11 @@ class TieredStats:
     (fps / knn / ball_query / kernel_map/...), so a serving stats dump can
     attribute reuse to the op that earned it.  ``snapshot()`` additionally
     carries each tier's own counters so L1 vs L2 vs disk behaviour stays
-    distinguishable, plus the front's counters when one is installed.
+    distinguishable.
     """
 
-    def __init__(self, tiers, front=None) -> None:
+    def __init__(self, tiers) -> None:
         self._tiers = tiers
-        self._front = front
         self.hits = 0
         self.misses = 0
         self.by_op: dict = {}  # op -> {"hits": int, "misses": int}
@@ -125,7 +92,7 @@ class TieredStats:
             self.misses += 1
 
     def snapshot(self) -> dict:
-        out = {
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "lookups": self.lookups,
@@ -133,9 +100,6 @@ class TieredStats:
             "by_op": {op: dict(c) for op, c in self.by_op.items()},
             "tiers": [tier.stats().snapshot() for tier in self._tiers],
         }
-        if self._front is not None:
-            out["front"] = self._front.stats().snapshot()
-        return out
 
 
 class TieredLookup:
@@ -149,102 +113,15 @@ class TieredLookup:
     never alias a stored entry.
     """
 
-    def __init__(self, tiers, front=None) -> None:
+    def __init__(self, tiers) -> None:
         tiers = [t for t in tiers if t is not None]
         if not tiers:
             raise ValueError("TieredLookup needs at least one tier")
         self.tiers = tiers
-        self.front = front
-        self._stats = TieredStats(tiers, front)
+        self._stats = TieredStats(tiers)
 
     def stats(self) -> TieredStats:
         return self._stats
-
-    def get(self, key: bytes, op: str = "?", copy: bool = True):
-        """Chain-level digest probe: first tier that hits wins, with the
-        value promoted into every tier above it.  ``None`` on a full miss.
-        Used by content-aware fronts to address sub-results into the same
-        L1/L2/disk tiers whole-op entries live in — fronts pass
-        ``copy=False`` (they compose from sub-entries, never mutate them;
-        see :meth:`repro.engine.MapCache.get`)."""
-        for depth, tier in enumerate(self.tiers):
-            value = tier.get(key, op, copy=copy)
-            if value is not None:
-                for upper in self.tiers[:depth]:
-                    upper.put(key, value, op, copy=copy)
-                return value
-        return None
-
-    def put(self, key: bytes, value, op: str = "?", copy: bool = True) -> None:
-        """Chain-level insert: write-through to every tier."""
-        for tier in self.tiers:
-            tier.put(key, value, op, copy=copy)
-
-    def get_many(self, keys, op: str = "?", copy: bool = True) -> list:
-        """Batched :meth:`get`: one chain traversal for N keys.
-
-        Semantically identical to N chained ``get`` calls — same per-tier
-        probing order, same upward promotion of hits, same per-op stats
-        (each tier counts every probe it sees) — but each tier is visited
-        once per *batch* instead of once per key, which is what makes
-        tile-decomposed lookups cheap (the tile planner,
-        :mod:`repro.stream.plan`, issues one ``get_many`` per mapping
-        call instead of one chain walk per tile).  Tiers without a
-        ``get_many`` of their own are driven per-key transparently.
-        """
-        values: list = [None] * len(keys)
-        missing = list(range(len(keys)))
-        # The ledger classifies *tile* probes only (the planner's
-        # "<op>/tile" batches): this tier loop is the one place that knows
-        # which tier served each hit, so hit causes are emitted here while
-        # miss causes stay with the planner's digest diagnosis.
-        ledger = _current_ledger()
-        track = ledger is not None and op.endswith("/tile")
-        for depth, tier in enumerate(self.tiers):
-            if not missing:
-                break
-            # tier_io spans cover the *batched* chain walk only — one span
-            # per tier per batch, never one per key, so disabled-tracer
-            # overhead stays off the per-tile hot path.
-            with _span("tier_io", tier=type(tier).__name__, op=op,
-                       way="get") as sp:
-                disk0 = (getattr(tier.stats(), "extra", {}).get("disk_hits", 0)
-                         if track else 0)
-                got = batch_get(tier, [keys[i] for i in missing], op, copy=copy)
-                still, hit_keys, hit_values = [], [], []
-                for i, value in zip(missing, got):
-                    if value is None:
-                        still.append(i)
-                    else:
-                        values[i] = value
-                        hit_keys.append(keys[i])
-                        hit_values.append(value)
-                if depth and hit_keys:
-                    for upper in self.tiers[:depth]:
-                        batch_put(upper, hit_keys, hit_values, op, copy=copy)
-                sp.count("probes", float(len(got)))
-                sp.count("hits", float(len(hit_keys)))
-                if track and hit_keys:
-                    # Disk-served hits are visible as the tier's disk_hits
-                    # counter advancing across this batch; the remainder
-                    # were served from that tier's memory.
-                    disk = (getattr(tier.stats(), "extra", {})
-                            .get("disk_hits", 0) - disk0)
-                    disk = max(0, min(disk, len(hit_keys)))
-                    memory = len(hit_keys) - disk
-                    ledger.tile(op, "disk_hit", disk)
-                    ledger.tile(op, "l1_hit" if depth == 0 else "l2_hit",
-                                memory)
-            missing = still
-        return values
-
-    def put_many(self, keys, values, op: str = "?", copy: bool = True) -> None:
-        """Batched :meth:`put`: write each pair through every tier."""
-        for tier in self.tiers:
-            with _span("tier_io", tier=type(tier).__name__, op=op,
-                       way="put") as sp:
-                batch_put(tier, keys, values, op, copy=copy)
-                sp.count("puts", float(len(keys)))
 
     def memoize(self, op: str, arrays, params: dict, compute):
         """Whole-op lookup-or-compute through the chain.
@@ -255,8 +132,6 @@ class TieredLookup:
         gets its own copy, so it can never alias a stored entry — and a
         value costs its bytes once, not once per tier.
         """
-        if self.front is not None and self.front.handles(op, arrays, params):
-            return self.front.memoize(op, arrays, params, compute, self)
         key = self.tiers[0].key(op, arrays, params)
         for depth, tier in enumerate(self.tiers):
             stored = tier.get(key, op, copy=False)
@@ -273,63 +148,9 @@ class TieredLookup:
         return value
 
 
-def batch_get(source, keys, op: str = "?", copy: bool = True) -> list:
-    """Probe N keys against anything with the ``get`` surface.
-
-    The one batch-or-per-key adapter: uses the target's ``get_many`` when
-    it has one, else drives ``get`` per key.  Chains, tiers, the tile
-    planner and the fleet's attributing wrapper all route through this
-    pair so batch semantics cannot drift between them.
-    """
-    getter = getattr(source, "get_many", None)
-    if getter is not None:
-        return getter(keys, op, copy=copy)
-    return [source.get(key, op, copy=copy) for key in keys]
-
-
-def batch_put(target, keys, values, op: str = "?", copy: bool = True) -> None:
-    """Insert N pairs into anything with the ``put`` surface (see
-    :func:`batch_get`)."""
-    putter = getattr(target, "put_many", None)
-    if putter is not None:
-        putter(keys, values, op, copy=copy)
-    else:
-        for key, value in zip(keys, values):
-            target.put(key, value, op, copy=copy)
-
-
 def active_cache():
     """The currently installed map cache, or ``None``."""
     return _ACTIVE
-
-
-def current_tenant() -> str:
-    """The tenant of the request whose trace is currently being built.
-
-    ``""`` outside any :func:`request_context` (or for untenanted
-    requests).  Fronts that attribute cache behaviour to serving streams
-    (the fleet's :class:`~repro.fleet.WorldTileStore`) read this; nothing
-    on the compute path may branch on it — tenancy is observability, and a
-    result must never depend on who asked.
-    """
-    return _TENANT
-
-
-@contextmanager
-def request_context(tenant: str = ""):
-    """Mark the enclosed trace build as belonging to ``tenant``.
-
-    Installed by the engine around each request's functional run so cache
-    layers can attribute lookups to the stream/tenant that triggered them.
-    Nests and restores like :func:`use_map_cache`.
-    """
-    global _TENANT
-    previous = _TENANT
-    _TENANT = tenant or ""
-    try:
-        yield
-    finally:
-        _TENANT = previous
 
 
 @contextmanager

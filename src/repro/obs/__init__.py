@@ -6,13 +6,12 @@ event taxonomy, and the capture -> diff -> verdict workflow.
 """
 
 from .diff import DIFF_SCHEMA, diff_phases, render_diff, trace_diff
-from .ledger import (RecomputeLedger, TILE_CAUSES, current_ledger,
-                     ledger_frame, use_ledger)
+from .ledger import RecomputeLedger, current_ledger, ledger_frame, use_ledger
 from .metrics import (Histogram, MetricsRegistry, current_registry,
                       merge_snapshots, use_registry)
 from .recorder import FlightRecorder
-from .report import (load_ledger_events, load_trace, phase_breakdown,
-                     recompute_causes, render_report, slow_frames)
+from .report import (evictions_by_tier, load_ledger_events, load_trace,
+                     phase_breakdown, render_report, slow_frames)
 from .trace import Span, Tracer, current_tracer, span, use_tracer
 
 __all__ = [
@@ -22,18 +21,17 @@ __all__ = [
     "MetricsRegistry",
     "RecomputeLedger",
     "Span",
-    "TILE_CAUSES",
     "Tracer",
     "current_ledger",
     "current_registry",
     "current_tracer",
     "diff_phases",
+    "evictions_by_tier",
     "ledger_frame",
     "load_ledger_events",
     "load_trace",
     "merge_snapshots",
     "phase_breakdown",
-    "recompute_causes",
     "render_diff",
     "render_report",
     "slow_frames",

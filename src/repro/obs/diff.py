@@ -2,9 +2,9 @@
 
 Two trace JSONL files (``Tracer.dump_jsonl`` or flight-recorder
 sidecars) are aligned by the span taxonomy — request / trace_build /
-backend / front / plan / probe / execute / tier_io / dispatch / ipc /
-frame / round — and compared phase by phase on *self* time, the only
-basis on which deltas add up without double-counting nested spans.
+backend / dispatch / ipc / frame / round — and compared phase by phase
+on *self* time, the only basis on which deltas add up without
+double-counting nested spans.
 
 For each phase the diff reports the absolute self-time delta, the call
 counts on both sides, and the count-normalized rate (ms/call) change —

@@ -30,10 +30,9 @@ def merge_snapshots(snapshots) -> dict:
 
     Numeric leaves sum, nested dicts merge recursively, and non-numeric
     leaves (``persistent`` flags, mode strings) keep the first value.
-    Ratio keys cannot be summed; every ``*rate`` leaf is recomputed from
-    the merged counters its stats class derives it from
-    (``hits``/``lookups``, ``tile_hits``/``tile_lookups``,
-    ``cross_hits``/``lookups``) and dropped when those are absent.
+    Ratio keys cannot be summed; every ``hit_rate`` leaf is recomputed
+    from the merged ``hits``/``lookups`` counters, and any other ``*rate``
+    leaf is dropped.
     Equal-length lists of numbers (histogram bucket counts) sum
     element-wise; mismatched lists keep the first value.
     """
@@ -70,15 +69,6 @@ def merge_snapshots(snapshots) -> dict:
         lookups = node.get("lookups", 0)
         if "hit_rate" in node:
             node["hit_rate"] = node.get("hits", 0) / lookups if lookups else 0.0
-        if "cross_hit_rate" in node:
-            node["cross_hit_rate"] = (
-                node.get("cross_hits", 0) / lookups if lookups else 0.0
-            )
-        if "tile_hit_rate" in node:
-            tile_lookups = node.get("tile_lookups", 0)
-            node["tile_hit_rate"] = (
-                node.get("tile_hits", 0) / tile_lookups if tile_lookups else 0.0
-            )
         for key, value in list(node.items()):
             if value is None and key.endswith("rate"):
                 del node[key]  # no counters to recompute it from

@@ -4,9 +4,10 @@ Reads the JSONL written by ``Tracer.dump_jsonl`` (one root span tree per
 line) or by ``FlightRecorder.dump_jsonl`` (records wrapping a ``span``),
 and renders a per-phase time breakdown plus the top-N slowest frames.
 
-Self time is what attribution needs: a ``frame`` span *contains* plan /
-probe / execute, so summing raw durations per name would double-count
-every nesting level.  Each span is charged ``duration - sum(children)``.
+Self time is what attribution needs: a ``frame`` span *contains* its
+request / trace_build / backend spans, so summing raw durations per name
+would double-count every nesting level.  Each span is charged
+``duration - sum(children)``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["load_ledger_events", "load_trace", "phase_breakdown",
-           "recompute_causes", "render_report", "slow_frames"]
+__all__ = ["evictions_by_tier", "load_ledger_events", "load_trace",
+           "phase_breakdown", "render_report", "slow_frames"]
 
 
 def load_trace(path: str,
@@ -126,16 +127,17 @@ def _frame_tags(node: Dict[str, Any]) -> List[str]:
     return tags
 
 
-def recompute_causes(events: List[Dict[str, Any]]) -> Dict[str, int]:
-    """Tiles per recompute/fallback cause, across all tile events."""
-    causes: Dict[str, int] = {}
+def evictions_by_tier(events: List[Dict[str, Any]]) -> Dict[str, Dict[str, int]]:
+    """Evicted entries and bytes per cache tier, across all eviction events."""
+    tiers: Dict[str, Dict[str, int]] = {}
     for ev in events:
-        if ev.get("kind") != "tile":
+        if ev.get("kind") != "eviction":
             continue
-        cause = ev.get("cause", "?")
-        if cause.startswith("recompute") or cause.startswith("fallback"):
-            causes[cause] = causes.get(cause, 0) + int(ev.get("n", 1))
-    return causes
+        slot = tiers.setdefault(str(ev.get("tier", "?")),
+                                {"count": 0, "bytes": 0})
+        slot["count"] += 1
+        slot["bytes"] += int(ev.get("bytes", 0))
+    return tiers
 
 
 def render_report(path: str, top: int = 5,
@@ -166,15 +168,12 @@ def render_report(path: str, top: int = 5,
     events: List[Dict[str, Any]] = []
     if ledger is not None:
         events = load_ledger_events(ledger)
-        # frame tag -> recomputed/fallback tile count, for the slow-frame join
+        # frame tag -> evicted entries, for the slow-frame join
         per_frame: Dict[str, int] = {}
         for ev in events:
-            if ev.get("kind") != "tile":
-                continue
-            cause = ev.get("cause", "")
-            if cause.startswith("recompute") or cause.startswith("fallback"):
+            if ev.get("kind") == "eviction":
                 tag = str(ev.get("frame"))
-                per_frame[tag] = per_frame.get(tag, 0) + int(ev.get("n", 1))
+                per_frame[tag] = per_frame.get(tag, 0) + 1
     else:
         per_frame = {}
 
@@ -187,9 +186,9 @@ def render_report(path: str, top: int = 5,
             label = ", ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
             lines.append(f"  {node.get('name')}({label}) "
                          f"{node.get('dur_ms', 0.0):.2f} ms")
-            recomputes = sum(per_frame.get(t, 0) for t in _frame_tags(node))
-            if recomputes:
-                lines.append(f"    recomputed tiles: {recomputes}")
+            evicted = sum(per_frame.get(t, 0) for t in _frame_tags(node))
+            if evicted:
+                lines.append(f"    evicted entries: {evicted}")
             children = sorted(node.get("children", ()),
                               key=lambda c: c.get("dur_ms", 0.0), reverse=True)
             for child in children[:6]:
@@ -197,16 +196,15 @@ def render_report(path: str, top: int = 5,
                              f"{child.get('dur_ms', 0.0):>9.2f} ms")
 
     if ledger is not None:
-        causes = recompute_causes(events)
+        tiers = evictions_by_tier(events)
         lines.append("")
         lines.append(f"ledger {ledger}: {len(events)} event(s)")
-        if causes:
-            lines.append("top recompute causes:")
-            total = sum(causes.values()) or 1
-            for cause, n in sorted(causes.items(),
-                                   key=lambda kv: kv[1], reverse=True):
-                lines.append(f"  {cause:<28} {n:>8} tiles "
-                             f"{100.0 * n / total:>5.1f}%")
+        if tiers:
+            lines.append("evictions by tier:")
+            for tier, c in sorted(tiers.items(),
+                                  key=lambda kv: kv[1]["count"], reverse=True):
+                lines.append(f"  {tier:<10} {c['count']:>8} entries "
+                             f"{c['bytes'] / 1e6:>10.2f} MB")
         else:
-            lines.append("no recompute events (all tiles reused)")
+            lines.append("no evictions (every entry stayed resident)")
     return "\n".join(lines) + "\n"

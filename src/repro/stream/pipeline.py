@@ -7,17 +7,17 @@ the request seed being the frame index), drives them through a
 :class:`~repro.engine.SimulationEngine` or
 :class:`~repro.cluster.EngineCluster` *in order* — frames are a timeline,
 not a batch to reorder — and tracks what a serving operator cares about:
-per-frame latency percentiles, deadline behaviour (including dropping
-frames whose deadline already expired before dispatch), and how much
-mapping work the tile tier reused.
+per-frame latency percentiles and deadline behaviour (including dropping
+frames whose deadline already expired before dispatch).
 
-By default a session builds its own single engine with a
-:class:`~repro.stream.incremental.TileMapCache` front and requests
-geometry-only execution for networks whose mapping reads coordinates
-only (the SparseConv models and PointNet++(c), (ps) and (s), whose trace
-is a pure function of coordinates — see :mod:`repro.nn.ghost`).  Pass a
-pre-built ``engine=`` or ``cluster=`` to reuse existing fleets; the
-session then respects their cache configuration.
+By default a session builds its own single engine with the default
+:class:`~repro.engine.MapCache` and requests geometry-only execution for
+networks whose mapping reads coordinates only (the SparseConv models and
+PointNet++(c), (ps) and (s), whose trace is a pure function of
+coordinates — see :mod:`repro.nn.ghost`).  kNN and ball query run on
+each whole frame through the selection kernels of :mod:`repro.mapping`.
+Pass a pre-built ``engine=`` or ``cluster=`` to reuse existing fleets;
+the session then respects their cache configuration.
 """
 
 from __future__ import annotations
@@ -27,26 +27,12 @@ import time
 from dataclasses import dataclass, field
 
 from ..engine.engine import SimRequest, SimResult, SimulationEngine
-from ..engine.map_cache import MapCache
 from ..nn.models.registry import resolve_geometry_only
 from ..obs.ledger import current_ledger
 from ..obs.trace import current_tracer, span
-from .incremental import TileMapCache
 from .sequence import FrameSequence
 
-__all__ = ["FrameResult", "StreamSession", "StreamStats", "streaming_map_cache"]
-
-
-def streaming_map_cache() -> MapCache:
-    """The L1 sizing every streaming/fleet executor uses.
-
-    Tile-decomposed kNN and ball query produce thousands of tile
-    sub-entries per frame; an engine's default 4096-entry L1 would evict
-    a frame's tiles before the next frame (or the next vehicle) could
-    reuse them.  One factory so the session-built engine, the fleet's
-    cluster shards, and the CLI's cluster path cannot drift apart.
-    """
-    return MapCache(max_entries=1 << 16, max_bytes=512 * 1024 * 1024)
+__all__ = ["FrameResult", "StreamSession", "StreamStats"]
 
 
 @dataclass
@@ -125,19 +111,13 @@ class StreamSession:
         ``"MinkNet(o)"``) over ``sequence``'s frames at ``scale``.
     engine / cluster:
         Optional pre-built executor (at most one); when neither is given
-        the session builds a single engine with a tile front from the
-        ``tile_*`` parameters.
-    tile_size / halo / min_points / use_tiles:
-        Tile-front configuration for the session-built engine (ignored
-        when an executor is injected — configure that executor instead),
-        passed straight to
-        :class:`~repro.stream.incremental.TileMapCache`; ``use_tiles=False``
-        leaves only the whole-op digest tiers.
+        the session builds a single engine with the default map cache.
+    backends:
+        Backends of the session-built engine (ignored when an executor is
+        injected).
     tenant:
-        The QoS/attribution identity stamped on every frame request
-        (default ``"stream"``).  Fleet serving (:mod:`repro.fleet`) gives
-        each stream its own tenant so fair-share accounting and
-        cross-stream tile attribution can tell vehicles apart.
+        The QoS identity stamped on every frame request (default
+        ``"stream"``), the fair-share bucket of a cluster's QoS layer.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution exactly for
         networks whose registry entry declares ``coords_only_mapping``
@@ -163,10 +143,6 @@ class StreamSession:
         cluster=None,
         backends=("pointacc",),
         scale: float = 0.25,
-        tile_size: float = 4.0,
-        halo: int = 1,
-        min_points: int = 256,
-        use_tiles: bool = True,
         tenant: str = "stream",
         geometry_only: bool | str = "auto",
         deadline_ms: float | None = None,
@@ -188,21 +164,8 @@ class StreamSession:
         self.drop_late = bool(drop_late)
         if engine is not None or cluster is not None:
             self.executor = engine if engine is not None else cluster
-            self.tile_cache = getattr(self.executor, "tile_cache", None)
         else:
-            self.tile_cache = (
-                TileMapCache(
-                    tile_size=tile_size, halo=halo, min_points=min_points,
-                )
-                if use_tiles
-                else None
-            )
-            self.executor = SimulationEngine(
-                backends=backends,
-                policy="fifo",
-                map_cache=streaming_map_cache(),
-                tile_cache=self.tile_cache,
-            )
+            self.executor = SimulationEngine(backends=backends, policy="fifo")
         self._stats = StreamStats()
         self._next_frame = 0
         self._clock = 0.0  # session-relative seconds consumed so far
@@ -293,21 +256,12 @@ class StreamSession:
         return self._stats
 
     def summary(self) -> dict:
-        """Session + tile + executor stats in one serializable dict."""
+        """Session + executor stats in one serializable dict."""
         out = self._stats.summary()
         out["benchmark"] = self.benchmark
         out["sequence"] = self.sequence.token
         out["geometry_only"] = self.geometry_only
-        executor_stats = self.executor.stats().summary()
-        if executor_stats.get("workers"):
-            # Worker-mode cluster: each process holds its own copy of the
-            # tile front, so the parent-side object never sees a hit; the
-            # merged per-worker snapshot is the session-level truth.
-            if executor_stats.get("front"):
-                out["tiles"] = executor_stats["front"]
-        elif self.tile_cache is not None:
-            out["tiles"] = self.tile_cache.stats().snapshot()
-        out["executor"] = executor_stats
+        out["executor"] = self.executor.stats().summary()
         ledger = current_ledger()
         if ledger is not None:
             out["ledger"] = ledger.summary()

@@ -5,10 +5,9 @@ A :class:`FrameSequence` models the continuous point-cloud analytics regime
 sensor traveling through a street-like static world, with moving objects
 and per-frame sensor clutter.  Frames are expressed in *world* coordinates
 — scan registration is assumed done upstream, as in any mapping/SLAM
-pipeline — which is what makes temporal overlap exploitable: a static
-world point has bit-identical coordinates in every frame that sees it, so
-spatial tiles away from the churn are byte-equal between frames and the
-incremental tier (:mod:`repro.stream.incremental`) can reuse their maps.
+pipeline — so a static world point has bit-identical coordinates in
+every frame that sees it, and consecutive frames share most of their
+points exactly.
 
 Churn comes from three honest sources:
 
@@ -22,7 +21,7 @@ Churn comes from three honest sources:
 
 Everything is a pure function of ``(config, scale, frame_index)``; frames
 keep stable point order for unchanged world points (static world order,
-filtered), which tile digests rely on.
+filtered).
 
 Sequences register as a ``stream`` cloud-source scheme
 (:func:`repro.nn.models.registry.register_cloud_scheme`): the notation
@@ -57,7 +56,7 @@ class SequenceConfig:
     ``start_x`` share the *same* static world and dynamic shapes, bit for
     bit — they are two vehicles driving the same road.  That is the fleet
     regime (:mod:`repro.fleet`): their frames overlap wherever their FOVs
-    do, so world tiles computed by one stream serve the other.  Keep
+    do.  Keep
     ``start_x`` within a couple of frame-steps of zero — the built strip
     is sized for the zero-offset trajectory, and a far-offset vehicle
     drives off the end of the world (deterministically, but emptily).
@@ -202,8 +201,7 @@ class FrameSequence:
 
         Point order is canonical — static world order first (so unchanged
         regions keep identical bytes between frames), then dynamic objects
-        in object order, then clutter — which is what gives spatial tiles
-        their frame-to-frame stability.
+        in object order, then clutter.
         """
         if index < 0:
             raise ValueError(f"frame index must be >= 0, got {index}")
@@ -228,8 +226,7 @@ class FrameSequence:
             parts.append(posed)
         # Clutter is sensor-proximal (dust/exhaust/ground splash around the
         # ego vehicle), not uniform over the FOV: real clutter returns
-        # cluster near the sensor, and spatially-bounded churn is what
-        # keeps the rest of the world's tiles byte-stable.
+        # cluster near the sensor, and the churn stays spatially bounded.
         n_clutter = max(1, int(cfg.clutter_points * scale))
         crng = self._sensor_rng(5, index)
         clutter = np.column_stack([

@@ -17,7 +17,7 @@ from repro.engine import SimRequest
 def _spec(**overrides):
     base = dict(
         backends=("pointacc",), policy="fifo", map_cache="auto",
-        l2=None, cache_dir=None, tile_cache=None,
+        l2=None, cache_dir=None,
         reuse_traces=True, overlap=False,
     )
     base.update(overrides)
@@ -127,13 +127,3 @@ class TestMergeSnapshots:
         assert merge_snapshots([{}, {}]) == {}
         merged = merge_snapshots([{"hits": 0, "lookups": 0, "hit_rate": 0.0}])
         assert merged["hit_rate"] == 0.0
-
-    def test_tile_and_cross_rates(self):
-        merged = merge_snapshots([
-            {"tile_hits": 2, "tile_lookups": 4, "tile_hit_rate": 0.5,
-             "cross_hits": 1, "lookups": 10, "cross_hit_rate": 0.1},
-            {"tile_hits": 2, "tile_lookups": 4, "tile_hit_rate": 0.5,
-             "cross_hits": 3, "lookups": 10, "cross_hit_rate": 0.3},
-        ])
-        assert merged["tile_hit_rate"] == pytest.approx(0.5)
-        assert merged["cross_hit_rate"] == pytest.approx(0.2)

@@ -130,6 +130,29 @@ class TestMPUPipeline:
             assert pipe.verify_fps(cloud * 0.1, 8)
             assert pipe.verify_fps(rng.permutation(grid) * 0.1, 10)
 
+    def test_knn_ranks_exact_distances_of_tiny_clouds(self):
+        """Clouds 1e-4 across: their squared distances sit far below any
+        fixed-point grid, yet every neighbour must rank as the reference
+        ranks it."""
+        pipe = MPUPipeline()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            refs = rng.random((40, 3)) * 1e-4
+            assert pipe.verify_knn(refs[:10] + 1e-5, refs, 5)
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.1])
+    def test_knn_matches_reference_on_lattices(self, spacing):
+        """Lattices are full of equidistant neighbours.  At spacing 1 the
+        distances are exact, so ties break by index; at 0.1 "equal"
+        distances may differ in the last bit, and each must rank by the
+        reference's own value, not by a rounded one."""
+        pipe = MPUPipeline()
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            refs = rng.integers(-2, 3, size=(int(rng.integers(5, 40)), 3))
+            queries = rng.integers(-2, 3, size=(6, 3))
+            assert pipe.verify_knn(queries * spacing, refs * spacing, 5)
+
     def test_stage_names_constant(self):
         assert STAGES == ("FS", "CD", "ST", "BF", "MS", "DI")
 

@@ -24,14 +24,8 @@ def _spec(name, start_x=0.0, seed=5, n_frames=2,
                       scale=SCALE, n_frames=n_frames, **kwargs)
 
 
-def _tiled(name, start_x=0.0, **kwargs):
-    """A stream whose kNN / ball-query calls run through the tile front."""
-    return _spec(name, start_x, benchmark="PointNet++(c)", **kwargs)
-
-
 def _fleet(specs, **kwargs):
     kwargs.setdefault("n_shards", 1)
-    kwargs.setdefault("min_points", 64)
     return FleetSession(specs, **kwargs)
 
 
@@ -91,42 +85,18 @@ class TestMechanics:
             assert (tally["deadline_met"], tally["deadline_missed"]) == want
             assert [f.result.deadline_met for f in frames] == [want[0] > 0] * 2
 
-    def test_cross_stream_hits_on_shared_world(self):
-        fleet = _fleet([_tiled("a", 0.0), _tiled("b", 0.5)])
-        fleet.run()
-        ws = fleet.world_store.stats()
-        assert ws.cross_hits > 0
-        assert ws.shared_keys > 0
-        summary = fleet.summary()
-        assert summary["world_tiles"]["cross_hits"] == ws.cross_hits
-        # The cluster surfaces the same front snapshot.
-        assert fleet.executor.stats().front["cross_hits"] == ws.cross_hits
-
-    def test_disjoint_worlds_share_nothing(self):
-        fleet = _fleet([_tiled("a", seed=5), _tiled("b", seed=6)])
-        fleet.run()
-        assert fleet.world_store.stats().cross_hits == 0
-
-    def test_share_world_tiles_off(self):
-        fleet = _fleet([_tiled("a", 0.0), _tiled("b", 1.0)],
-                       share_world_tiles=False)
-        assert fleet.world_store is None
-        results = fleet.run()
-        assert all(f.completed for frames in results.values() for f in frames)
-        assert "world_tiles" not in fleet.summary()
-        assert fleet.summary()["tiles"]["tile_hits"] > 0
-
     def test_engine_executor(self):
-        fleet = _fleet([_tiled("a", 0.0), _tiled("b", 1.0)], n_shards=0)
+        fleet = _fleet([_spec("a", 0.0, benchmark="PointNet++(c)"),
+                        _spec("b", 1.0, benchmark="PointNet++(c)")],
+                       n_shards=0)
         results = fleet.run()
         assert all(f.completed for frames in results.values() for f in frames)
-        assert fleet.world_store.stats().cross_hits > 0
+        assert fleet.executor.stats().requests == 4
 
     def test_injected_cluster(self):
         cluster = EngineCluster(n_shards=1)
         fleet = FleetSession([_spec("a")], cluster=cluster)
         assert fleet.executor is cluster
-        assert fleet.world_store is None
         assert all(f.completed for f in fleet.run()["a"])
 
 

@@ -1,148 +1,144 @@
-"""WorldTileStore: chained-front attribution stays exact.
+"""The fleet's shared world store: attribution through the tiers stays exact.
 
-The store wraps the streaming tile front and books every chain sub-lookup
-against the requesting stream.  These tests pin the accounting contract
-of the chained fronts: per op, the world store's
-``self + cross + external`` hits equal the inner front's hits and its
-misses equal the inner front's misses (attribution may never invent or
-drop a lookup), the chain's tier stats still see every sub-lookup, and
-the classification itself follows ownership (same tenant -> self,
-other tenant -> cross, unknown owner -> external).
+A fleet's streams share mapping results only through its executor's
+whole-op tiers: each shard's L1 :class:`MapCache` in front of one shared
+:class:`SharedMapStore` L2 (with its optional disk spill).  These tests
+pin the accounting contract of that chain: every chain lookup is one L1
+probe, every L1 miss is one L2 probe, and a chain misses exactly when the
+L2 does (accounting may never invent or drop a lookup); a hit is
+classified by the tier that served it — the requesting shard's own L1
+(self), the shared L2 (cross), or the disk spill of an earlier run
+(external) — and sharing never changes an answer.
 """
 
 import numpy as np
 import pytest
 
+from repro.cluster.store import SharedMapStore
 from repro.engine import MapCache
-from repro.fleet import WorldTileStore
 from repro.mapping.ball_query import ball_query_indices
-from repro.mapping.hooks import TieredLookup, request_context, use_map_cache
+from repro.mapping.hooks import TieredLookup, use_map_cache
 from repro.mapping.knn import knn_indices
-from repro.stream import TileMapCache
 
 
-def _store(**kwargs):
-    kwargs.setdefault("min_points", 1)
-    inner = TileMapCache(**kwargs)
-    store = WorldTileStore(inner)
-    chain = TieredLookup([MapCache(max_entries=1 << 15)], front=store)
-    return inner, store, chain
+def _shards(n=2, l2=None):
+    """``n`` shard chains over one shared L2, as a fleet's cluster has."""
+    l2 = l2 if l2 is not None else SharedMapStore()
+    l1s = [MapCache(max_entries=1 << 15) for _ in range(n)]
+    return l2, l1s, [TieredLookup([l1, l2]) for l1 in l1s]
 
 
 def _cloud(rng, n=400, span=16.0):
     return rng.uniform(0, span, (n, 3))
 
 
-def _assert_counts_sum(store, inner):
-    """Attribution must be a partition of the inner front's counters."""
-    ws = store.stats()
-    ts = inner.stats()
-    assert ws.hits == ts.tile_hits
-    assert ws.misses == ts.tile_misses
-    assert set(ws.by_op) == set(ts.by_op)
-    for op, world in ws.by_op.items():
-        assert (
-            world["self_hits"] + world["cross_hits"] + world["external_hits"]
-            == ts.by_op[op]["hits"]
-        ), op
-        assert world["misses"] == ts.by_op[op]["misses"], op
+def _assert_counts_sum(l2, l1s, chains):
+    """Attribution must be a partition of the tiers' counters."""
+    for l1, chain in zip(l1s, chains):
+        stats = chain.stats()
+        assert stats.lookups == l1.stats().lookups
+        for op, counts in stats.by_op.items():
+            assert sum(counts.values()) == sum(l1.stats().by_op[op].values())
+    assert l2.stats().lookups == sum(l1.stats().misses for l1 in l1s)
+    assert l2.stats().misses == sum(c.stats().misses for c in chains)
 
 
 class TestAttribution:
     def test_self_vs_cross_classification(self, rng):
-        inner, store, chain = _store(tile_size=4.0)
+        l2, (l1_a, l1_b), (veh0, veh1) = _shards()
         cloud = _cloud(rng)
-        with use_map_cache(chain):
-            with request_context("veh0"):
-                knn_indices(cloud, cloud, 4)   # veh0 computes everything
-            with request_context("veh0"):
-                knn_indices(cloud, cloud, 4)   # veh0 again: self hits
-            with request_context("veh1"):
-                knn_indices(cloud, cloud, 4)   # veh1: cross hits
-        ws = store.stats()
-        assert ws.misses > 0 and ws.self_hits > 0 and ws.cross_hits > 0
-        assert ws.self_hits == ws.cross_hits  # identical replays
-        assert ws.shared_keys > 0
-        assert ws.by_stream["veh0"]["misses"] > 0
-        assert ws.by_stream["veh1"]["hits"] == ws.cross_hits
-        _assert_counts_sum(store, inner)
+        with use_map_cache(veh0):
+            knn_indices(cloud, cloud, 4)   # veh0 computes
+            knn_indices(cloud, cloud, 4)   # veh0 again: its own L1 (self)
+        with use_map_cache(veh1):
+            knn_indices(cloud, cloud, 4)   # veh1: the shared L2 (cross)
+        assert l1_a.stats().by_op["knn"] == {"hits": 1, "misses": 1}
+        assert l1_b.stats().by_op["knn"] == {"hits": 0, "misses": 1}
+        assert l2.stats().by_op["knn"] == {"hits": 1, "misses": 1}
+        assert veh1.stats().by_op["knn"] == {"hits": 1, "misses": 0}
+        # The cross hit was promoted: veh1 now serves it from its own L1.
+        with use_map_cache(veh1):
+            knn_indices(cloud, cloud, 4)
+        assert l1_b.stats().by_op["knn"] == {"hits": 1, "misses": 1}
+        _assert_counts_sum(l2, [l1_a, l1_b], [veh0, veh1])
 
     def test_results_identical_through_wrapping(self, rng):
-        """The wrapper is observability only: same answers as the bare
-        front, bit for bit."""
+        """Sharing is wall-clock only: same answers as the bare kernel,
+        bit for bit, whichever tier serves them."""
         queries = _cloud(rng, n=500)
         expect = knn_indices(queries, queries, 5)
-        _, _, chain = _store(tile_size=4.0)
-        with use_map_cache(chain), request_context("veh0"):
+        _, _, (veh0, veh1) = _shards()
+        with use_map_cache(veh0):
             cold = knn_indices(queries, queries, 5)
-        with use_map_cache(chain), request_context("veh1"):
+        with use_map_cache(veh1):
             warm = knn_indices(queries, queries, 5)
-        assert np.array_equal(expect[0], cold[0])
-        assert np.array_equal(expect[0], warm[0])
+        for got in (cold, warm):
+            assert np.array_equal(expect[0], got[0])
+            assert np.array_equal(expect[1], got[1])
 
-    def test_external_hits_on_unowned_keys(self, rng):
-        """Entries already in the chain with no ownership record (a disk
-        warm-start, in production) classify as external, not cross."""
+    def test_external_hits_on_unowned_keys(self, rng, tmp_path):
+        """Entries on disk from an earlier run (no live shard computed
+        them) are served from the spill, not recomputed."""
         cloud = _cloud(rng)
-        tier = MapCache(max_entries=1 << 15)
-        inner_a = TileMapCache(min_points=1, tile_size=4.0)
-        chain_a = TieredLookup([tier], front=inner_a)
-        with use_map_cache(chain_a), request_context("veh0"):
-            knn_indices(cloud, cloud, 4)  # populate the tier, no store
-        inner, store, _ = _store(tile_size=4.0)
-        chain_b = TieredLookup([tier], front=store)
-        with use_map_cache(chain_b), request_context("veh1"):
-            knn_indices(cloud, cloud, 4)
-        ws = store.stats()
-        assert ws.external_hits > 0 and ws.cross_hits == 0
-        _assert_counts_sum(store, inner)
+        expect = knn_indices(cloud, cloud, 4)
+        _, _, (first,) = _shards(1, SharedMapStore(cache_dir=tmp_path))
+        with use_map_cache(first):
+            knn_indices(cloud, cloud, 4)  # populate the spill
+        l2, l1s, chains = _shards(2, SharedMapStore(cache_dir=tmp_path))
+        with use_map_cache(chains[1]):
+            got = knn_indices(cloud, cloud, 4)
+        assert l2.disk_hits == 1
+        assert chains[1].stats().by_op["knn"] == {"hits": 1, "misses": 0}
+        assert np.array_equal(expect[0], got[0])
+        assert np.array_equal(expect[1], got[1])
+        _assert_counts_sum(l2, l1s, chains)
 
     def test_counts_sum_across_ops_and_fronts(self, rng):
-        """Mixed op traffic (kNN + ball-query tiles) through two tenants:
-        per-op counts line up front-to-front and reach the tier."""
-        inner, store, chain = _store(tile_size=4.0)
+        """Mixed op traffic (kNN + ball query) from two shards: per-op
+        counts line up tier to tier."""
+        l2, l1s, chains = _shards()
         cloud = _cloud(rng, n=600)
-        with use_map_cache(chain):
-            for tenant in ("veh0", "veh1"):
-                with request_context(tenant):
-                    knn_indices(cloud, cloud, 4)
-                    ball_query_indices(cloud, cloud, 2.0, 6)
-        _assert_counts_sum(store, inner)
-        ws = store.stats()
-        assert {"knn", "ball_query"} <= set(ws.by_op)
-        # Every sub-lookup the fronts booked is also visible in the tier.
-        tier_by_op = chain.stats().snapshot()["tiers"][0]["by_op"]
+        for chain in chains:
+            with use_map_cache(chain):
+                knn_indices(cloud, cloud, 4)
+                ball_query_indices(cloud, cloud, 2.0, 6)
+        _assert_counts_sum(l2, l1s, chains)
         for op in ("knn", "ball_query"):
-            tier_counts = tier_by_op[op + "/tile"]
-            assert (
-                tier_counts["hits"] + tier_counts["misses"]
-                == ws.by_op[op]["misses"]
-                + ws.by_op[op]["self_hits"]
-                + ws.by_op[op]["cross_hits"]
-                + ws.by_op[op]["external_hits"]
-            )
+            assert l2.stats().by_op[op] == {"hits": 1, "misses": 1}
+            total = sum(sum(c.stats().by_op[op].values()) for c in chains)
+            assert total == 2
 
-    def test_ownership_book_is_bounded(self, rng):
-        inner, store, chain = _store(tile_size=2.0)
-        store.max_owned_keys = 8
-        cloud = _cloud(rng, n=600, span=30.0)
-        with use_map_cache(chain), request_context("veh0"):
-            knn_indices(cloud, cloud, 3)
-        assert len(store._owners) <= 8
+    def test_ownership_book_is_bounded(self, rng, monkeypatch):
+        """The shared store keeps at most ``max_entries`` results, and its
+        book of evicted digests (which tells capacity misses from cold
+        ones) stays bounded too."""
+        import repro.engine.map_cache as map_cache
+
+        monkeypatch.setattr(map_cache, "_EVICTED_MEMORY", 4)
+        l2, l1s, (chain,) = _shards(1, SharedMapStore(max_entries=8))
+        clouds = [_cloud(rng, n=40) for _ in range(20)]
+        with use_map_cache(chain):
+            for cloud in clouds:
+                knn_indices(cloud, cloud, 3)
+        assert len(l2) <= 8 and l2.stats().evictions == 12
+        assert len(l2._evicted) <= 4
 
     def test_snapshot_shape(self, rng):
-        inner, store, chain = _store(tile_size=4.0)
+        l2, _, (chain,) = _shards(1)
         cloud = _cloud(rng)
-        with use_map_cache(chain), request_context("veh0"):
+        with use_map_cache(chain):
             knn_indices(cloud, cloud, 4)
-        snap = store.stats().snapshot()
-        assert snap["lookups"] == snap["self_hits"] + snap["cross_hits"] + \
-            snap["external_hits"] + snap["misses"]
-        assert "by_op" in snap and "by_stream" in snap
-        assert snap["shared_keys"] == 0
+        snap = chain.stats().snapshot()
+        assert snap["lookups"] == snap["hits"] + snap["misses"] == 1
+        assert "by_op" in snap and "front" not in snap
+        assert len(snap["tiers"]) == 2
+        assert snap["tiers"][1] == l2.stats().snapshot()
+        assert snap["tiers"][1]["disk_hits"] == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WorldTileStore(None)
+            TieredLookup([None, None])
         with pytest.raises(ValueError):
-            WorldTileStore(TileMapCache(), max_owned_keys=0)
+            SharedMapStore(max_entries=0)
+        with pytest.raises(ValueError):
+            SharedMapStore(max_disk_bytes=0)

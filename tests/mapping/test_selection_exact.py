@@ -6,15 +6,16 @@ brute-force reference (full-row lexsort, ``einsum`` loop).  These
 properties pin the two together on the inputs where a selection can go
 wrong: duplicate points, lattices full of equidistant neighbours, ties at
 exactly the k-th distance, a radius exactly at a lattice distance, rows
-with nothing in radius, fewer references than k, and clouds spanning
-several row blocks (forced small by shrinking the block budget).
+with more than k pairs in radius, rows with nothing in radius, fewer
+references than k, and clouds spanning several row blocks (forced small
+by shrinking the block budget).
 """
 
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.mapping import (
@@ -25,7 +26,6 @@ from repro.mapping import (
     knn_bruteforce,
     knn_indices,
 )
-from repro.mapping.ball_query import _ball_query_compute
 from repro.mapping.fps import coordinate_columns, squared_distances_to
 from repro.pointcloud import coords
 
@@ -85,16 +85,40 @@ def test_ball_query_equals_bruteforce(queries, references, k, radius, block):
                                                      radius, k))
 
 
-@given(queries=clouds(), references=clouds(), k=st.integers(1, 45),
-       radius=st.sampled_from([0.1, 1.0, 2 ** 0.5, 2.0]), block=BLOCKS)
-@settings(max_examples=100, deadline=None)
-def test_ball_query_counts_every_reference_in_radius(queries, references, k,
-                                                     radius, block):
-    """The tile front's certificate reads these counts."""
-    with block_bytes(block):
-        _, in_radius = _ball_query_compute(queries, references, radius, k)
+@given(queries=clouds(max_points=12), references=clouds(max_points=80),
+       k=st.integers(1, 8),
+       radius=st.sampled_from([1.0, 2 ** 0.5, 2.0, 3.0, 100.0]),
+       block=BLOCKS)
+@settings(max_examples=300, deadline=None)
+def test_ball_query_dense_rows_equal_bruteforce(queries, references, k,
+                                                radius, block):
+    """Rows with more than k pairs in radius are cut at their k-th
+    smallest distance before the sort, ties at that distance kept; on
+    lattices the k-th distance is tied more often than not."""
     sq = coords.pairwise_squared_distance(queries, references)
-    assert np.array_equal(in_radius, (sq <= radius * radius).sum(axis=1))
+    assume(((sq <= radius * radius).sum(axis=1) > k).any())
+    with block_bytes(block):
+        got = ball_query_indices(queries, references, radius, k)
+    assert np.array_equal(got, ball_query_bruteforce(queries, references,
+                                                     radius, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 6, 8])
+def test_ball_query_keeps_every_tie_at_the_kth_distance(k):
+    """One reference at distance 0.5 and six at exactly 1 in radius 1.5,
+    two more outside it: for k = 2, 4 and 6 the row holds more than k
+    pairs and its k-th distance is tied, and the lowest-index ties win."""
+    axes = np.concatenate([np.eye(3), -np.eye(3)])
+    references = np.concatenate([
+        [[1.2, 1.2, 0.0], [0.0, 0.0, 0.5]], axes[::-1], [[1.2, 0.0, 1.2]],
+    ])
+    query = np.zeros((1, 3))
+    got = ball_query_indices(query, references, 1.5, k)
+    expect = [1, 2, 3, 4, 5, 6, 7][:k]
+    expect += [1] * (k - len(expect))  # only 7 in radius: pad with nearest
+    assert got.tolist() == [expect]
+    assert np.array_equal(got, ball_query_bruteforce(query, references,
+                                                     1.5, k))
 
 
 @given(references=clouds(), k=st.integers(1, 10), block=BLOCKS)

@@ -44,13 +44,11 @@ class TestStreamCoverage:
             assert 0.9 <= coverage <= 1.0 + 1e-9
 
     def test_expected_phases_appear(self):
-        # PointNet++: its kNN / ball-query calls run the tile front.
         tracer = Tracer()
         with use_tracer(tracer):
             _session("PointNet++(c)").run(2)
         names = {node.name for root in tracer.roots for node in root.walk()}
-        for expected in ("frame", "request", "trace_build", "front", "plan",
-                         "probe", "execute", "tier_io", "backend"):
+        for expected in ("frame", "request", "trace_build", "backend"):
             assert expected in names, f"missing span {expected!r}"
 
     def test_tracing_preserves_bit_identity(self):
@@ -66,8 +64,7 @@ class TestStreamCoverage:
     def test_disabled_sites_cost_under_2pct_of_a_frame(self):
         """Estimate the disabled-tracer tax on one warm streaming frame:
         (instrumentation sites crossed) x (per-site disabled cost) must
-        stay under 2% of the frame's measured wall time.  PointNet++: its
-        frames cross the tile front's per-call sites."""
+        stay under 2% of the frame's measured wall time."""
         session = _session("PointNet++(c)")
         session.run(2)  # warm the caches; steady-state frames from here
         tracer = Tracer()
@@ -76,7 +73,9 @@ class TestStreamCoverage:
             session.run(1)
             frame_wall = time.perf_counter() - t0
         sites = sum(1 for root in tracer.roots for _ in root.walk())
-        assert sites > 10  # the frame actually crossed the instrumentation
+        # frame, request, trace_build, backend: the frame actually crossed
+        # the instrumentation.
+        assert sites >= 4
         n = 20_000
         best = float("inf")
         for _ in range(3):

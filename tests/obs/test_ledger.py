@@ -7,7 +7,6 @@ import pytest
 
 from repro.obs.ledger import (
     RecomputeLedger,
-    TILE_CAUSES,
     current_ledger,
     ledger_frame,
     use_ledger,
@@ -18,28 +17,11 @@ class TestEvents:
     def test_ring_bound_drops_oldest_but_keeps_totals(self):
         ledger = RecomputeLedger(max_events=4)
         for i in range(6):
-            ledger.tile("knn", "recompute(cold)", n=1)
+            ledger.eviction("memory", f"k{i}", 10)
         assert len(ledger.events()) == 4
         assert ledger.dropped == 2
         # Aggregates are exact regardless of the ring wrapping.
-        assert ledger.causes["recompute(cold)"] == 6
-
-    def test_tile_strips_op_suffix_and_ignores_empty(self):
-        ledger = RecomputeLedger()
-        ledger.tile("knn/tile", "l1_hit", n=3)
-        ledger.tile("knn/tile", "l1_hit", n=0)
-        (event,) = ledger.events()
-        assert event["op"] == "knn"
-        assert event["n"] == 3
-
-    def test_call_accounting_splits_probe_hits_from_planned(self):
-        ledger = RecomputeLedger()
-        ledger.call("knn", 0, cause="probe_hit")
-        ledger.call("knn", 12)
-        assert ledger.calls == 2
-        assert ledger.probe_hits == 1
-        assert ledger.planned_tiles == 12
-        assert ledger.causes["probe_hit"] == 1
+        assert ledger.evictions["memory"] == {"count": 6, "bytes": 60}
 
     def test_eviction_aggregates_per_tier(self):
         ledger = RecomputeLedger()
@@ -55,39 +37,23 @@ class TestEvents:
 
 
 class TestSummaryAndDump:
-    def test_summary_counts_recomputed_tiles(self):
-        ledger = RecomputeLedger()
-        ledger.call("knn", 10)
-        ledger.tile("knn", "l1_hit", 4)
-        ledger.tile("knn", "recompute(cold)", 5)
-        ledger.tile("knn", "recompute(halo_moved)", 1)
-        summary = ledger.summary()
-        assert summary["planned_tiles"] == 10
-        assert summary["recomputed_tiles"] == 6
-        assert summary["causes"]["l1_hit"] == 4
-        assert summary["dropped"] == 0
-
-    def test_every_tile_cause_is_summarizable(self):
-        ledger = RecomputeLedger()
-        for cause in TILE_CAUSES:
-            if cause == "probe_hit":
-                ledger.call("knn", 0, cause="probe_hit")
-            else:
-                ledger.tile("knn", cause, 2)
-        assert set(ledger.summary()["causes"]) == set(TILE_CAUSES)
-
     def test_dump_jsonl_one_parseable_object_per_event(self, tmp_path):
         ledger = RecomputeLedger()
         with use_ledger(ledger), ledger_frame("f7"):
-            ledger.tile("ball_query", "l2_hit", 2)
-            ledger.call("knn", 3)
+            ledger.eviction("memory", "aa", 100)
+            ledger.eviction("disk", "bb", 7)
         path = tmp_path / "ledger.jsonl"
         assert ledger.dump_jsonl(str(path)) == 2
         events = [json.loads(line) for line in path.read_text().splitlines()]
-        assert events[0] == {"kind": "tile", "frame": "f7",
-                             "op": "ball_query", "cause": "l2_hit", "n": 2}
-        assert events[1] == {"kind": "call", "frame": "f7", "op": "knn",
-                             "cause": "planned", "tiles": 3}
+        assert events[0] == {"kind": "eviction", "frame": "f7",
+                             "tier": "memory", "key": "aa", "bytes": 100}
+        assert events[1] == {"kind": "eviction", "frame": "f7",
+                             "tier": "disk", "key": "bb", "bytes": 7}
+        assert ledger.summary() == {
+            "events": 2, "dropped": 0,
+            "evictions": {"memory": {"count": 1, "bytes": 100},
+                          "disk": {"count": 1, "bytes": 7}},
+        }
 
 
 class TestContext:
@@ -104,10 +70,10 @@ class TestContext:
     def test_ledger_frame_stamps_and_restores(self):
         ledger = RecomputeLedger()
         with use_ledger(ledger):
-            ledger.tile("knn", "l1_hit", 1)
+            ledger.eviction("memory", "a", 1)
             with ledger_frame("f0"):
-                ledger.tile("knn", "l1_hit", 1)
-            ledger.tile("knn", "l1_hit", 1)
+                ledger.eviction("memory", "b", 1)
+            ledger.eviction("memory", "c", 1)
         frames = [e["frame"] for e in ledger.events()]
         assert frames == [None, "f0", None]
 
@@ -128,3 +94,28 @@ class TestContext:
                 current_ledger()
             best = min(best, time.perf_counter() - t0)
         assert best / n < 5e-6
+
+
+class TestReport:
+    def test_trace_report_joins_evictions_by_frame(self, tmp_path):
+        """``trace-report --ledger-file``: evictions per tier, and each
+        slow frame annotated with the evictions its build caused."""
+        from repro.obs.report import render_report
+
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(json.dumps(
+            {"name": "frame", "attrs": {"index": i}, "dur_ms": 10.0 + i,
+             "children": []}) for i in range(2)) + "\n")
+        ledger = RecomputeLedger()
+        with use_ledger(ledger), ledger_frame("f1"):
+            ledger.eviction("memory", "aa", 2_000_000)
+            ledger.eviction("memory", "bb", 1_000_000)
+        path = tmp_path / "ledger.jsonl"
+        ledger.dump_jsonl(str(path))
+        out = render_report(str(trace), top=2, ledger=str(path))
+        assert "evictions by tier:" in out
+        assert "memory            2 entries       3.00 MB" in out
+        slow = out.split("top 2 slow frame(s):")[1]
+        first, second = slow.split("frame(index=0)")
+        assert "frame(index=1)" in first and "evicted entries: 2" in first
+        assert "evicted entries" not in second

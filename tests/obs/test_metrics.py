@@ -82,8 +82,6 @@ WORKER_SNAPSHOTS = [
         "map_cache": {"hits": 10, "misses": 2, "lookups": 12,
                       "hit_rate": 10 / 12,
                       "by_op": {"knn": {"hits": 4, "misses": 1}}},
-        "front": {"tile_hits": 30, "tile_lookups": 40,
-                  "tile_hit_rate": 0.75},
         "l2": {"hits": 3, "misses": 1, "lookups": 4, "hit_rate": 0.75,
                "persistent": False},
     },
@@ -92,8 +90,6 @@ WORKER_SNAPSHOTS = [
         "map_cache": {"hits": 2, "misses": 6, "lookups": 8,
                       "hit_rate": 0.25,
                       "by_op": {"knn": {"hits": 2, "misses": 3}}},
-        "front": {"tile_hits": 10, "tile_lookups": 60,
-                  "tile_hit_rate": 10 / 60},
         "l2": {"hits": 1, "misses": 3, "lookups": 4, "hit_rate": 0.25,
                "persistent": True},
     },
@@ -116,7 +112,6 @@ class TestMergeEquivalence:
         assert merged["map_cache"]["lookups"] == 20
         assert merged["map_cache"]["hit_rate"] == 12 / 20  # recomputed
         assert merged["map_cache"]["by_op"]["knn"] == {"hits": 6, "misses": 4}
-        assert merged["front"]["tile_hit_rate"] == 40 / 100
         assert merged["l2"]["persistent"] is False  # first value kept
 
     def test_histogram_lists_sum_elementwise(self):

@@ -2,15 +2,13 @@
 
 The acceptance contract of ``repro.fleet``: each stream served through a
 :class:`~repro.fleet.FleetSession` — interleaved rounds, shared executor,
-world-keyed cross-stream tile store, incremental voxelizer — produces
-per-frame ``PerfReport``\\ s exactly equal to running that stream **cold
-and alone** (:func:`repro.engine.run_cold` per frame: fresh functional
-simulation, no caches, no fleet).  The matrix covers {2, 4} streams x
-overlapping vs disjoint world regions x engine vs cluster execution x
-a SparseConv network (whole-op digest sharing only) vs a PointNet++
-network (kNN / ball-query world tiles, shared across streams).  A second
-test serves the same fleets without the tile front, where kNN and ball
-query run the selection kernels on whole clouds.
+shared whole-op map caches — produces per-frame ``PerfReport``\\ s
+exactly equal to running that stream **cold and alone**
+(:func:`repro.engine.run_cold` per frame: fresh functional simulation, no
+caches, no fleet).  The matrix covers {2, 4} streams x overlapping vs
+disjoint world regions x engine vs cluster execution x a SparseConv
+network (kernel maps, voxelize) vs a PointNet++ network (FPS and ball
+query on whole clouds).
 """
 
 import pytest
@@ -70,7 +68,7 @@ def oracles():
 def test_fleet_bit_identical_to_cold_alone(oracles, n_streams, regions,
                                            n_shards, bench_name):
     specs = _specs(n_streams, regions, bench_name)
-    fleet = FleetSession(specs, n_shards=n_shards, min_points=64)
+    fleet = FleetSession(specs, n_shards=n_shards)
     results = fleet.run()
     for spec in specs:
         cold = oracles[spec.sequence.notation(bench_name)]
@@ -83,26 +81,22 @@ def test_fleet_bit_identical_to_cold_alone(oracles, n_streams, regions,
                 frame.result.reports["pointacc"]
                 == cold_result.reports["pointacc"]
             ), f"{spec.name} frame {frame.index} diverged from cold oracle"
-    world = fleet.world_store.stats()
-    if bench_name == "MinkNet(o)":
-        # Kernel maps and voxelize never reach the tile front.
-        assert fleet.world_store.inner.stats().decomposed_calls == 0
-        assert world.lookups == 0
-    elif regions == "overlapping":
-        assert world.cross_hits > 0  # sharing actually engaged
-    else:
-        assert world.cross_hits == 0  # and never invents overlap
+
+
+# Every op a fleet's mapping calls reach the tiers as: one whole-op entry
+# per call, keyed by the op's own name.
+WHOLE_OPS = {"fps", "knn", "ball_query", "voxelize"}
 
 
 @pytest.mark.parametrize("bench_name", BENCHMARKS)
 @pytest.mark.parametrize("n_shards", [0, 2], ids=["engine", "cluster"])
 def test_fleet_without_front_bit_identical(oracles, n_shards, bench_name):
-    """Without the tile front, kNN / ball-query calls run the selection
-    kernels on whole clouds, shared only through the digest tiers, and
-    every frame still equals its cold oracle."""
+    """With no tile front, kNN / ball-query calls run the selection kernels
+    on whole clouds, shared only through the digest tiers — each mapping
+    call is one whole-op lookup there — and every frame still equals its
+    cold oracle."""
     specs = _specs(2, "overlapping", bench_name)
-    fleet = FleetSession(specs, n_shards=n_shards, use_tiles=False)
-    assert fleet.tile_cache is None and fleet.world_store is None
+    fleet = FleetSession(specs, n_shards=n_shards)
     results = fleet.run()
     for spec in specs:
         cold = oracles[spec.sequence.notation(bench_name)]
@@ -112,3 +106,9 @@ def test_fleet_without_front_bit_identical(oracles, n_shards, bench_name):
                 frame.result.reports["pointacc"]
                 == cold_result.reports["pointacc"]
             ), f"{spec.name} frame {frame.index} diverged from cold oracle"
+    stats = fleet.executor.stats()
+    snapshots = ([stats.map_cache] if n_shards == 0
+                 else [shard["map_cache"] for shard in stats.shards])
+    ops = set().union(*(snap["by_op"] for snap in snapshots))
+    assert ops, "no mapping call reached the tiers"
+    assert all(op in WHOLE_OPS or op.startswith("kernel_map/") for op in ops)

@@ -1,32 +1,28 @@
-"""Plan/execute equivalence properties.
+"""Batched-serving equivalence properties.
 
-The acceptance contract of the batched tile front: for the op families it
-decomposes (kNN, ball query), across executors ({engine, cluster, fleet})
-and tile sizes, the plan path — vectorized digests, ``get_many``
-batching, whole-call reuse — produces results bit-identical to the cold
-reference computation AND to the per-tile oracle it replaced
-(:class:`PerTileOracle`), cold and warm, frame over frame.  SparseConv
-streams run with the front installed too: it declines their kernel maps
-and voxelize (``decomposed_calls == 0``) and every frame still equals
-the cold oracle.
+Two contracts of serving on whole clouds.  Op level: for the neighbour
+searches (kNN, ball query), served over drifting frames through both
+chain shapes a stream runs on — a session-built engine's L1, a cluster
+shard's L1 over a shared L2 — cold and warm, every answer equals the
+``*_bruteforce`` reference, bit for bit.  Network level: a stream's frames
+submitted to a cluster as one batch, and a fleet whose every round is one
+batch on the shared executor, produce per-frame reports exactly equal to
+the cold reference computation (:func:`repro.engine.run_cold`), for a
+SparseConv network (kernel maps, voxelize) and a PointNet++ network (FPS,
+ball query).
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster import EngineCluster
+from repro.cluster.store import SharedMapStore
 from repro.engine import MapCache, SimRequest, run_cold
 from repro.fleet import FleetSession, StreamSpec
-from repro.mapping.ball_query import ball_query_indices
+from repro.mapping.ball_query import ball_query_bruteforce, ball_query_indices
 from repro.mapping.hooks import TieredLookup, use_map_cache
-from repro.mapping.knn import knn_indices
-from repro.stream import (
-    FrameSequence,
-    SequenceConfig,
-    StreamSession,
-    TileMapCache,
-)
-from repro.stream.incremental import PerTileOracle
+from repro.mapping.knn import knn_bruteforce, knn_indices
+from repro.stream import FrameSequence, SequenceConfig, StreamSession
 
 N_FRAMES = 3
 CFG = SequenceConfig(seed=23, n_frames=N_FRAMES, base_points=2200,
@@ -34,7 +30,7 @@ CFG = SequenceConfig(seed=23, n_frames=N_FRAMES, base_points=2200,
 
 
 # ----------------------------------------------------------------------
-# Op level: batched == per-tile == reference, over perturbed frames
+# Op level: served == reference, over perturbed frames
 # ----------------------------------------------------------------------
 
 
@@ -50,43 +46,40 @@ def _drifting_clouds(rng, n=900, span=32.0, frames=3):
     return out
 
 
-def _chains(**kwargs):
-    kwargs.setdefault("min_points", 1)
-    out = []
-    for cls in (TileMapCache, PerTileOracle):
-        front = cls(**kwargs)
-        out.append((front,
-                    TieredLookup([MapCache(max_entries=1 << 15)], front=front)))
-    return out
+def _chains():
+    return [
+        TieredLookup([MapCache(max_entries=1 << 15)]),
+        TieredLookup([MapCache(max_entries=1 << 15), SharedMapStore()]),
+    ]
 
 
-@pytest.mark.parametrize("tile_size,halo", [(3.0, 1), (6.0, 2), (10.0, 0)])
-def test_knn_and_ball_modes_agree_across_frames(rng, tile_size, halo):
+@pytest.mark.parametrize("radius,repeats", [(3.0, 1), (6.0, 2), (10.0, 0)])
+def test_knn_and_ball_modes_agree_across_frames(rng, radius, repeats):
+    """Each frame is served once cold and ``repeats`` more times warm; at
+    radius 6 and 10 most ball-query rows hold more than k pairs."""
     frames = _drifting_clouds(rng)
-    (batched, chain_b), (legacy, chain_l) = _chains(
-        tile_size=tile_size, halo=halo
-    )
+    chains = _chains()
     for cloud in frames:
-        expect_idx, expect_dist = knn_indices(cloud, cloud, 6)
-        expect_ball = ball_query_indices(cloud, cloud, 2.0, 5)
-        with use_map_cache(chain_b):
-            got_idx, got_dist = knn_indices(cloud, cloud, 6)
-            got_ball = ball_query_indices(cloud, cloud, 2.0, 5)
-        with use_map_cache(chain_l):
-            leg_idx, leg_dist = knn_indices(cloud, cloud, 6)
-            leg_ball = ball_query_indices(cloud, cloud, 2.0, 5)
-        assert np.array_equal(expect_idx, got_idx)
-        assert np.array_equal(expect_idx, leg_idx)
-        assert np.array_equal(expect_ball, got_ball)
-        assert np.array_equal(expect_ball, leg_ball)
-        assert np.allclose(expect_dist, got_dist, rtol=1e-12, atol=1e-9)
-        assert np.allclose(expect_dist, leg_dist, rtol=1e-12, atol=1e-9)
-    assert batched.stats().tile_hits > 0
-    assert legacy.stats().tile_hits > 0
+        expect_idx, expect_dist = knn_bruteforce(cloud, cloud, 6)
+        expect_ball = ball_query_bruteforce(cloud, cloud, radius, 5)
+        for chain in chains:
+            with use_map_cache(chain):
+                for _ in range(1 + repeats):
+                    got_idx, got_dist = knn_indices(cloud, cloud, 6)
+                    got_ball = ball_query_indices(cloud, cloud, radius, 5)
+                    assert np.array_equal(expect_idx, got_idx)
+                    assert np.array_equal(expect_dist, got_dist)
+                    assert np.array_equal(expect_ball, got_ball)
+    # Every drifted frame is new content: one miss per frame, and only
+    # the replays hit.
+    for chain in chains:
+        for op in ("knn", "ball_query"):
+            assert chain.stats().by_op[op] == {
+                "hits": repeats * len(frames), "misses": len(frames)}
 
 
 # ----------------------------------------------------------------------
-# Network level: engine / cluster / fleet executors
+# Network level: cluster batches and fleet rounds
 # ----------------------------------------------------------------------
 
 
@@ -107,59 +100,32 @@ def oracles(sequence):
     return out
 
 
-def _assert_matches(session, oracle):
-    results = session.run(N_FRAMES)
-    for cold, frame in zip(oracle, results):
-        assert frame.completed
-        assert frame.result.reports["pointacc"] == cold.reports["pointacc"]
-
-
-def _assert_front_engaged(front, bench_name):
-    """kNN/ball-query networks decompose; SparseConv ones never do."""
-    calls = front.stats().decomposed_calls
-    if bench_name == "MinkNet(o)":
-        assert calls == 0
-    else:
-        assert calls > 0
-
-
-@pytest.mark.parametrize("tiles", [
-    {"tile_size": 3.0, "halo": 1},
-    {"tile_size": 8.0, "halo": 1},
-])
-@pytest.mark.parametrize("bench_name", ["MinkNet(o)", "PointNet++(c)"])
-def test_engine_stream_batched_bit_identical(sequence, oracles, bench_name,
-                                             tiles):
-    session = StreamSession(
-        sequence, bench_name, scale=0.25, min_points=64, **tiles,
-    )
-    _assert_matches(session, oracles[bench_name])
-    _assert_front_engaged(session.tile_cache, bench_name)
-
-
 @pytest.mark.parametrize("bench_name", ["MinkNet(o)", "PointNet++(c)"])
 def test_cluster_stream_batched_bit_identical(sequence, oracles, bench_name,
                                               tmp_path):
+    """All of a stream's frames in one cluster batch (shard L1s, shared L2,
+    disk spill): results in submission order, each equal to its frame's
+    cold oracle."""
     cluster = EngineCluster(
         n_shards=2,
         backends=("pointacc",),
-        tile_cache=TileMapCache(tile_size=4.0, halo=1, min_points=64),
         cache_dir=tmp_path / "spill",
     )
     session = StreamSession(sequence, bench_name, scale=0.25,
                             cluster=cluster)
-    _assert_matches(session, oracles[bench_name])
-    _assert_front_engaged(cluster.tile_cache, bench_name)
-    if bench_name != "MinkNet(o)":
-        assert cluster.tile_cache.stats().tile_hits > 0
+    results = cluster.run_batch([session.request(i) for i in range(N_FRAMES)])
+    assert [r.index for r in results] == list(range(N_FRAMES))
+    for cold, result in zip(oracles[bench_name], results):
+        assert not result.errors
+        assert result.reports["pointacc"] == cold.reports["pointacc"]
+    assert cluster.stats().requests == N_FRAMES
 
 
 @pytest.mark.parametrize("bench_name", ["MinkNet(o)", "PointNet++(c)"])
 def test_fleet_batched_bit_identical(bench_name):
-    """Two same-world staggered streams through one shared batched front
-    (the WorldTileStore-wrapped chain): every frame equals its own cold
-    oracle; kNN/ball-query tiles earn cross-stream hits, while a
-    SparseConv fleet never reaches the front."""
+    """Two same-world staggered streams through one fleet, each round one
+    batch on the shared executor: every frame equals its own cold
+    oracle."""
     sequences = [
         FrameSequence(SequenceConfig(
             seed=23, n_frames=N_FRAMES, base_points=2200, fov=16.0,
@@ -172,7 +138,7 @@ def test_fleet_batched_bit_identical(bench_name):
                    scale=0.25, n_frames=N_FRAMES)
         for i, seq in enumerate(sequences)
     ]
-    fleet = FleetSession(specs, n_shards=1, min_points=64)
+    fleet = FleetSession(specs, n_shards=1)
     results = fleet.run()
     for i, seq in enumerate(sequences):
         notation = seq.notation(bench_name)
@@ -181,9 +147,4 @@ def test_fleet_batched_bit_identical(bench_name):
                                        seed=frame_i))
             frame = results[f"veh{i}"][frame_i]
             assert frame.result.reports["pointacc"] == cold.reports["pointacc"]
-    store = fleet.world_store
-    assert store is not None
-    _assert_front_engaged(store.inner, bench_name)
-    if bench_name != "MinkNet(o)":
-        # The second vehicle rides tiles the first one paid for.
-        assert store.stats().cross_hits > 0
+    assert fleet.executor.stats().requests == 2 * N_FRAMES

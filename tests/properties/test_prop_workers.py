@@ -7,8 +7,8 @@ for a shared L2 — produces per-request ``PerfReport``\\ s exactly equal,
 dataclass equality on every float, to both the in-process ``workers=0``
 cluster and the cold sequential oracle (:func:`repro.engine.run_cold`).
 The matrix covers both routing modes and every cache-tier configuration,
-plus fleet serving (per-worker tile-front copies, merged attribution) and
-the intra-engine trace/cost overlap pipeline.  Parallelism, pickling, and
+plus stream and fleet serving (merged per-worker stats) and the
+intra-engine trace/cost overlap pipeline.  Parallelism, pickling, and
 disk sharing are wall-clock phenomena only.
 """
 
@@ -17,7 +17,7 @@ import pytest
 from repro.cluster import EngineCluster
 from repro.engine import SimRequest, SimulationEngine, run_cold
 from repro.fleet import FleetSession, StreamSpec
-from repro.stream import FrameSequence, SequenceConfig
+from repro.stream import FrameSequence, SequenceConfig, StreamSession
 
 ROUTINGS = ("affinity", "least-loaded")
 TIERS = ("l1", "l1+l2", "l1+l2+disk")
@@ -112,8 +112,8 @@ def test_workers_clamped_and_validated(tmp_path):
 
 def test_fleet_workers_bit_identical_to_in_process():
     """Fleet serving with worker processes: per-stream frame reports match
-    the in-process fleet exactly, and the merged per-worker attribution
-    still surfaces cross-stream sharing."""
+    the in-process fleet exactly, and the merged per-worker stats account
+    for every frame."""
     base = dict(n_frames=2, base_points=1500, fov=14.0, speed=2.0,
                 n_dynamic=2)
     def specs():
@@ -128,9 +128,9 @@ def test_fleet_workers_bit_identical_to_in_process():
             )
             for i in range(2)
         ]
-    baseline_session = FleetSession(specs(), n_shards=2, min_points=64)
+    baseline_session = FleetSession(specs(), n_shards=2)
     baseline = baseline_session.run()
-    with FleetSession(specs(), n_shards=2, min_points=64, workers=2) as fleet:
+    with FleetSession(specs(), n_shards=2, workers=2) as fleet:
         results = fleet.run()
         summary = fleet.summary()
     for name, frames in baseline.items():
@@ -143,9 +143,32 @@ def test_fleet_workers_bit_identical_to_in_process():
                 == ref.result.reports["pointacc"]
             ), f"{name} frame {frame.index} diverged from workers=0"
     assert summary["executor"]["workers"] == 2
-    # Attribution now comes from the merged per-worker snapshots.
-    assert summary["world_tiles"]["lookups"] > 0
-    assert summary["world_tiles"]["cross_hits"] > 0
+    # The per-shard engine stats come back over the pipes.
+    shards = summary["executor"]["shards"]
+    assert sum(shard["requests"] for shard in shards) == 4
+
+
+@pytest.mark.parametrize("bench_name",
+                         ["MinkNet(o)", "PointNet++(c)", "PointNet++(s)"])
+def test_stream_workers_bit_identical_to_cold(bench_name):
+    """A stream served by a worker-process cluster: every frame's report
+    equals its cold per-frame run."""
+    sequence = FrameSequence(SequenceConfig(
+        seed=11, n_frames=2, base_points=1500, fov=14.0, speed=2.0,
+        n_dynamic=2,
+    ))
+    # Workers resolve stream-sourced notations from the registry they
+    # inherit, so the sequence registers before the pool starts.
+    notation = sequence.notation(bench_name)
+    cluster = EngineCluster(n_shards=2, backends=("pointacc",), workers=2)
+    with StreamSession(sequence, bench_name, scale=0.2,
+                       cluster=cluster) as session:
+        frames = session.run(2)
+    for frame in frames:
+        cold = run_cold(SimRequest(benchmark=notation, scale=0.2,
+                                   seed=frame.index))
+        assert frame.completed
+        assert frame.result.reports["pointacc"] == cold.reports["pointacc"]
 
 
 def test_engine_overlap_bit_identical():

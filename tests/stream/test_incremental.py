@@ -1,11 +1,15 @@
-"""TileMapCache exactness: decomposed ops equal the reference, bit for bit.
+"""Frame-over-frame reuse through the whole-op chain: exact, bit for bit.
 
-These are op-level checks (the network-level bit-identity lives in
-``tests/properties/test_prop_stream.py``): for random clouds and a range of
-tile/halo configurations, the tile front's composed kNN / ball-query
-answers must equal the plain reference computation exactly — indices,
-distances, padding — on cold caches, warm caches, and across perturbed
-"next frames".  Every other op must pass through to the digest path.
+Streams serve every frame's kNN, ball query, FPS, kernel maps and voxelize
+through the engine's lookup chain (:class:`TieredLookup` over
+:class:`MapCache` tiers).  Reuse is whole-op: a call either repeats an
+earlier call's content exactly and hits, or misses and runs the kernel on
+the whole cloud.  These are op-level checks (the network-level
+bit-identity lives in ``tests/properties/test_prop_stream.py``): for random
+clouds of several densities, answers served through the chain must equal
+the uncached computation exactly — indices, distances, padding — and the
+``*_bruteforce`` references, on cold chains, warm chains, and across
+perturbed "next frames".
 """
 
 import sys
@@ -13,35 +17,34 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cluster.store import SharedMapStore
 from repro.engine import MapCache
-from repro.mapping.ball_query import ball_query_indices
+from repro.mapping.ball_query import ball_query_bruteforce, ball_query_indices
 from repro.mapping.hooks import TieredLookup, use_map_cache
 from repro.mapping.kernel_map import kernel_map
-from repro.mapping.knn import knn_indices
+from repro.mapping.knn import knn_bruteforce, knn_indices
 from repro.pointcloud.coords import quantize_unique, voxelize
-from repro.stream import TileMapCache
-from repro.stream.incremental import PerTileOracle
 
-_FRONT_CLS = TileMapCache
+_SHAPE = "planner"
 
 
-def _front(chain_entries=1 << 15, **kwargs):
-    kwargs.setdefault("min_points", 1)
-    front = _FRONT_CLS(**kwargs)
-    chain = TieredLookup([MapCache(max_entries=chain_entries)], front=front)
-    return front, chain
+def _chain():
+    """A fresh chain of the shape under test, and its L1."""
+    l1 = MapCache(max_entries=1 << 15)
+    tiers = [l1] if _SHAPE == "planner" else [l1, SharedMapStore()]
+    return l1, TieredLookup(tiers)
 
 
-@pytest.fixture(params=[TileMapCache, PerTileOracle],
-                ids=["planner", "oracle"], autouse=True)
-def front_cls(request, monkeypatch):
-    """Run every exactness test against both fronts.
+@pytest.fixture(params=["planner", "oracle"], autouse=True)
+def chain_shape(request, monkeypatch):
+    """Run every exactness test on both chain shapes a stream is served by.
 
-    The batched planner serves all production traffic; the per-tile
-    oracle is the retired reference implementation the planner is proven
-    against.  Both must satisfy every contract in this file.
+    ``planner``: the single L1 of a session-built engine; ``oracle``: a
+    cluster shard's L1 over a shared :class:`SharedMapStore` L2, whose hits
+    are promoted into the L1.  The ids are kept from this file's earlier
+    front-vs-oracle matrix so each test id keeps one history.
     """
-    monkeypatch.setattr(sys.modules[__name__], "_FRONT_CLS", request.param)
+    monkeypatch.setattr(sys.modules[__name__], "_SHAPE", request.param)
     return request.param
 
 
@@ -50,34 +53,39 @@ def _clouds(rng, n_q=300, n_r=400, span=20.0):
 
 
 class TestKnnExact:
-    @pytest.mark.parametrize("tile_size,halo", [(2.0, 1), (4.0, 1), (4.0, 2),
-                                                (8.0, 0), (30.0, 1)])
-    def test_matches_reference(self, rng, tile_size, halo):
-        queries, references = _clouds(rng)
+    @pytest.mark.parametrize("span,repeats", [(2.0, 1), (4.0, 1), (4.0, 2),
+                                              (8.0, 0), (30.0, 1)])
+    def test_matches_reference(self, rng, span, repeats):
+        """Dense (span 2) to sparse (span 30) clouds, served cold and then
+        ``repeats`` more times from the chain."""
+        queries, references = _clouds(rng, span=span)
         expect_idx, expect_dist = knn_indices(queries, references, 8)
-        _, chain = _front(tile_size=tile_size, halo=halo)
+        _, chain = _chain()
         with use_map_cache(chain):
-            got_idx, got_dist = knn_indices(queries, references, 8)
+            for _ in range(1 + repeats):
+                got_idx, got_dist = knn_indices(queries, references, 8)
         assert np.array_equal(expect_idx, got_idx)
-        # Distances: exact value up to BLAS sub-matrix rounding (see the
-        # floating-point note in repro.stream.incremental).
-        assert np.allclose(expect_dist, got_dist, rtol=1e-12, atol=1e-9)
+        assert np.array_equal(expect_dist, got_dist)
+        assert np.array_equal(knn_bruteforce(queries, references, 8)[0], got_idx)
+        assert chain.stats().by_op["knn"] == {"hits": repeats, "misses": 1}
 
     def test_warm_hit_still_exact(self, rng):
         queries, references = _clouds(rng)
         expect = knn_indices(queries, references, 5)
-        front, chain = _front(tile_size=4.0, halo=1)
+        _, chain = _chain()
         with use_map_cache(chain):
             knn_indices(queries, references, 5)
             warm_idx, warm_dist = knn_indices(queries, references, 5)
-        assert front.stats().tile_hits > 0
+        assert chain.stats().by_op["knn"]["hits"] == 1
         assert np.array_equal(expect[0], warm_idx)
-        assert np.allclose(expect[1], warm_dist, rtol=1e-12, atol=1e-9)
+        assert np.array_equal(expect[1], warm_dist)
 
     def test_cross_frame_reuse_is_exact(self, rng):
-        """Perturb one region; unchanged tiles hit, answers stay exact."""
-        queries, references = _clouds(rng, n_q=500, n_r=500, span=32.0)
-        front, chain = _front(tile_size=4.0, halo=1)
+        """Perturb one region: the next frame is new content, so it misses
+        and is ranked whole (no stale entry can serve it), while the
+        earlier frame still hits."""
+        queries = rng.uniform(0, 32.0, (500, 3))
+        _, chain = _chain()
         with use_map_cache(chain):
             knn_indices(queries, queries, 6)
         # next frame: points in one corner move, the rest are byte-stable
@@ -85,75 +93,93 @@ class TestKnnExact:
         corner = np.all(queries < 6.0, axis=1)
         moved[corner] += 0.25
         expect = knn_indices(moved, moved, 6)
-        before = front.stats().tile_hits
+        expect_first = knn_indices(queries, queries, 6)
         with use_map_cache(chain):
             got = knn_indices(moved, moved, 6)
-        assert front.stats().tile_hits > before  # clean tiles reused
+            again = knn_indices(queries, queries, 6)
+        assert chain.stats().by_op["knn"] == {"hits": 1, "misses": 2}
         assert np.array_equal(expect[0], got[0])
-        assert np.allclose(expect[1], got[1], rtol=1e-12, atol=1e-9)
+        assert np.array_equal(expect[1], got[1])
+        assert np.array_equal(expect_first[0], again[0])
+        assert np.array_equal(expect_first[1], again[1])
 
     def test_duplicate_points_tie_breaks(self, rng):
-        """Exact ties stress the index-order tie-break across halos."""
+        """Exact ties stress the index-order tie-break, cold and warm."""
         base = np.round(rng.uniform(0, 12, (150, 3)) * 2) / 2  # many collisions
         queries = np.concatenate([base, base[:40]])
-        _, chain = _front(tile_size=3.0, halo=1)
-        expect = knn_indices(queries, queries, 4)
+        _, chain = _chain()
+        expect = knn_bruteforce(queries, queries, 4)
         with use_map_cache(chain):
-            got = knn_indices(queries, queries, 4)
-        assert np.array_equal(expect[0], got[0])
+            cold = knn_indices(queries, queries, 4)
+            warm = knn_indices(queries, queries, 4)
+        assert np.array_equal(expect[0], cold[0])
+        assert np.array_equal(expect[0], warm[0])
+        assert np.array_equal(expect[1], warm[1])
 
     def test_k_larger_than_references_falls_back(self, rng):
+        """Fewer references than k: every row repeats its nearest, and the
+        chain hands back exactly that padding."""
         queries = rng.uniform(0, 8, (40, 3))
         references = rng.uniform(0, 8, (5, 3))
-        front, chain = _front(tile_size=2.0, halo=1)
+        _, chain = _chain()
         expect = knn_indices(queries, references, 9)
         with use_map_cache(chain):
+            knn_indices(queries, references, 9)
             got = knn_indices(queries, references, 9)
         assert np.array_equal(expect[0], got[0])
-        assert front.stats().fallback_rows == len(queries)
+        assert np.array_equal(knn_bruteforce(queries, references, 9)[0], got[0])
+        assert np.all(got[0][:, 5:] == got[0][:, :1])
+        assert chain.stats().by_op["knn"]["hits"] == 1
 
 
 class TestBallQueryExact:
-    @pytest.mark.parametrize("tile_size,halo,radius", [
-        (2.0, 1, 1.5),   # full cover (2.0 >= 1.5)
-        (4.0, 1, 2.0),   # full cover
-        (2.0, 1, 3.0),   # under-cover: certificate path
-        (3.0, 0, 1.0),   # degenerate halo: fallback-heavy
+    @pytest.mark.parametrize("span,repeats,radius", [
+        (2.0, 1, 1.5),   # dense: most of the cloud in radius, rows cut at k
+        (4.0, 1, 2.0),   # dense
+        (2.0, 1, 3.0),   # every reference in radius
+        (3.0, 0, 1.0),   # cold only
     ])
-    def test_matches_reference(self, rng, tile_size, halo, radius):
-        queries, references = _clouds(rng)
+    def test_matches_reference(self, rng, span, repeats, radius):
+        queries, references = _clouds(rng, span=span)
         expect = ball_query_indices(queries, references, radius, 6)
-        _, chain = _front(tile_size=tile_size, halo=halo)
+        _, chain = _chain()
         with use_map_cache(chain):
-            got = ball_query_indices(queries, references, radius, 6)
+            for _ in range(1 + repeats):
+                got = ball_query_indices(queries, references, radius, 6)
         assert np.array_equal(expect, got)
+        assert np.array_equal(
+            ball_query_bruteforce(queries, references, radius, 6), got
+        )
+        assert chain.stats().by_op["ball_query"] == {"hits": repeats,
+                                                     "misses": 1}
 
     def test_isolated_queries_use_global_nearest_fallback(self, rng):
         """A query with no in-radius neighbor pads with the *global* nearest
-        reference — which may live far outside the halo."""
+        reference — which may lie far from every other query."""
         references = rng.uniform(0, 4, (60, 3))
         lonely = np.array([[30.0, 30.0, 30.0]])
         queries = np.concatenate([rng.uniform(0, 4, (50, 3)), lonely])
         expect = ball_query_indices(queries, references, 0.5, 4)
-        front, chain = _front(tile_size=2.0, halo=1)
+        _, chain = _chain()
         with use_map_cache(chain):
             got = ball_query_indices(queries, references, 0.5, 4)
         assert np.array_equal(expect, got)
-        assert front.stats().fallback_rows >= 1
+        nearest = np.argmin(((references - lonely) ** 2).sum(axis=1))
+        assert np.all(got[-1] == nearest)
 
     def test_warm_reuse_exact(self, rng):
         queries, references = _clouds(rng)
         expect = ball_query_indices(queries, references, 2.0, 8)
-        front, chain = _front(tile_size=4.0, halo=1)
+        _, chain = _chain()
         with use_map_cache(chain):
             ball_query_indices(queries, references, 2.0, 8)
             got = ball_query_indices(queries, references, 2.0, 8)
-        assert front.stats().tile_hits > 0
+        assert chain.stats().by_op["ball_query"]["hits"] == 1
         assert np.array_equal(expect, got)
 
 
 class TestKernelMapExact:
-    """Kernel maps through a front-equipped chain: declined, still exact."""
+    """Kernel maps through the chain: exact, row order included."""
 
     @pytest.mark.parametrize("algorithm", ["mergesort", "hash", "bruteforce"])
     def test_matches_reference_including_row_order(self, rng, algorithm):
@@ -161,21 +187,24 @@ class TestKernelMapExact:
             rng.integers(0, 60, (500, 3)), 1
         )
         expect = kernel_map(coords, coords, kernel_size=3, algorithm=algorithm)
-        front, chain = _front()
+        _, chain = _chain()
         with use_map_cache(chain):
-            got = kernel_map(coords, coords, kernel_size=3, algorithm=algorithm)
-        assert np.array_equal(expect.in_idx, got.in_idx)
-        assert np.array_equal(expect.out_idx, got.out_idx)
-        assert np.array_equal(expect.weight_idx, got.weight_idx)
-        assert expect.kernel_volume == got.kernel_volume
-        assert front.stats().decomposed_calls == 0
+            for _ in range(2):
+                got = kernel_map(coords, coords, kernel_size=3,
+                                 algorithm=algorithm)
+                assert np.array_equal(expect.in_idx, got.in_idx)
+                assert np.array_equal(expect.out_idx, got.out_idx)
+                assert np.array_equal(expect.weight_idx, got.weight_idx)
+                assert expect.kernel_volume == got.kernel_volume
+        assert chain.stats().by_op[f"kernel_map/{algorithm}"] == {
+            "hits": 1, "misses": 1}
 
     def test_strided_downsampling_maps(self, rng):
         pts = rng.uniform(0, 10, (800, 3))
         in_coords, _ = voxelize(pts, 0.4)
         out_coords, _ = quantize_unique(in_coords, 2)
         expect = kernel_map(in_coords, out_coords, kernel_size=2)
-        _, chain = _front()
+        _, chain = _chain()
         with use_map_cache(chain):
             got = kernel_map(in_coords, out_coords, kernel_size=2)
         assert np.array_equal(expect.in_idx, got.in_idx)
@@ -185,59 +214,66 @@ class TestKernelMapExact:
 
 class TestGatingAndStats:
     def test_small_clouds_pass_through(self, rng):
-        front = _FRONT_CLS(min_points=1000)
-        chain = TieredLookup([MapCache()], front=front)
+        """No size gate: a tiny cloud is one whole-op lookup like any other."""
+        _, chain = _chain()
         queries, references = _clouds(rng, n_q=50, n_r=50)
+        expect = knn_indices(queries, references, 3)
         with use_map_cache(chain):
-            knn_indices(queries, references, 3)
-        assert front.stats().decomposed_calls == 0
+            got = knn_indices(queries, references, 3)
         assert chain.stats().misses == 1  # went down the digest path
+        assert np.array_equal(expect[0], got[0])
 
     def test_feature_space_knn_passes_through(self, rng):
-        front, chain = _front()
+        _, chain = _chain()
         features = rng.normal(size=(300, 16))  # DGCNN-style feature graph
+        expect = knn_indices(features, features, 4)
         with use_map_cache(chain):
-            knn_indices(features, features, 4)
-        assert front.stats().decomposed_calls == 0
+            got = knn_indices(features, features, 4)
+        assert chain.stats().by_op["knn"] == {"hits": 0, "misses": 1}
+        assert np.array_equal(expect[0], got[0])
+        assert np.array_equal(knn_bruteforce(features, features, 4)[0], got[0])
 
     def test_fps_passes_through(self, rng):
         from repro.mapping import farthest_point_sampling
 
-        front, chain = _front()
+        _, chain = _chain()
+        points = rng.normal(size=(300, 3))
+        expect = farthest_point_sampling(points, 32)
         with use_map_cache(chain):
-            farthest_point_sampling(rng.normal(size=(300, 3)), 32)
-        assert front.stats().decomposed_calls == 0
+            got = farthest_point_sampling(points, 32)
+        assert np.array_equal(expect, got)
         assert "fps" in chain.stats().by_op
 
     def test_snapshot_shape(self, rng):
-        front, chain = _front(tile_size=4.0)
+        l1, chain = _chain()
         queries, references = _clouds(rng)
         with use_map_cache(chain):
             knn_indices(queries, references, 4)
-        snap = front.stats().snapshot()
-        assert snap["decomposed_calls"] == 1
-        assert snap["tile_lookups"] == snap["tile_hits"] + snap["tile_misses"]
-        assert "knn" in snap["by_op"]
-        chain_snap = chain.stats().snapshot()
-        assert chain_snap["front"] == snap
-        assert "knn/tile" in chain_snap["tiers"][0]["by_op"]
+            knn_indices(queries, references, 4)
+        snap = chain.stats().snapshot()
+        assert snap["lookups"] == snap["hits"] + snap["misses"] == 2
+        assert snap["by_op"]["knn"] == {"hits": 1, "misses": 1}
+        assert "front" not in snap
+        assert len(snap["tiers"]) == len(chain.tiers)
+        assert snap["tiers"][0] == l1.stats().snapshot()
+        assert snap["tiers"][0]["by_op"]["knn"] == {"hits": 1, "misses": 1}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            TileMapCache(tile_size=0)
+            TieredLookup([])
         with pytest.raises(ValueError):
-            TileMapCache(halo=-1)
+            TieredLookup([None])
+        with pytest.raises(ValueError):
+            MapCache(max_entries=0)
+        with pytest.raises(ValueError):
+            MapCache(max_bytes=0)
 
     def test_kernel_maps_and_voxelize_take_the_digest_path(self, rng):
-        """Sort-based ops are declined: the front never sees them and the
-        chain's whole-op digest path serves them (a repeat call hits)."""
+        """Sort-based ops share the same whole-op digest path (a repeat
+        call hits)."""
         coords, _ = quantize_unique(rng.integers(0, 60, (600, 3)), 1)
         points = rng.uniform(0, 20, (2000, 3))
-        front, chain = _front()
-        for algorithm in ("mergesort", "hash", "bruteforce"):
-            op = f"kernel_map/{algorithm}"
-            assert not front.handles(op, (coords, coords, coords[:1]), {})
-        assert not front.handles("voxelize", (points,), {"voxel_size": 0.2})
+        _, chain = _chain()
         expect = voxelize(points, 0.2)
         with use_map_cache(chain):
             for _ in range(2):
@@ -245,16 +281,9 @@ class TestGatingAndStats:
                 got = voxelize(points, 0.2)
         assert np.array_equal(expect[0], got[0])
         assert np.array_equal(expect[1], got[1])
-        assert front.stats().decomposed_calls == 0
         by_op = chain.stats().by_op
         assert by_op["kernel_map/mergesort"] == {"hits": 1, "misses": 1}
         assert by_op["voxelize"] == {"hits": 1, "misses": 1}
-
-    def test_engine_requires_a_tier_for_tiles(self):
-        from repro.engine import SimulationEngine
-
-        with pytest.raises(ValueError):
-            SimulationEngine(map_cache=None, tile_cache=TileMapCache())
 
 
 class TestVoxelizeExact:
@@ -263,3 +292,7 @@ class TestVoxelizeExact:
         a = voxelize(points, 0.25)
         b = voxelize(points, 0.25)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        _, chain = _chain()
+        with use_map_cache(chain):
+            c = voxelize(points, 0.25)
+        assert np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1])

@@ -5,13 +5,7 @@ import pytest
 
 from repro.cluster import EngineCluster
 from repro.engine import SimulationEngine
-from repro.stream import (
-    FrameSequence,
-    SequenceConfig,
-    StreamSession,
-    StreamStats,
-    TileMapCache,
-)
+from repro.stream import FrameSequence, SequenceConfig, StreamSession, StreamStats
 
 CFG = SequenceConfig(seed=9, n_frames=4, base_points=900, fov=12.0)
 
@@ -69,7 +63,7 @@ class TestSessionBasics:
         session = StreamSession(seq, "PointNet++(c)", scale=0.2, engine=engine)
         session.run(2)
         assert engine.stats().requests == 2
-        assert session.tile_cache is None  # injected engine had no front
+        assert session.executor is engine
 
 
 class TestStats:
@@ -90,14 +84,14 @@ class TestStats:
         assert stats.latency_ms(100) == 40.0
         assert StreamStats().latency_ms(50) == 0.0
 
-    def test_summary_carries_tiles_and_executor(self, seq):
-        session = StreamSession(seq, "MinkNet(o)", scale=0.2, min_points=64)
+    def test_summary_carries_executor(self, seq):
+        session = StreamSession(seq, "MinkNet(o)", scale=0.2)
         session.run(2)
         summary = session.summary()
         assert summary["frames"] == 2
         assert summary["geometry_only"] is True
         assert summary["sequence"] == seq.token
-        assert "tiles" in summary and "executor" in summary
+        assert "executor" in summary and "tiles" not in summary
         assert summary["latency_p99_ms"] >= summary["latency_p50_ms"] > 0
 
 
@@ -144,22 +138,19 @@ class TestQoS:
             assert all(not f.completed for f in rejected)
 
 
-class TestTileReuseEndToEnd:
-    def test_consecutive_frames_hit_tiles(self, seq):
-        session = StreamSession(seq, "PointNet++(c)", scale=0.25,
-                                min_points=64)
-        session.run(1)
-        assert session.tile_cache.stats().tile_hits == 0  # first frame: cold
+class TestWholeCloudSearch:
+    def test_knn_and_ball_query_take_the_whole_op_tiers(self):
+        """A default PointNet++(s) stream hands every kNN and ball-query
+        call to the engine's whole-op map cache as one lookup per call;
+        frames never repeat, so each one misses and runs the selection
+        kernel on the whole cloud (~2k points here)."""
+        seq = FrameSequence(SequenceConfig(seed=9, n_frames=2,
+                                           base_points=9000, fov=24.0))
+        session = StreamSession(seq, "PointNet++(s)", scale=0.2)
         session.run(2)
-        snap = session.tile_cache.stats().snapshot()
-        assert snap["tile_hits"] > 0
-        assert "ball_query" in snap["by_op"]
-
-    def test_tile_stats_reachable_from_engine_stats(self, seq):
-        session = StreamSession(seq, "PointNet++(c)", scale=0.2,
-                                min_points=64)
-        session.run(1)
-        engine_snap = session.executor.stats().map_cache
-        assert engine_snap["front"]["decomposed_calls"] > 0
-        tier_ops = engine_snap["tiers"][0]["by_op"]
-        assert any(op.endswith("/tile") for op in tier_ops)
+        by_op = session.executor.map_cache.stats().by_op  # the engine's L1
+        for op in ("knn", "ball_query"):
+            assert by_op[op]["misses"] > 0
+            assert by_op[op]["hits"] == 0
+        assert set(by_op) <= {"fps", "knn", "ball_query"}
+        assert "tiles" not in session.summary()

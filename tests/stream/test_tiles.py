@@ -1,15 +1,28 @@
-"""Tile partitioning: grouping, digests, halos, canonical order."""
+"""Grid primitives every stream frame is mapped with.
+
+Frames are served whole: voxelize groups a frame's points into grid cells,
+kernel maps join each cell to the cells within the kernel's reach, and the
+map-cache tiers address every call by a content digest.  These tests pin
+those primitives: cell coordinates and grouping, neighbourhood
+completeness against an exhaustive oracle, kernel offsets, ranking keys,
+and what the content digest does and does not distinguish — including
+the degenerate shapes (one point, one cell, empty query sets).
+"""
 
 import numpy as np
 import pytest
 
-from repro.pointcloud.coords import coords_to_keys
-from repro.stream.tiles import (
-    TilePartition,
-    content_digest,
-    halo_box,
-    partition,
-    tile_coords,
+from repro.engine import MapCache
+from repro.mapping.hooks import TieredLookup, use_map_cache
+from repro.mapping.kernel_map import kernel_map
+from repro.pointcloud.coords import (
+    coords_to_keys,
+    kernel_offsets,
+    keys_to_coords,
+    lexicographic_sort,
+    quantize,
+    quantize_unique,
+    voxelize,
 )
 
 
@@ -18,212 +31,254 @@ def cloud(rng):
     return rng.uniform(-10, 10, size=(400, 3))
 
 
+def _key(op, *arrays, **params):
+    return MapCache.key(op, arrays, params)
+
+
+def _triples(table):
+    return set(zip(table.in_idx.tolist(), table.out_idx.tolist(),
+                   table.weight_idx.tolist()))
+
+
+def _chebyshev_pairs(coords, reach=1):
+    """Exhaustive oracle: every (in, out) cell pair within ``reach``."""
+    gap = np.abs(coords[:, None, :] - coords[None, :, :]).max(axis=2)
+    ins, outs = np.nonzero(gap <= reach)
+    return set(zip(ins.tolist(), outs.tolist()))
+
+
 class TestTileCoords:
+    """Cell coordinates: floats floor into voxels, integer coordinates
+    floor-divide into coarser cells."""
+
     def test_float_floor(self):
         pts = np.array([[0.1, -0.1, 3.9], [4.0, 7.99, -8.0]])
-        assert tile_coords(pts, 4.0).tolist() == [[0, -1, 0], [1, 1, -2]]
+        coords, inverse = voxelize(pts, 4.0)
+        assert coords[inverse].tolist() == [[0, -1, 0], [1, 1, -2]]
 
     def test_integer_floor_divide(self):
         coords = np.array([[0, -1, 15], [16, 31, -16]])
-        assert tile_coords(coords, 16).tolist() == [[0, -1, 0], [1, 1, -1]]
+        assert quantize(coords, 16).tolist() == [[0, -16, 0], [16, 16, -16]]
+        out, inverse = quantize_unique(coords, 16)
+        assert out[inverse].tolist() == [[0, -16, 0], [16, 16, -16]]
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
-            tile_coords(np.zeros(5), 1.0)
+            voxelize(np.zeros(5), 1.0)
+        with pytest.raises(ValueError):
+            quantize(np.zeros(5, dtype=np.int64), 2)
 
 
 class TestPartition:
-    def test_partition_covers_every_point_once(self, cloud):
-        part = partition(cloud, 4.0)
-        seen = np.concatenate([part.indices(k) for k in part.keys()])
-        assert sorted(seen.tolist()) == list(range(len(cloud)))
+    """Grouping a frame's points by cell (voxelize's inverse map)."""
 
-    def test_indices_keep_original_order_within_tile(self, cloud):
-        part = partition(cloud, 4.0)
-        for key in part.keys():
-            idx = part.indices(key)
-            assert np.all(np.diff(idx) > 0)  # stable grouping => ascending
+    def test_partition_covers_every_point_once(self, cloud):
+        coords, inverse = voxelize(cloud, 4.0)
+        assert len(inverse) == len(cloud)
+        counts = np.bincount(inverse, minlength=len(coords))
+        assert len(counts) == len(coords) and counts.min() >= 1
+        assert coords[inverse].tolist() == np.floor(cloud / 4.0).tolist()
+
+    def test_indices_keep_original_order_within_tile(self, cloud, rng):
+        """Cells come out in ranking-key order whatever the point order,
+        and each point's cell follows it through a shuffle."""
+        coords, inverse = voxelize(cloud, 4.0)
+        assert np.all(np.diff(coords_to_keys(coords)) > 0)
+        perm = rng.permutation(len(cloud))
+        shuffled_coords, shuffled_inverse = voxelize(cloud[perm], 4.0)
+        assert np.array_equal(shuffled_coords, coords)
+        assert np.array_equal(shuffled_inverse, inverse[perm])
 
     def test_unoccupied_tile_is_empty(self, cloud):
-        part = partition(cloud, 4.0)
+        coords, inverse = voxelize(cloud, 4.0)
         far = coords_to_keys(np.array([[500, 500, 500]]))[0]
-        assert len(part.indices(int(far))) == 0
+        assert far not in set(coords_to_keys(coords).tolist())
+        assert not np.any(np.all(coords[inverse] == 500, axis=1))
 
     def test_digest_depends_on_content_and_order(self, rng):
         pts = rng.uniform(0, 5, size=(32, 3))
-        a = TilePartition(pts, 100.0)  # single tile
-        b = TilePartition(pts.copy(), 100.0)
-        (key,) = a.keys()
-        assert a.digest(key) == b.digest(key)
-        shuffled = TilePartition(pts[::-1].copy(), 100.0)
-        assert shuffled.digest(key) != a.digest(key)  # order matters
+        a = _key("voxelize", pts, voxel_size=100.0)
+        assert a == _key("voxelize", pts.copy(), voxel_size=100.0)
+        shuffled = _key("voxelize", pts[::-1].copy(), voxel_size=100.0)
+        assert shuffled != a  # order is content
 
     def test_unchanged_tiles_digest_equal_across_frames(self, rng):
-        """The streaming invariant: points entering/leaving one region do
-        not change any other tile's digest or content."""
+        """Points entering/leaving one region change no other cell's
+        points, so every other cell's content digest is stable."""
         frame0 = rng.uniform(0, 40, size=(600, 3))
-        extra = rng.uniform(0, 4, size=(30, 3))  # churn confined to one tile
+        extra = rng.uniform(0, 4, size=(30, 3))  # churn confined to one cell
         keep = ~np.all((frame0 >= 0) & (frame0 < 4), axis=1)
         frame1 = np.concatenate([frame0[keep], extra])
-        p0, p1 = partition(frame0, 4.0), partition(frame1, 4.0)
-        churn_key = coords_to_keys(np.array([[0, 0, 0]]))[0]
-        shared = set(p0.keys()) & set(p1.keys()) - {int(churn_key)}
+        c0, inv0 = voxelize(frame0, 4.0)
+        c1, inv1 = voxelize(frame1, 4.0)
+        k0 = {k: i for i, k in enumerate(coords_to_keys(c0).tolist())}
+        k1 = {k: i for i, k in enumerate(coords_to_keys(c1).tolist())}
+        churn = int(coords_to_keys(np.array([[0, 0, 0]]))[0])
+        shared = set(k0) & set(k1) - {churn}
         assert shared  # the scenario is non-trivial
         for key in shared:
-            assert p0.digest(key) == p1.digest(key)
-            assert np.array_equal(
-                frame0[p0.indices(key)], frame1[p1.indices(key)]
-            )
+            members0 = frame0[inv0 == k0[key]]
+            members1 = frame1[inv1 == k1[key]]
+            assert np.array_equal(members0, members1)
+            assert _key("cell", members0) == _key("cell", members1)
 
 
 class TestNeighborhood:
+    """Kernel-map neighbourhoods: every cell within the kernel's reach,
+    nothing else."""
+
     def test_halo_indices_ascending_and_complete(self, cloud):
-        part = partition(cloud, 4.0)
-        tiles = tile_coords(cloud, 4.0)
-        for key in list(part.keys())[:5]:
-            hal = part.halo_indices(key, 1)
-            assert np.all(np.diff(hal) > 0)
-            center = tiles[part.indices(key)[0]]
-            inside = np.all(np.abs(tiles - center) <= 1, axis=1)
-            assert sorted(hal.tolist()) == np.flatnonzero(inside).tolist()
+        coords, _ = voxelize(cloud, 4.0)
+        table = kernel_map(coords, coords, kernel_size=3)
+        assert np.all(np.diff(table.weight_idx) >= 0)
+        for w in range(table.kernel_volume):
+            assert np.all(np.diff(table.out_idx[table.weight_idx == w]) > 0)
+        for out in range(5):
+            got = table.in_idx[table.out_idx == out]
+            inside = np.all(np.abs(coords - coords[out]) <= 1, axis=1)
+            assert sorted(got.tolist()) == np.flatnonzero(inside).tolist()
 
     def test_halo_zero_is_own_tile(self, cloud):
-        part = partition(cloud, 4.0)
-        for key in list(part.keys())[:5]:
-            assert np.array_equal(part.halo_indices(key, 0), part.indices(key))
+        coords, _ = voxelize(cloud, 4.0)
+        table = kernel_map(coords, coords, kernel_size=1)
+        assert np.array_equal(table.in_idx, np.arange(len(coords)))
+        assert np.array_equal(table.out_idx, np.arange(len(coords)))
 
     def test_neighborhood_digest_covers_every_constituent(self, rng):
         pts = rng.uniform(0, 12, size=(300, 3))
-        part = partition(pts, 4.0)
-        key = next(iter(part.keys()))
-        digest0, canon0 = part.neighborhood(key, 1)
-        # Mutating a *neighbor* tile's content must change the digest.
-        moved = pts.copy()
-        neighbor = part.indices(key)
-        victim = canon0[~np.isin(canon0, neighbor)][0]
-        moved[victim] += 0.5
-        digest1, _ = partition(moved, 4.0).neighborhood(key, 1)
+        coords, _ = voxelize(pts, 4.0)
+        offsets = kernel_offsets(3)
+        digest0 = _key("kernel_map/mergesort", coords, coords, offsets)
+        # Moving any one cell -- here the last -- must change the digest.
+        moved = coords.copy()
+        moved[-1] += 5
+        digest1 = _key("kernel_map/mergesort", moved, moved, offsets)
         assert digest0 != digest1
+        assert _triples(kernel_map(coords, coords)) != _triples(
+            kernel_map(moved, moved))
 
     def test_canonical_concat_matches_halo_set(self, cloud):
-        part = partition(cloud, 4.0)
-        for key in list(part.keys())[:5]:
-            _, canon = part.neighborhood(key, 1)
-            assert sorted(canon.tolist()) == part.halo_indices(key, 1).tolist()
+        coords, _ = voxelize(cloud, 4.0)
+        table = kernel_map(coords, coords, kernel_size=3)
+        pairs = set(zip(table.in_idx.tolist(), table.out_idx.tolist()))
+        assert len(pairs) == len(table.in_idx)  # no duplicate maps
+        assert pairs == _chebyshev_pairs(coords)
 
 
 class TestHaloBox:
     def test_counts(self):
-        assert len(halo_box(0, 3)) == 1
-        assert len(halo_box(1, 3)) == 27
-        assert len(halo_box(2, 2)) == 25
+        assert len(kernel_offsets(1, 3)) == 1
+        assert len(kernel_offsets(3, 3)) == 27
+        assert len(kernel_offsets(5, 2)) == 25
+        assert set(kernel_offsets(3, 3).ravel().tolist()) == {-1, 0, 1}
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            halo_box(-1, 3)
+            kernel_offsets(-1, 3)
+        with pytest.raises(ValueError):
+            kernel_offsets(0, 3)
 
 
 class TestBatchedPasses:
-    """digest_all must reproduce the per-key paths exactly."""
-
     def test_digest_all_matches_per_key_digests(self, cloud):
-        batched = partition(cloud, 4.0)
-        reference = partition(cloud.copy(), 4.0)
-        digests = batched.digest_all()
-        keys = list(batched.keys())
-        assert len(digests) == len(keys)
-        for key, digest in zip(keys, digests):
-            assert digest == reference.digest(key)
+        """Packing every cell at once equals packing each cell alone, and
+        unpacking round-trips."""
+        coords, _ = voxelize(cloud, 4.0)
+        keys = coords_to_keys(coords)
+        assert len(keys) == len(coords)
+        for row, key in zip(coords, keys):
+            assert coords_to_keys(row[None, :])[0] == key
+        assert np.array_equal(keys_to_coords(keys, 3), coords)
 
     def test_sorted_neighborhood_is_cached_and_consistent(self, cloud):
-        part = partition(cloud, 4.0)
-        key = next(iter(part.keys()))
-        digest, perm, hal = part.sorted_neighborhood(key, 1)
-        assert part.sorted_neighborhood(key, 1) == (digest, perm, hal)
-        _, canonical = part.neighborhood(key, 1)
-        assert np.array_equal(hal, np.sort(canonical))
+        coords, _ = voxelize(cloud, 4.0)
+        assert np.array_equal(lexicographic_sort(coords), coords)
+        tier = MapCache()
+        with use_map_cache(TieredLookup([tier])):
+            first = kernel_map(coords, coords, kernel_size=3)
+            second = kernel_map(coords, coords, kernel_size=3)
+        assert tier.stats().by_op["kernel_map/mergesort"] == {"hits": 1,
+                                                              "misses": 1}
+        assert np.array_equal(first.in_idx, second.in_idx)
+        assert np.array_equal(first.out_idx, second.out_idx)
+        assert np.array_equal(first.weight_idx, second.weight_idx)
 
 
 class TestVectorizedAssembly:
-    """Whole-partition neighborhood sweeps: canonical index arrays
-    element-identical to the per-tile oracle, digests fixed-width (16
-    bytes) and deterministic — including every degenerate shape the
-    digest format must survive."""
+    """Kernel maps over whole cell sets equal the exhaustive oracle, and
+    digests are fixed-width (16 bytes) and deterministic — including every
+    degenerate shape."""
 
     def test_fill_neighborhoods_matches_oracle_canonicals(self, cloud):
-        part = partition(cloud, 4.0)
-        oracle = partition(cloud.copy(), 4.0)
-        digests, flat, bounds = part.fill_neighborhoods(1)
-        for i, key in enumerate(part.keys()):
-            _, canonical = oracle.neighborhood(key, 1)
-            assert np.array_equal(flat[bounds[i]:bounds[i + 1]], canonical)
-            assert len(digests[i]) == 16
+        coords, _ = voxelize(cloud, 4.0)
+        oracle = _triples(kernel_map(coords, coords, algorithm="bruteforce"))
+        for algorithm in ("mergesort", "hash"):
+            assert _triples(kernel_map(coords, coords,
+                                       algorithm=algorithm)) == oracle
 
     def test_digests_deterministic_and_content_sensitive(self, rng):
         coords = rng.integers(0, 48, (400, 3))
-        a = TilePartition(coords, 16).fill_neighborhoods(1)
-        b = TilePartition(coords.copy(), 16).fill_neighborhoods(1)
-        assert a[0] == b[0]
-        shuffled = TilePartition(coords[::-1].copy(), 16).fill_neighborhoods(1)
-        assert a[0] != shuffled[0]  # order is content
+        a = _key("kernel_map/mergesort", coords, coords)
+        assert len(a) == 16
+        assert a == _key("kernel_map/mergesort", coords.copy(), coords.copy())
+        shuffled = coords[::-1].copy()
+        assert a != _key("kernel_map/mergesort", shuffled, shuffled)
 
     def test_single_point_tile(self):
-        pts = np.array([[1.0, 1.0, 1.0]])
-        part = TilePartition(pts, 4.0)
-        digests, flat, bounds = part.fill_neighborhoods(1)
-        assert len(digests) == 1 and len(digests[0]) == 16
-        assert np.array_equal(flat[bounds[0]:bounds[1]], [0])
+        coords, inverse = voxelize(np.array([[1.0, 1.0, 1.0]]), 4.0)
+        assert coords.tolist() == [[0, 0, 0]] and inverse.tolist() == [0]
+        table = kernel_map(coords, coords, kernel_size=3)
+        assert table.in_idx.tolist() == [0] and table.out_idx.tolist() == [0]
+        assert table.weight_idx.tolist() == [13]  # the centre offset
 
     def test_one_tile_world(self, rng):
-        coords = rng.integers(0, 8, (64, 3))
-        part = TilePartition(coords, 64)
-        oracle = TilePartition(coords.copy(), 64)
-        (key,) = part.keys()
-        ndig, nflat, nbounds = part.fill_neighborhoods(1)
-        assert np.array_equal(nflat[nbounds[0]:nbounds[1]],
-                              oracle.neighborhood(key, 1)[1])
+        pts = rng.uniform(0, 8, (64, 3))
+        coords, inverse = voxelize(pts, 64.0)
+        assert coords.tolist() == [[0, 0, 0]]
+        assert np.all(inverse == 0)
+        out, out_inverse = quantize_unique(rng.integers(0, 8, (64, 3)), 64)
+        assert out.tolist() == [[0, 0, 0]] and np.all(out_inverse == 0)
 
     def test_absent_query_key_yields_empty_run(self, rng):
-        coords = rng.integers(0, 16, (100, 3))
-        part = TilePartition(coords, 16)
-        absent = int(coords_to_keys(np.array([[40, 40, 40]]))[0])
-        digests, flat, bounds = part.fill_neighborhoods(1, np.array([absent]))
-        assert bounds[1] - bounds[0] == 0
-        assert len(digests[0]) == 16
+        coords, _ = quantize_unique(rng.integers(0, 16, (100, 3)), 1)
+        absent = np.array([[40, 40, 40]])
+        for algorithm in ("mergesort", "hash", "bruteforce"):
+            table = kernel_map(coords, absent, algorithm=algorithm)
+            assert len(table.in_idx) == 0
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_both_coord_dtypes(self, rng, dtype):
-        coords = rng.integers(0, 64, (500, 3)).astype(dtype)
-        part = TilePartition(coords, 16)
-        oracle = TilePartition(coords.copy(), 16)
-        digests, flat, bounds = part.fill_neighborhoods(1)
-        for i, key in enumerate(part.keys()):
-            _, canonical = oracle.neighborhood(key, 1)
-            assert np.array_equal(flat[bounds[i]:bounds[i + 1]], canonical)
+        coords, _ = quantize_unique(rng.integers(0, 64, (500, 3)), 1)
+        typed = coords.astype(dtype)
+        oracle = _triples(kernel_map(coords, coords, algorithm="bruteforce"))
+        for algorithm in ("mergesort", "hash"):
+            assert _triples(kernel_map(typed, typed,
+                                       algorithm=algorithm)) == oracle
 
     def test_dtype_is_part_of_the_digest(self, rng):
         coords = rng.integers(0, 64, (500, 3))
-        d32 = TilePartition(coords.astype(np.int32), 16).fill_neighborhoods(1)[0]
-        d64 = TilePartition(coords.astype(np.int64), 16).fill_neighborhoods(1)[0]
-        assert d32 != d64
+        c32, c64 = coords.astype(np.int32), coords.astype(np.int64)
+        assert _key("kernel_map/mergesort", c32, c32) != _key(
+            "kernel_map/mergesort", c64, c64)
 
     def test_empty_query_set(self, rng):
-        coords = rng.integers(0, 32, (100, 3))
-        part = TilePartition(coords, 16)
-        digests, flat, bounds = part.fill_neighborhoods(
-            1, np.empty(0, dtype=np.int64)
-        )
-        assert digests == [] and len(flat) == 0
+        coords, _ = quantize_unique(rng.integers(0, 32, (100, 3)), 1)
+        empty = np.empty((0, 3), dtype=np.int64)
+        table = kernel_map(coords, empty)
+        assert len(table.in_idx) == 0 and table.kernel_volume == 27
+        assert len(_key("kernel_map/mergesort", coords, empty)) == 16
 
 
 class TestContentDigest:
     def test_distinguishes_dtype_shape_and_bytes(self):
         a = np.arange(6, dtype=np.int64)
-        assert content_digest(a) != content_digest(a.astype(np.float64))
-        assert content_digest(a) != content_digest(a.reshape(2, 3))
-        assert content_digest(a) == content_digest(a.copy())
+        assert _key("op", a) != _key("op", a.astype(np.float64))
+        assert _key("op", a) != _key("op", a.reshape(2, 3))
+        assert _key("op", a) == _key("op", a.copy())
 
     def test_mixed_parts(self):
         a = np.arange(3)
-        assert content_digest(b"x", 1, a) != content_digest(b"x", 2, a)
-        assert content_digest(b"x", 1, a) == content_digest(b"x", 1, a.copy())
+        assert _key("x", a, k=1) != _key("x", a, k=2)
+        assert _key("x", a, k=1) == _key("x", a.copy(), k=1)
+        assert _key("x", a, k=1) != _key("y", a, k=1)
+        assert _key("x", a, a) != _key("x", np.concatenate([a, a]))

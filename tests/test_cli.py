@@ -24,19 +24,17 @@ class TestParser:
     def test_stream_defaults(self):
         args = build_parser().parse_args(["serve-stream"])
         assert args.benchmark == "MinkNet(o)"
-        assert args.shards == 0 and not args.no_tiles
-        assert not args.no_batch
+        assert args.shards == 0 and args.workers == 0
 
     def test_fleet_tile_front_knobs(self):
-        args = build_parser().parse_args(
-            ["serve-fleet", "--tile-size", "2.5", "--halo", "2", "--no-batch"]
-        )
-        assert args.tile_size == 2.5 and args.halo == 2 and args.no_batch
-        for command in ("serve-stream", "serve-fleet"):
-            with pytest.raises(SystemExit):  # the density bypass is gone
-                build_parser().parse_args(
-                    [command, "--min-tile-points", "32"]
-                )
+        """The tile front is gone, and every knob it had with it."""
+        gone = (["--tile-size", "2.5"], ["--halo", "2"], ["--no-tiles"],
+                ["--no-batch"], ["--no-share"], ["--min-tile-points", "32"])
+        for command in ("serve-stream", "bench-stream", "serve-fleet",
+                        "bench-fleet"):
+            for flag in gone:
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, *flag])
 
     def test_bench_stream_rejects_unknown_benchmark(self):
         with pytest.raises(SystemExit):
@@ -177,18 +175,18 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "served 3/3 frames" in out
-        assert "tile cache:" in out
-        assert "tile reuse by op" in out
+        assert "map lookups by op (hits/lookups): kernel_map" in out
         assert "geometry-only: yes" in out
 
     def test_no_batch_is_a_clear_error(self, capsys):
-        """--no-batch parses (so old scripts fail loudly, not with an
-        argparse usage dump) but serving with it is a removal error."""
-        code = main(["serve-stream", "--frames", "1", "--no-batch"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--no-batch was removed" in err
-        assert "PerTileOracle" in err and "property tests only" in err
+        """A script still passing the removed --no-batch fails at once,
+        with an error that names the flag, instead of serving."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-stream", "--frames", "1", "--no-batch"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --no-batch" in captured.err
+        assert "served" not in captured.out
 
     def test_serve_stream_cluster_with_deadlines(self, capsys):
         code = main(["serve-stream", "--frames", "2", "--scale", "0.1",
@@ -212,7 +210,7 @@ class TestCommands:
         assert payload["command"] == "bench-stream"
         assert payload["mismatches"] == 0
         assert payload["speedup"] > 0
-        assert "tiles" in payload
+        assert "tiles" not in payload and "tile_size" not in payload
 
     def test_serve_stream_with_trace_and_metrics(self, tmp_path, capsys):
         import json
@@ -234,7 +232,7 @@ class TestCommands:
             node = stack.pop()
             names.add(node["name"])
             stack.extend(node.get("children", ()))
-        assert {"frame", "request", "plan", "probe", "execute"} <= names
+        assert {"frame", "request", "trace_build", "backend"} <= names
         snapshot = json.loads(metrics.read_text())
         assert snapshot["histograms"]["span_ms.frame"]["count"] == 2
         assert snapshot["counters"]["spans.frame"] == 2
@@ -289,9 +287,9 @@ class TestCommands:
         assert main(["trace-report", str(trace),
                      "--ledger-file", str(ledger)]) == 0
         out = capsys.readouterr().out
-        assert "top recompute causes:" in out
-        assert "recompute(cold)" in out
-        assert "recomputed tiles:" in out  # the per-slow-frame join
+        assert f"ledger {ledger}: 0 event(s)" in out
+        assert "no evictions (every entry stayed resident)" in out
+        assert "top 2 slow frame(s):" in out
 
     def test_trace_diff_cli_self_diff(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
@@ -317,15 +315,15 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "served 4/4 frames from 2 streams" in out
-        assert "cross-stream hits" in out
-        assert "tile reuse by op" in out
+        assert "map lookups by op (hits/lookups): ball_query" in out
 
     def test_serve_fleet_disjoint(self, capsys):
         code = main(["serve-fleet", "--streams", "2", "--frames", "2",
                      "--scale", "0.1", "--disjoint", "--shards", "1"])
         assert code == 0
         out = capsys.readouterr().out
-        assert " 0 cross-stream hits" in out  # leading space: exactly zero
+        assert "served 4/4 frames from 2 streams" in out
+        assert "map lookups by op (hits/lookups): kernel_map" in out
 
     def test_bench_fleet_with_json(self, tmp_path, capsys):
         import json
@@ -342,7 +340,7 @@ class TestCommands:
         assert payload["command"] == "bench-fleet"
         assert payload["schema"] == 1
         assert payload["mismatches"] == 0
-        assert payload["world_tiles"]["cross_hits"] > 0
+        assert "world_tiles" not in payload and "tile_size" not in payload
 
     def test_bench_json_payloads_carry_schema_version(self, tmp_path,
                                                       capsys):

@@ -77,7 +77,7 @@ def test_cluster_serving(capsys):
 def test_stream_serving(capsys):
     run_example("stream_serving.py", ["--frames", "3", "--scale", "0.12"])
     out = capsys.readouterr().out
-    assert "tile reuse" in out
+    assert "map lookups by op" in out
     assert "frames/s" in out
     assert "bit-identical -> True" in out
 
@@ -92,5 +92,5 @@ def test_fleet_serving(capsys):
     run_example("fleet_serving.py",
                 ["--streams", "2", "--frames", "2", "--scale", "0.12"])
     out = capsys.readouterr().out
-    assert "cross-stream hits" in out
+    assert "per-stream veh1: 2/2 completed" in out
     assert "bit-identical -> True" in out
