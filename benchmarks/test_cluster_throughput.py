@@ -4,13 +4,13 @@ Two claims from the cluster PR's acceptance criteria, both asserted here:
 
 1. *Warm beats cold.*  On a repeated-workload stream (every distinct cloud
    appears ``REPEATS`` times — steady-state serving traffic), a 4-shard
-   cluster that has already served the stream once (map caches, shared L2
-   and trace memos hot) must clear >= 2x the throughput of a cold single
+   cluster that has already served the stream once (shared trace store and
+   report memos hot) must clear >= 2x the throughput of a cold single
    ``SimulationEngine`` on the same stream.
 2. *Persistence warm-starts across invocations.*  Two back-to-back
    ``serve-cluster`` CLI invocations pointed at one ``--cache-dir``: the
-   second must already hit the map store on its *first* request (hit rate
-   > 0 before anything in-process was cached).
+   second's *first* admitted request must already reuse a trace read from
+   disk (before anything in-process was built).
 
 Like the engine bench this table is *printed, not archived*: every cell is
 machine-dependent wall-clock timing, so it never touches the deterministic
@@ -53,7 +53,7 @@ def test_warm_cluster_vs_cold_single_engine(scale):
 
     cluster = EngineCluster(n_shards=SHARDS, backends=("pointacc",),
                             policy="bucketed", routing="affinity")
-    cluster.run_batch(stream)  # warm-up pass: every tier hot
+    cluster.run_batch(stream)  # warm-up pass: every memo hot
     t0 = time.perf_counter()
     warm_results = cluster.run_batch(stream)
     warm_s = time.perf_counter() - t0
@@ -86,7 +86,7 @@ def test_warm_cluster_vs_cold_single_engine(scale):
 
 
 def test_second_cli_invocation_warm_starts_from_disk(tmp_path, capsys):
-    cache_dir = tmp_path / "persisted-maps"
+    cache_dir = tmp_path / "persisted-traces"
     argv = [
         "serve-cluster", "--requests", "4", "--scale", "0.1",
         "--seed-pool", "2", "--benchmarks", "PointNet++(c)",
@@ -95,13 +95,16 @@ def test_second_cli_invocation_warm_starts_from_disk(tmp_path, capsys):
 
     assert main(list(argv)) == 0
     first_out = capsys.readouterr().out
-    cold_hits = int(re.search(r"first-request map hits: (\d+)", first_out)[1])
-    assert cold_hits == 0  # nothing persisted yet: genuinely cold
-    assert any(cache_dir.glob("*.map"))
+    # nothing persisted yet: genuinely cold
+    assert re.search(r"first-request trace: (\w+)", first_out)[1] == "build"
+    assert int(re.search(r"(\d+) disk hits", first_out)[1]) == 0
+    assert any(cache_dir.glob("*.trace"))
 
     # "Second CLI invocation": a fresh parser, engine fleet and store —
     # only the spill directory survives, exactly like a new process.
     assert main(list(argv)) == 0
     second_out = capsys.readouterr().out
-    warm_hits = int(re.search(r"first-request map hits: (\d+)", second_out)[1])
-    assert warm_hits > 0, "persisted cache did not warm-start the first request"
+    first_trace = re.search(r"first-request trace: (\w+)", second_out)[1]
+    assert first_trace == "reuse", (
+        "persisted store did not warm-start the first request")
+    assert int(re.search(r"(\d+) disk hits", second_out)[1]) >= 1

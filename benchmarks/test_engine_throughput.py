@@ -3,15 +3,16 @@
 A repeated-cloud batch (every distinct workload appears ``REPEATS`` times,
 the steady-state serving pattern) runs three ways:
 
-* cold sequential — fresh trace + fresh models per request, no caches (the
+* cold sequential — fresh trace + fresh models per request, no memos (the
   pre-engine behaviour);
-* engine, map cache only — op-level content-addressed memoization of
-  FPS/kNN/ball-query/kernel-map results, traces still rebuilt;
-* engine, full — map cache plus the request-level trace/report memo.
+* engine, one-entry store — a ``TraceStore(max_entries=1)`` that keeps
+  only the last trace it built;
+* engine, full — the default trace store plus the per-engine report memo.
 
 The full engine must clear >= 1.5x throughput on this batch (the PR's
 acceptance floor; structurally it sits near REPEATS x), and every report
-must be bit-identical to the cold run — caching may never change a result.
+must be bit-identical to the cold run — memoizing may never change a
+result.
 
 Unlike the experiment benches this table is *printed, not archived*: every
 cell is machine-dependent wall-clock timing, so writing it into
@@ -21,7 +22,7 @@ churn on every machine.
 
 import time
 
-from repro.engine import SimRequest, SimulationEngine, run_cold
+from repro.engine import SimRequest, SimulationEngine, TraceStore, run_cold
 from repro.experiments.common import ExperimentResult
 
 REPEATS = 3
@@ -48,40 +49,41 @@ def test_engine_throughput(scale):
     cold = [run_cold(r, backends=("pointacc",)) for r in batch]
     cold_s = time.perf_counter() - t0
 
-    ops_engine = SimulationEngine(
-        backends=("pointacc",), policy="bucketed", reuse_traces=False
+    small_engine = SimulationEngine(
+        backends=("pointacc",), policy="bucketed",
+        store=TraceStore(max_entries=1),
     )
     t0 = time.perf_counter()
-    ops_results = ops_engine.run_batch(batch)
-    ops_s = time.perf_counter() - t0
+    small_results = small_engine.run_batch(batch)
+    small_s = time.perf_counter() - t0
 
     full_engine = SimulationEngine(backends=("pointacc",), policy="bucketed")
     t0 = time.perf_counter()
     full_results = full_engine.run_batch(batch)
     full_s = time.perf_counter() - t0
 
-    for label, results in (("map-cache", ops_results), ("full", full_results)):
+    for label, results in (("one-entry", small_results),
+                           ("full", full_results)):
         for baseline, result in zip(cold, results):
             assert baseline.reports["pointacc"] == result.reports["pointacc"], (
                 f"{label} engine changed a report for {result.request}"
             )
 
     full_stats = full_engine.stats()
-    ops_stats = ops_engine.stats()
+    small_stats = small_engine.stats()
     speedup = cold_s / full_s
     rows = [
-        ["cold sequential", f"{cold_s * 1e3:.1f}", f"{n / cold_s:.1f}", "-", "-"],
-        ["engine map-cache only", f"{ops_s * 1e3:.1f}", f"{n / ops_s:.1f}",
-         "0", str(ops_stats.map_cache.get("hits", 0))],
+        ["cold sequential", f"{cold_s * 1e3:.1f}", f"{n / cold_s:.1f}", "-"],
+        ["engine one-entry store", f"{small_s * 1e3:.1f}",
+         f"{n / small_s:.1f}", str(small_stats.trace_reuses)],
         ["engine full", f"{full_s * 1e3:.1f}", f"{n / full_s:.1f}",
-         str(full_stats.trace_reuses),
-         str(full_stats.map_cache.get("hits", 0))],
+         str(full_stats.trace_reuses)],
     ]
     print("\n" + ExperimentResult(
         experiment_id="bench-engine",
         title=(f"Engine throughput on a repeated-cloud batch "
                f"({n} requests, x{REPEATS} repeats): {speedup:.1f}x"),
-        headers=["mode", "wall ms", "req/s", "trace reuses", "map hits"],
+        headers=["mode", "wall ms", "req/s", "trace reuses"],
         rows=rows,
         data={"speedup": speedup, "requests": n},
     ).table())

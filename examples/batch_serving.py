@@ -1,11 +1,11 @@
-"""Batch serving: many clouds through one engine, maps cached across requests.
+"""Batch serving: many clouds through one engine, traces reused across requests.
 
-A serving deployment sees the same geometry again and again — repeated
-frames, popular scenes, retried requests.  The SimulationEngine exploits
-that: one shared set of backend models, a content-addressed map cache, and
-a request-level trace memo.  This example pushes a mixed batch with
-repeated clouds through the engine and compares against the cold
-sequential path the repo used before the engine existed.
+A serving deployment sees the same workload again and again — popular
+scenes, retried requests.  The SimulationEngine exploits that: one shared
+set of backend models, a trace store keyed by workload
+``(benchmark, scale, seed)``, and a per-engine report memo.  This example
+pushes a mixed batch with repeated clouds through the engine and compares
+against the cold sequential path the repo used before the engine existed.
 
 Run:  python examples/batch_serving.py [--repeats N]
 """
@@ -53,7 +53,7 @@ def main() -> None:
     print(f"\nbatch of {len(batch)}: cold sequential {cold_s:.3f}s, "
           f"engine {engine_s:.3f}s -> {cold_s / engine_s:.1f}x throughput")
     print(f"traces built {stats.trace_builds}, reused {stats.trace_reuses}; "
-          f"map-cache hit rate "
+          f"trace-store hit rate "
           f"{stats.map_cache.get('hit_rate', 0.0) * 100:.0f}%")
 
 

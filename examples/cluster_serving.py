@@ -1,18 +1,19 @@
-"""Cluster serving: a sharded engine fleet with tiered caching and QoS.
+"""Cluster serving: a sharded engine fleet with a shared trace store and QoS.
 
 The single-engine batch example (`batch_serving.py`) shows what one
-SimulationEngine earns from its caches.  This example runs the full
+SimulationEngine earns from its trace store.  This example runs the full
 production layer on top — repro.cluster — and walks the three things it
 adds:
 
 1. *Sharding*: requests are routed across engine instances.  Affinity
-   routing hashes the workload key so repeats co-locate; every shard's
-   private L1 map cache is backed by one shared L2 store.
+   routing hashes the workload key so repeats co-locate; every shard
+   serves from one shared trace store, so a trace built anywhere serves
+   everywhere.
 2. *QoS*: per-request deadlines (admission rejects spent budgets,
    completions are scored met/missed) and per-tenant fair-share ordering.
-3. *Persistence*: the L2 store spills to a cache directory, so a second
-   cluster — think: the next CLI invocation — warm-starts from disk on its
-   very first request.
+3. *Persistence*: the store spills every trace to a cache directory, so a
+   second cluster — think: the next CLI invocation — warm-starts from disk
+   on its very first request.
 
 Run:  python examples/cluster_serving.py [--shards N] [--requests N]
 """
@@ -77,13 +78,13 @@ def main() -> None:
                   f"{acct['modeled_seconds'] * 1e3:.3f} modeled ms")
 
         # A brand-new fleet pointed at the same cache dir: nothing is in
-        # memory, yet the first trace build hits the persisted map store.
+        # memory, yet the first request reuses the persisted trace.
         print("\n=== warm-start: fresh cluster, same cache dir ===")
         warm = EngineCluster(n_shards=2, backends=("pointacc",),
                              routing="least-loaded", cache_dir=cache_dir)
         first = warm.run_batch(requests[:1])[0]
-        print(f"first request on the fresh cluster: "
-              f"{first.map_cache_hits} map hits, "
+        print(f"first request on the fresh cluster: trace "
+              f"{'reuse' if first.trace_reused else 'build'}, "
               f"{warm.l2.disk_hits} served from disk -> warm start")
 
 

@@ -6,7 +6,7 @@ streams interleave through one shared `EngineCluster` in rounds — in
 order per stream, QoS-ordered across streams, with per-tenant
 fair-share accounting and per-stream tallies.  Each vehicle's kNN and
 ball query rank its whole frame, and the streams share the cluster's
-whole-op map caches.
+trace store.
 
 As everywhere in this repo, sharing an executor is wall-clock only: each
 stream's reports stay bit-identical to running it cold and alone.

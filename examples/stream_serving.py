@@ -12,8 +12,8 @@ and walks its three ideas:
 2. *Whole-cloud neighbour search*: each kNN / ball-query call ranks the
    whole frame in one pass and keeps the k nearest per row without
    sorting the row, as the MPU's TopK truncates every merged subarray
-   to k (paper Section 4.1.4).  Since frames never repeat, the map
-   cache's whole-op lookups miss on them.
+   to k (paper Section 4.1.4).  Every frame is its own workload, so
+   every frame builds its trace once.
 3. *Geometry-only execution*: for the SparseConv models and
    PointNet++(c), (ps) and (s) the trace is a pure function of
    coordinates, so the stream skips the dense feature math entirely (and
@@ -51,24 +51,23 @@ def main() -> None:
               f"{report.total_seconds * 1e3:11.3f} {frame.latency_ms:8.1f}")
 
     summary = session.summary()
-    cache = summary["executor"]["map_cache"]
+    executor = summary["executor"]
     print(f"\n{summary['completed']} frames at "
           f"{summary['throughput_fps']:.1f} frames/s "
           f"(p50 {summary['latency_p50_ms']:.0f} ms, "
           f"p99 {summary['latency_p99_ms']:.0f} ms, "
           f"geometry-only: {'yes' if summary['geometry_only'] else 'no'})")
-    print("map lookups by op (hits/lookups): " + "  ".join(
-        f"{op} {c['hits']}/{c['hits'] + c['misses']}"
-        for op, c in sorted(cache["by_op"].items())))
+    print(f"traces: {executor['trace_builds']} built, "
+          f"{executor['trace_reuses']} reused")
 
     # Serving is only interesting because it is *exact*: replaying one
-    # frame cold — fresh functional simulation, no caches — produces the
+    # frame cold — fresh functional simulation, no memos — produces the
     # same report, bit for bit.
     check = args.frames - 1
     cold = run_cold(SimRequest(benchmark=session.notation, scale=args.scale,
                                seed=check))
-    # The streamed report sits in the engine's memo: replaying the request
-    # through the executor is a pure cache hit.
+    # The streamed trace and report sit in the engine's memos: replaying
+    # the request through the executor builds nothing.
     streamed = session.executor.run_batch([session.request(check)])[0]
     identical = cold.reports["pointacc"] == streamed.reports["pointacc"]
     print(f"cold replay of frame {check}: reports bit-identical -> "

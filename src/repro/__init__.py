@@ -14,9 +14,9 @@ Python/numpy:
 * experiment runners regenerating every table and figure
   (``repro.experiments``),
 * a batched simulation engine serving request streams through shared
-  backends with content-addressed map caching (``repro.engine``),
+  backends with a workload-keyed trace store (``repro.engine``),
 * a sharded serving cluster over those engines — workload-affinity
-  routing, a tiered L1/L2/disk map cache that persists across CLI
+  routing, one shared trace store whose disk tier persists across CLI
   invocations, and deadline/tenant QoS (``repro.cluster``),
 * a temporal streaming subsystem serving LiDAR frame sequences in order
   with whole-cloud neighbour search and geometry-only trace construction

@@ -11,7 +11,8 @@ Commands:
                      request file) through the batched simulation engine;
 * ``bench-engine`` — engine (cached) vs cold sequential throughput;
 * ``serve-cluster``— stream a workload through a sharded engine cluster
-                     with tiered (L1/L2/disk) map caching and deadline QoS;
+                     with one shared trace store (optionally disk-backed)
+                     and deadline QoS;
 * ``bench-cluster``— warm cluster vs cold single engine throughput, plus
                      the disk-persistence warm-start path;
 * ``serve-stream`` — serve a temporal LiDAR frame sequence in order;
@@ -38,7 +39,7 @@ recorder's retained slowest / deadline-missed frames), ``--metrics PATH``
 histograms and counters derived from the same spans, plus the handler's
 session/cluster summary ingested as a registry source), and ``--ledger
 PATH`` (the :class:`repro.obs.RecomputeLedger` event log recording each
-map-cache eviction and the frame whose build caused it).
+trace-store eviction and the frame whose build caused it).
 """
 
 from __future__ import annotations
@@ -250,35 +251,6 @@ def _build_workload(args, tenant_pool: int = 1,
         raise CLIError(str(exc)) from exc
 
 
-def _format_by_op(by_op: dict) -> str:
-    """One-line per-op hit/miss rendering, ops in a stable order."""
-    if not by_op:
-        return "(no mapping lookups)"
-    return "  ".join(
-        f"{op} {c['hits']}/{c['hits'] + c['misses']}"
-        for op, c in sorted(by_op.items())
-    )
-
-
-def _merge_by_op(dicts) -> dict:
-    merged: dict = {}
-    for by_op in dicts:
-        for op, c in (by_op or {}).items():
-            slot = merged.setdefault(op, {"hits": 0, "misses": 0})
-            slot["hits"] += c["hits"]
-            slot["misses"] += c["misses"]
-    return merged
-
-
-def _executor_by_op(executor: dict) -> dict:
-    """Per-op map-cache counters of an engine or cluster summary."""
-    shards = executor.get("shards")
-    if isinstance(shards, list):
-        return _merge_by_op(
-            shard.get("map_cache", {}).get("by_op") for shard in shards)
-    return executor.get("map_cache", {}).get("by_op", {})
-
-
 def _write_json(path: str, payload: dict) -> None:
     payload = {"schema": BENCH_JSON_SCHEMA, **payload}
     try:
@@ -434,14 +406,10 @@ def cmd_serve_sim(args) -> int:
               f"{result.wall_seconds * 1e3:8.2f}")
     stats = engine.stats()
     _ingest_metrics("engine", stats.summary())
-    cache = stats.map_cache or {}
     print(f"\nserved {stats.requests} requests in {stats.wall_seconds:.3f}s "
           f"({stats.throughput_rps:.1f} req/s, policy={args.policy})")
     print(f"traces: {stats.trace_builds} built, {stats.trace_reuses} reused; "
-          f"map cache: {cache.get('hits', 0)} hits / "
-          f"{cache.get('misses', 0)} misses")
-    print(f"map cache by op (hits/lookups): "
-          f"{_format_by_op(cache.get('by_op', {}))}")
+          f"reports: {stats.report_reuses} reused")
     for name in backends:
         print(f"modeled {name}: {stats.backend_seconds[name] * 1e3:.3f} ms total")
     return 0
@@ -494,16 +462,14 @@ def cmd_bench_engine(args) -> int:
 
     mismatch = _count_mismatches(cold, results)
     stats = engine.stats()
-    cache = stats.map_cache or {}
     n = len(requests)
     rows = [
-        ["cold sequential", f"{cold_s:.3f}", f"{n / cold_s:.1f}", "-", "-"],
+        ["cold sequential", f"{cold_s:.3f}", f"{n / cold_s:.1f}", "-"],
         [f"engine ({args.policy})", f"{engine_s:.3f}", f"{n / engine_s:.1f}",
-         f"{stats.trace_reuses}/{n}",
-         f"{cache.get('hits', 0)}/{cache.get('lookups', 0)}"],
+         f"{stats.trace_reuses}/{n}"],
     ]
     print(format_table(
-        ["mode", "wall s", "req/s", "trace reuse", "map-cache hits"],
+        ["mode", "wall s", "req/s", "trace reuse"],
         rows, title=_bench_title(args, n, benchmarks),
     ))
     code = _print_speedup(cold_s, engine_s, mismatch)
@@ -521,13 +487,13 @@ def cmd_bench_engine(args) -> int:
             "speedup": cold_s / engine_s,
             "mismatches": mismatch,
             "trace_reuses": stats.trace_reuses,
-            "map_cache": cache,
+            "map_cache": stats.map_cache,
         })
     return code
 
 
 def cmd_serve_cluster(args) -> int:
-    """Stream a workload through the sharded cluster with tiered caching."""
+    """Stream a workload through the sharded cluster and its trace store."""
     if args.window < 1:
         print(f"error: --window must be >= 1, got {args.window}", file=sys.stderr)
         return 2
@@ -551,7 +517,7 @@ def cmd_serve_cluster(args) -> int:
         workers=args.workers,
     )
     first = backends[0]
-    first_request_hits = None
+    first_request_trace = None
     print(f"{'req':>5s} {'benchmark':16s} {'shard':>5s} {'tenant':8s} "
           f"{first + ' ms':>12s} {'trace':>6s} {'deadline':>8s}")
     for result in cluster.stream(requests, window=args.window):
@@ -560,8 +526,8 @@ def cmd_serve_cluster(args) -> int:
                   f"{'-':>5s} {result.request.tenant:8s} "
                   f"{'rejected':>12s} {'-':>6s} {'-':>8s}")
             continue
-        if first_request_hits is None:  # first *admitted* request
-            first_request_hits = result.map_cache_hits
+        if first_request_trace is None:  # first *admitted* request
+            first_request_trace = "reuse" if result.trace_reused else "build"
         rep = result.reports.get(first)
         modeled = f"{rep.total_seconds * 1e3:12.3f}" if rep else " unsupported"
         deadline = {True: "met", False: "MISSED", None: "-"}[result.deadline_met]
@@ -580,18 +546,13 @@ def cmd_serve_cluster(args) -> int:
     print(f"deadlines: {stats.deadline_met} met, {stats.deadline_missed} missed")
     print(f"shard requests: {stats.routing['counts']}")
     l2 = stats.l2
-    print(f"L2 store: {l2.get('hits', 0)} hits / {l2.get('misses', 0)} misses, "
-          f"{l2.get('disk_hits', 0)} disk hits"
+    print(f"trace store: {l2.get('hits', 0)} hits / "
+          f"{l2.get('misses', 0)} misses, {l2.get('disk_hits', 0)} disk hits"
           + (f" (persisted under {args.cache_dir})" if args.cache_dir else ""))
-    shard_by_op = _merge_by_op(
-        shard.get("map_cache", {}).get("by_op") for shard in stats.shards
-    )
-    print(f"map lookups by op (hits/lookups): {_format_by_op(shard_by_op)}")
     # Warm-start observability: with a pre-populated --cache-dir the very
-    # first admitted request already hits (the benchmark suite asserts on
-    # this line); '-' when nothing was admitted.
-    print(f"first-request map hits: "
-          f"{'-' if first_request_hits is None else first_request_hits}")
+    # first admitted request already reuses a trace (the benchmark suite
+    # asserts on this line); '-' when nothing was admitted.
+    print(f"first-request trace: {first_request_trace or '-'}")
     for tenant, acct in stats.tenants.items():
         print(f"tenant {tenant}: {acct['requests']} requests, "
               f"{acct['rejected']} rejected, "
@@ -684,7 +645,7 @@ def cmd_bench_cluster(args) -> int:
               f"over {args.workers} worker processes "
               f"(warm repeat {cold_s / worker_s:.2f}x over cold)")
     if args.cache_dir:
-        print(f"map store persisted under {args.cache_dir} "
+        print(f"trace store persisted under {args.cache_dir} "
               f"(a later serve-cluster --cache-dir warm-starts from it)")
     if args.json:
         payload = {
@@ -750,8 +711,6 @@ def cmd_serve_stream(args) -> int:
     print(f"latency: p50 {summary['latency_p50_ms']:.1f} ms, "
           f"p99 {summary['latency_p99_ms']:.1f} ms; "
           f"geometry-only: {'yes' if summary['geometry_only'] else 'no'}")
-    print(f"map lookups by op (hits/lookups): "
-          f"{_format_by_op(_executor_by_op(summary['executor']))}")
     session.close()
     return 0
 
@@ -907,8 +866,6 @@ def cmd_serve_fleet(args) -> int:
         print(f"stream {name}: {tally['completed']}/{tally['frames']} "
               f"completed, {tally['deadline_met']} met / "
               f"{tally['deadline_missed']} missed")
-    print(f"map lookups by op (hits/lookups): "
-          f"{_format_by_op(_executor_by_op(summary['executor']))}")
     session.close()
     return 0
 
@@ -934,7 +891,7 @@ def cmd_bench_fleet(args) -> int:
         spec.sequence.frame(0, scale=spec.scale)
 
     # Baseline: the identical streams, each with its own engine and its
-    # own map cache — nothing shared across streams.
+    # own trace store — nothing shared across streams.
     solo_sessions = {
         spec.name: StreamSession(
             spec.sequence, spec.benchmark, backends=backends,
@@ -1080,7 +1037,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a metrics snapshot (per-phase latency "
                             "histograms and counters) as JSON")
         p.add_argument("--ledger", default=None, metavar="PATH",
-                       help="write the cache-lineage ledger (each map-cache "
+                       help="write the cache-lineage ledger (each trace-store "
                             "eviction and its frame) as JSONL")
 
     srv_p = sub.add_parser(
@@ -1107,14 +1064,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc_p = sub.add_parser(
         "serve-cluster",
-        help="stream a workload through the sharded cluster (tiered cache, QoS)",
+        help="stream a workload through the sharded cluster (trace store, QoS)",
     )
     add_workload_args(sc_p)
     add_obs_args(sc_p)
     sc_p.add_argument("--shards", type=int, default=4)
     sc_p.add_argument("--routing", choices=ROUTING_MODES, default="affinity")
     sc_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                      help="persist the shared map store here (warm-starts "
+                      help="persist the shared trace store here (warm-starts "
                            "later invocations)")
     sc_p.add_argument("--workers", type=int, default=0,
                       help="run shards in this many worker processes "

@@ -14,20 +14,20 @@ into a servable fleet:
    ``least-loaded`` balances estimated work;
 4. execution — consecutive same-shard requests are handed to that shard's
    engine as one sub-batch (the shard's own policy applies inside it);
-   every shard shares one L2 :class:`~repro.cluster.store.SharedMapStore`
-   behind its private L1 map cache, so mapping tables computed anywhere
-   serve everywhere — and persist across CLI invocations when the store
-   has a cache directory.
+   every shard engine uses one shared
+   :class:`~repro.engine.trace_store.TraceStore`, so a trace built on any
+   shard serves every shard — and persists across CLI invocations when
+   the store has a cache directory.
 
 With ``workers=N`` the shards stop being a routing fiction: each shard's
 engine runs in a real OS process (:mod:`repro.cluster.workers`), requests
-and results cross the boundary pickled, and the BLAKE2b-keyed disk tier of
-:class:`~repro.cluster.store.SharedMapStore` becomes the cross-process L2.
-The default ``workers=0`` keeps today's in-process execution exactly.
+and results cross the boundary pickled, and the store's versioned,
+atomically written disk tier becomes the cross-process L2.  The default
+``workers=0`` keeps in-process execution.
 
 The correctness contract is inherited, not relaxed: for admitted requests,
 cluster output is bit-identical to cold sequential ``PointAccModel`` runs
-for every shard count, routing mode, cache-tier configuration *and worker
+for every shard count, routing mode, store configuration *and worker
 count* (``tests/properties/test_prop_cluster.py``,
 ``tests/properties/test_prop_workers.py``).
 """
@@ -38,11 +38,10 @@ import time
 from dataclasses import dataclass, field
 
 from ..engine.engine import SimRequest, SimResult, SimulationEngine
-from ..engine.map_cache import MapCache
+from ..engine.trace_store import TraceStore
 from ..obs.trace import Span, current_tracer, span
 from .qos import QoSScheduler
 from .router import ShardRouter
-from .store import SharedMapStore
 from .workers import WorkerPool, engine_spec, merge_snapshots
 
 __all__ = ["ClusterStats", "EngineCluster"]
@@ -50,7 +49,7 @@ __all__ = ["ClusterStats", "EngineCluster"]
 
 @dataclass
 class ClusterStats:
-    """Aggregate fleet behaviour: admission, deadlines, shards, cache tiers."""
+    """Aggregate fleet behaviour: admission, deadlines, shards, trace store."""
 
     requests: int = 0
     admitted: int = 0
@@ -61,7 +60,7 @@ class ClusterStats:
     routing: dict = field(default_factory=dict)  # ShardRouter.snapshot()
     tenants: dict = field(default_factory=dict)  # tenant -> TenantAccount.summary()
     shards: list = field(default_factory=list)  # per-shard EngineStats.summary()
-    l2: dict = field(default_factory=dict)  # SharedMapStore snapshot
+    l2: dict = field(default_factory=dict)  # shared TraceStore.snapshot()
     workers: int = 0  # worker processes (0 = in-process execution)
 
     @property
@@ -87,28 +86,25 @@ class ClusterStats:
 
 
 class EngineCluster:
-    """N engine shards behind one router, QoS layer, and shared map store.
+    """N engine shards behind one router, QoS layer, and shared trace store.
 
     Parameters
     ----------
     n_shards:
         Engine instances in the fleet.
-    backends / policy / reuse_traces:
+    backends / policy:
         Forwarded to every shard's :class:`SimulationEngine`.
     routing:
         ``"affinity"`` (hash of workload key; repeats co-locate) or
         ``"least-loaded"`` (balance estimated work).
-    map_cache:
-        Per-shard L1 policy: ``"auto"`` gives each shard a private
-        :class:`MapCache`, ``None`` disables the L1 tier, and a callable
-        is invoked once per shard to build its cache — the hook for
-        sizing L1s to the workload.
     l2:
-        The shared tier: ``"auto"`` builds a :class:`SharedMapStore`
-        (persistent iff ``cache_dir`` is given), ``None`` disables L2, or
-        pass a pre-built store to share one across clusters.
+        The shared trace store: ``"auto"`` builds one
+        :class:`~repro.engine.trace_store.TraceStore` (disk-backed iff
+        ``cache_dir`` is given) that every shard engine uses directly,
+        ``None`` gives each shard a private store, or pass a pre-built
+        store to share one across clusters.
     cache_dir:
-        Disk-spill directory for the auto-built L2 store.  Lazy per-key
+        Disk-spill directory for the auto-built store.  Lazy per-key
         probing means a second cluster pointed at the same directory
         warm-starts on its very first request.
     workers:
@@ -135,10 +131,8 @@ class EngineCluster:
         backends=("pointacc",),
         policy: str = "fifo",
         routing: str = "affinity",
-        map_cache: str | None = "auto",
-        l2: SharedMapStore | str | None = "auto",
+        l2: TraceStore | str | None = "auto",
         cache_dir=None,
-        reuse_traces: bool = True,
         workers: int = 0,
         overlap: bool | None = None,
     ) -> None:
@@ -146,54 +140,32 @@ class EngineCluster:
             raise ValueError(f"workers must be >= 0, got {workers}")
         if workers > 0 and not (l2 == "auto" or l2 is None):
             raise ValueError(
-                "workers>0 cannot share a pre-built in-memory L2 store; "
+                "workers>0 cannot share a pre-built in-memory trace store; "
                 "leave l2='auto' (with cache_dir for a shared disk tier) "
                 "or l2=None"
             )
+        if cache_dir is not None and l2 != "auto":
+            raise ValueError("cache_dir requires the auto-built trace store")
         overlap = workers > 0 if overlap is None else bool(overlap)
         self.overlap = overlap
-        if l2 == "auto":
-            l2 = SharedMapStore(cache_dir=cache_dir)
-        elif cache_dir is not None:
-            raise ValueError("cache_dir requires the auto-built L2 store")
         self.router = ShardRouter(n_shards, mode=routing)
-        self.l2 = l2
         self.qos = QoSScheduler()
-        def shard_l1():
-            if map_cache == "auto":
-                return MapCache()
-            if callable(map_cache):
-                return map_cache()
-            return map_cache
-
         self._n_shards = n_shards
         self._pool: WorkerPool | None = None
+        self.l2 = None
+        self.shards = []
         if workers > 0:
-            # Shard engines live in the pool's processes; the parent keeps
-            # no in-process engines (self.shards stays empty) and its own
-            # L2 store object only as the save_cache()/introspection
-            # surface — worker stores write through to the same cache_dir.
-            self.shards = []
-            spec = engine_spec(
-                backends=backends,
-                policy=policy,
-                map_cache=map_cache,
-                l2="auto" if l2 is not None else None,
-                cache_dir=cache_dir,
-                reuse_traces=reuse_traces,
-                overlap=overlap,
-            )
+            # Shard engines live in the pool's processes; each worker
+            # builds its own store, and with a cache_dir those stores
+            # share the directory.
+            spec = engine_spec(backends=backends, policy=policy, l2=l2,
+                               cache_dir=cache_dir, overlap=overlap)
             self._pool = WorkerPool(workers, n_shards, spec)
         else:
+            self.l2 = TraceStore(cache_dir=cache_dir) if l2 == "auto" else l2
             self.shards = [
-                SimulationEngine(
-                    backends=backends,
-                    policy=policy,
-                    map_cache=shard_l1(),
-                    l2=l2,
-                    reuse_traces=reuse_traces,
-                    overlap=overlap,
-                )
+                SimulationEngine(backends=backends, policy=policy,
+                                 store=self.l2, overlap=overlap)
                 for _ in range(n_shards)
             ]
         self._served = 0
@@ -354,15 +326,15 @@ class EngineCluster:
                 yield result
 
     # ------------------------------------------------------------------
-    # Observability and persistence
+    # Observability and lifecycle
     # ------------------------------------------------------------------
 
     def stats(self) -> ClusterStats:
         """Aggregated fleet snapshot (shard stats taken at call time).
 
-        In worker mode the per-shard engine summaries and L2 snapshots
-        live in the worker processes; they are collected over
-        the pipes and merged (counters summed, rates recomputed — see
+        In worker mode the per-shard engine summaries and store snapshots
+        live in the worker processes; they are collected over the pipes
+        and merged (counters summed, rates recomputed — see
         :func:`~repro.cluster.workers.merge_snapshots`)."""
         stats = ClusterStats(
             requests=self._served,
@@ -384,19 +356,8 @@ class EngineCluster:
             stats.l2 = merge_snapshots(p["l2"] for p in payloads)
         else:
             stats.shards = [shard.stats().summary() for shard in self.shards]
-            stats.l2 = self.l2.stats().snapshot() if self.l2 is not None else {}
+            stats.l2 = self.l2.snapshot() if self.l2 is not None else {}
         return stats
-
-    def save_cache(self, cache_dir=None) -> int:
-        """Spill the shared store to disk; returns entries written.
-
-        A no-op returning 0 when the cluster has no L2 tier.  With the
-        default write-through store this only matters for stores built
-        with ``write_through=False`` or an alternate ``cache_dir``.
-        """
-        if self.l2 is None:
-            return 0
-        return self.l2.save(cache_dir)
 
     def close(self) -> None:
         """Shut down worker processes (no-op for ``workers=0``).

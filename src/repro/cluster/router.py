@@ -7,14 +7,14 @@ fan-out.  Two modes:
 
 * ``affinity`` — a stable BLAKE2b hash of the workload key picks the shard,
   so the same ``(benchmark, scale, seed)`` always lands on the same engine.
-  That maximizes trace-memo and L1 map-cache hits (each shard's private
-  cache sees all the repeats of its workloads) at the cost of possible
-  imbalance under skewed traffic.
+  That maximizes report-memo hits (each shard's engine sees all the
+  repeats of its workloads) at the cost of possible imbalance under
+  skewed traffic.
 * ``least-loaded`` — each request goes to the shard with the least
   accumulated *estimated* work (the scheduler's nominal point count), ties
   to the lowest shard index.  Balanced by construction, but repeats may
-  scatter — the cluster's shared L2 store is what keeps mapping reuse alive
-  in this mode.
+  scatter — the cluster's shared trace store is what keeps trace reuse
+  alive in this mode.
 
 Routing is deterministic in both modes: the affinity hash is content-based
 (not Python's randomized ``hash``), and least-loaded tie-breaks are fixed,

@@ -22,7 +22,7 @@ over one duplex pipe; everything that crosses is pickled:
   sub-batch, executed under the shard engine's own scheduling policy,
   exactly like the in-process path;
 * ``("stats",)`` → per-shard :class:`~repro.engine.EngineStats` summaries
-  plus the worker's L2 snapshot, merged by the parent into
+  plus the worker's shared-store snapshot, merged by the parent into
   one :class:`~repro.cluster.ClusterStats`;
 * ``("close",)`` → clean shutdown.
 
@@ -30,16 +30,17 @@ A worker failure surfaces as ``("err", run_id, traceback)`` and raises in
 the parent — a dead worker is a serving failure, not a silent wrong
 answer.
 
-Cache tiers across the process boundary
----------------------------------------
-Per-shard L1 map caches stay private, as always.  The in-memory L2 cannot
-be shared across processes, so each worker builds its *own*
-:class:`~repro.cluster.store.SharedMapStore` — and when the cluster has a
-``cache_dir``, those stores all point at the same directory: the BLAKE2b
-content-keyed, atomically-written disk tier becomes the cross-process L2.
-A mapping table spilled by worker 0 is a lazy-probe disk hit for worker 3,
-no shared memory required.  The store's multi-writer hardening (stale-tmp
-sweeps, vanish-tolerant reads, budget races) is what makes this safe; see
+The trace store across the process boundary
+-------------------------------------------
+An in-memory store cannot be shared across processes, so each worker
+builds its *own* :class:`~repro.engine.trace_store.TraceStore`, used by
+all of its shard engines (or one private store per shard with
+``l2=None``) — and when the cluster has a ``cache_dir``, those stores all
+point at the same directory: the versioned, atomically written disk tier
+becomes the cross-process L2.  A trace spilled by worker 0 is a
+lazy-probe disk hit for worker 3, no shared memory required.  The
+store's multi-writer hardening (stale-tmp sweeps, vanish-tolerant reads,
+budget races) is what makes this safe; see
 ``tests/cluster/test_store_concurrency.py``.
 
 None of it may change a result: worker-mode output is property-proved
@@ -58,32 +59,21 @@ from ..obs.metrics import merge_snapshots as _merge_snapshots
 __all__ = ["WorkerPool", "engine_spec", "merge_snapshots"]
 
 
-def engine_spec(
-    backends,
-    policy: str,
-    map_cache,
-    l2,
-    cache_dir,
-    reuse_traces: bool,
-    overlap: bool,
-) -> dict:
+def engine_spec(backends, policy: str, l2, cache_dir, overlap: bool) -> dict:
     """The picklable recipe a worker rebuilds its shard engines from.
 
-    ``map_cache`` may be ``"auto"``, ``None``,
-    or a module-level factory callable — all picklable by reference.
-    ``l2`` must be ``"auto"`` or ``None``: a pre-built in-memory store
-    cannot cross a process boundary (the cluster validates this before
-    building a pool).
+    ``l2`` must be ``"auto"`` (one store per worker, disk-backed iff
+    ``cache_dir`` is set) or ``None`` (a private store per shard): a
+    pre-built in-memory store cannot cross a process boundary (the
+    cluster validates this before building a pool).
     """
     import os
 
     return {
         "backends": tuple(backends),
         "policy": policy,
-        "map_cache": map_cache,
         "l2": l2,
         "cache_dir": os.fspath(cache_dir) if cache_dir is not None else None,
-        "reuse_traces": bool(reuse_traces),
         "overlap": bool(overlap),
     }
 
@@ -95,36 +85,21 @@ def _worker_main(conn, worker_id: int, shard_ids, spec: dict) -> None:
     pays them once; under ``fork`` they are already resident.
     """
     from ..engine.engine import SimulationEngine
-    from ..engine.map_cache import MapCache
+    from ..engine.trace_store import TraceStore
     from ..obs.trace import Tracer, _set_tracer, use_tracer
-    from .store import SharedMapStore
 
     # A fork-start child inherits the parent's module globals, including
     # any active tracer.  Recording into that ghost copy would waste time
     # and ship spans back even when the parent didn't ask for them.
     _set_tracer(None)
 
-    l2 = None
+    store = None
     if spec["l2"] == "auto":
-        l2 = SharedMapStore(cache_dir=spec["cache_dir"])
-    map_cache = spec["map_cache"]
-
-    def shard_l1():
-        if map_cache == "auto":
-            return MapCache()
-        if callable(map_cache):
-            return map_cache()
-        return map_cache
-
+        store = TraceStore(cache_dir=spec["cache_dir"])
     engines = {
-        shard: SimulationEngine(
-            backends=spec["backends"],
-            policy=spec["policy"],
-            map_cache=shard_l1(),
-            l2=l2,
-            reuse_traces=spec["reuse_traces"],
-            overlap=spec["overlap"],
-        )
+        shard: SimulationEngine(backends=spec["backends"],
+                                policy=spec["policy"], store=store,
+                                overlap=spec["overlap"])
         for shard in shard_ids
     }
     try:
@@ -156,7 +131,7 @@ def _worker_main(conn, worker_id: int, shard_ids, spec: dict) -> None:
                         shard: engine.stats().summary()
                         for shard, engine in engines.items()
                     },
-                    "l2": l2.stats().snapshot() if l2 is not None else {},
+                    "l2": store.snapshot() if store is not None else {},
                 }
                 conn.send(("stats", payload))
             elif command == "close":

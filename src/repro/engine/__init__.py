@@ -1,25 +1,24 @@
-"""Batched simulation engine with kernel-map caching.
+"""Batched simulation engine with a workload-keyed trace store.
 
 Serves streams of point-cloud simulation requests through shared hardware
-models, memoizing mapping results (content-addressed :class:`MapCache`) and
-whole request workloads across the batch.  See ``README.md`` ("Simulation
-engine") for the architecture sketch and cache-key semantics.
+models, memoizing whole traces by workload key (:class:`TraceStore`) and
+each backend's report across the batch.  See ``README.md`` ("Simulation
+engine") for the architecture sketch and key semantics.
 """
 
 from .backends import ACCELERATORS, backend_names, resolve_backend
 from .engine import EngineStats, SimRequest, SimResult, SimulationEngine, run_cold
-from .map_cache import MapCache, MapCacheStats
 from .scheduler import POLICIES, estimate_points, schedule
+from .trace_store import TraceStore
 
 __all__ = [
     "ACCELERATORS",
     "EngineStats",
-    "MapCache",
-    "MapCacheStats",
     "POLICIES",
     "SimRequest",
     "SimResult",
     "SimulationEngine",
+    "TraceStore",
     "backend_names",
     "estimate_points",
     "resolve_backend",

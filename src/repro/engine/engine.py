@@ -1,46 +1,44 @@
-"""The batched simulation engine: many clouds, shared models, cached maps.
+"""The batched simulation engine: many clouds, shared models, stored traces.
 
-The seed reproduction simulated exactly one cloud per call and recomputed
-every FPS / kNN / ball-query / kernel-map table from scratch each time.
-:class:`SimulationEngine` instead serves a *stream* of point-cloud requests
-through shared backend models and two memoization layers:
+The seed reproduction simulated exactly one cloud per call.
+:class:`SimulationEngine` instead serves a *stream* of point-cloud
+requests through shared backend models and two request-level memos:
 
-1. an op-level :class:`~repro.engine.map_cache.MapCache` (content-addressed
-   on coordinates + parameters) installed around every trace build, so
-   repeated geometry never recomputes a mapping table — across layers,
-   across models, and across requests;
-2. a request-level trace/report memo: a request whose workload key
-   ``(benchmark, scale, seed)`` was already served reuses the recorded
-   trace and each backend's report outright (weights and maps resident,
-   exactly the steady-state serving regime the ROADMAP targets).
+1. a :class:`~repro.engine.trace_store.TraceStore` of whole traces keyed
+   by the workload key ``(benchmark, scale, seed)``: a request whose
+   workload was already built — by this engine, by another engine
+   sharing the store, or by an earlier process when the store is
+   disk-backed — skips the whole trace build.  Mapping ops inside a
+   build always compute; within one build a network reuses its maps
+   across layers, as PointAcc's MMU does;
+2. a per-engine report memo: each backend's report of a workload is
+   computed once per engine.
 
-Neither layer may change a simulated result — a cache hit affects wall
-clock only.  ``tests/properties/test_prop_engine.py`` proves engine output
-is bit-identical to cold sequential :class:`~repro.core.PointAccModel`
-runs, with every cache configuration.
+Neither memo may change a simulated result — a hit affects wall clock
+only.  ``tests/properties/test_prop_engine.py`` proves engine output is
+bit-identical to cold sequential :class:`~repro.core.PointAccModel`
+runs, with every store configuration.
 
 Reports returned for duplicate requests may be shared objects; treat
-:class:`~repro.core.report.PerfReport` as immutable (every consumer in this
-library does).
+:class:`~repro.core.report.PerfReport` and :class:`~repro.nn.trace.Trace`
+as immutable (every consumer in this library does).
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..baselines.mesorasi import UnsupportedModelError
 from ..core.report import PerfReport
-from ..mapping.hooks import TieredLookup, use_map_cache
 from ..nn.models.registry import run_benchmark
 from ..obs.ledger import ledger_frame
 from ..obs.trace import current_tracer, span
 from ..nn.trace import Trace
 from .backends import resolve_backend
-from .map_cache import MapCache
 from .scheduler import POLICIES, schedule
+from .trace_store import TraceStore
 
 __all__ = ["SimRequest", "SimResult", "EngineStats", "SimulationEngine", "run_cold"]
 
@@ -97,8 +95,6 @@ class SimResult:
     errors: dict[str, str] = field(default_factory=dict)  # backend -> reason
     trace: Trace | None = None
     trace_reused: bool = False
-    map_cache_hits: int = 0  # op-level hits during this request's build
-    map_cache_misses: int = 0
     wall_seconds: float = 0.0
     shard: int | None = None  # set by EngineCluster: which shard executed
     deadline_met: bool | None = None  # set by the QoS layer when a deadline was given
@@ -132,7 +128,7 @@ class EngineStats:
     trace_reuses: int = 0
     report_reuses: int = 0
     backend_seconds: dict = field(default_factory=dict)  # modeled time totals
-    map_cache: dict = field(default_factory=dict)  # MapCacheStats.snapshot()
+    map_cache: dict = field(default_factory=dict)  # TraceStore.snapshot()
 
     @property
     def throughput_rps(self) -> float:
@@ -164,37 +160,28 @@ class SimulationEngine:
         entry in ``SimResult.errors`` instead of failing the batch.
     policy:
         Scheduling policy (``fifo`` / ``priority`` / ``bucketed``).
-    map_cache:
-        Op-level cache instance, or ``None`` to disable op memoization.
-        Defaults to a fresh :class:`MapCache`.
-    l2:
-        Optional shared second cache tier (e.g. the cluster's
-        :class:`~repro.cluster.store.SharedMapStore`).  When given, trace
-        builds run against a :class:`~repro.mapping.hooks.TieredLookup`
-        chain ``[map_cache, l2]`` — the engine's private L1 backed by the
-        injected shared store — instead of the L1 alone.
-    reuse_traces:
-        Enable the request-level trace/report memo.
+    store:
+        The :class:`~repro.engine.trace_store.TraceStore` memoizing whole
+        traces by workload key — a cluster passes its shared store to
+        every shard.  ``None`` (default) builds a private store.
     overlap:
         Pipeline trace building with backend cost-model evaluation: while
         request ``k``'s backends run on the main thread, request ``k+1``'s
         trace builds in a single side thread — the host analogue of
         PointAcc running its mapping units concurrently with the matmul
         array.  Builds stay strictly sequential relative to each other
-        (one builder thread), so every cache/memo sees the exact access
+        (one builder thread), so the trace store sees the exact access
         order of the non-overlapped engine and results stay bit-identical
         (``tests/properties/test_prop_workers.py``); only the backend
         evaluation of the *previous* request runs concurrently, and
-        backends never touch the mapping caches.
+        backends never touch the store.
     """
 
     def __init__(
         self,
         backends=("pointacc",),
         policy: str = "fifo",
-        map_cache: MapCache | None | str = "auto",
-        l2=None,
-        reuse_traces: bool = True,
+        store: TraceStore | None = None,
         overlap: bool = False,
     ) -> None:
         if policy not in POLICIES:
@@ -203,17 +190,9 @@ class SimulationEngine:
             raise ValueError("engine needs at least one backend")
         self.policy = policy
         self.backends = {name: resolve_backend(name) for name in backends}
-        self.map_cache = MapCache() if map_cache == "auto" else map_cache
-        self.l2 = l2
-        tiers = [t for t in (self.map_cache, l2) if t is not None]
-        if len(tiers) > 1:
-            self._lookup = TieredLookup(tiers)
-        else:
-            self._lookup = tiers[0] if tiers else None
-        self.reuse_traces = reuse_traces
+        self.store = TraceStore() if store is None else store
         self.overlap = bool(overlap)
         self._trace_builder: ThreadPoolExecutor | None = None
-        self._traces: dict[tuple, Trace] = {}
         self._reports: dict[tuple, PerfReport] = {}
         self._stats = EngineStats(
             backend_seconds={name: 0.0 for name in self.backends}
@@ -224,86 +203,62 @@ class SimulationEngine:
     # Execution
     # ------------------------------------------------------------------
 
-    def _build_trace(self, request: SimRequest) -> tuple[Trace, bool, int, int]:
+    def _build_trace(self, request: SimRequest) -> tuple[Trace, bool]:
         key = request.workload_key
-        if self.reuse_traces and key in self._traces:
-            self._stats.trace_reuses += 1
-            return self._traces[key], True, 0, 0
-        if self._lookup is not None:
-            ctx = use_map_cache(self._lookup)
-            hits0 = self._lookup.stats().hits
-            misses0 = self._lookup.stats().misses
-        else:
-            ctx = nullcontext()
-            hits0 = misses0 = 0
         # The ledger-frame context is observability only (eviction
         # lineage); it must never reach the compute path.
-        with ledger_frame(request.tag), ctx:
+        with ledger_frame(request.tag):
+            trace = self.store.get(key)
+            if trace is not None:
+                self._stats.trace_reuses += 1
+                return trace, True
             trace, _ = run_benchmark(
                 request.benchmark, scale=request.scale, seed=request.seed,
                 geometry_only=request.geometry_only,
             )
-        if self._lookup is not None:
-            hits = self._lookup.stats().hits - hits0
-            misses = self._lookup.stats().misses - misses0
-        else:
-            hits = misses = 0
-        trace.meta["map_cache"] = {"hits": hits, "misses": misses}
-        trace.meta["workload_key"] = key
+            trace.meta["workload_key"] = key
+            self.store.put(key, trace)
         self._stats.trace_builds += 1
-        if self.reuse_traces:
-            self._traces[key] = trace
-        return trace, False, hits, misses
+        return trace, False
 
     def _build_traced(self, request: SimRequest):
         """``_build_trace`` plus a detached span for the overlap pipeline.
 
         Runs on the side thread, where a plain ``span()`` would start a
-        new root; instead the span is detached and handed back in the
-        tuple so ``_execute`` can attach it under the request span it
-        belongs to.  Returns ``(trace, reused, hits, misses, span|None)``.
+        new root; instead the span is detached and handed back so
+        ``_execute`` can attach it under the request span it belongs to.
+        Returns ``(trace, reused, span|None)``.
         """
         tracer = current_tracer()
         if tracer is None:
             return self._build_trace(request) + (None,)
         with tracer.detached("trace_build", overlap=True) as bs:
-            trace, reused, hits, misses = self._build_trace(request)
-            if hits or misses:
-                bs.count("cache_hits", hits)
-                bs.count("cache_misses", misses)
-        return trace, reused, hits, misses, bs
+            trace, reused = self._build_trace(request)
+        return trace, reused, bs
 
     def _execute(self, request: SimRequest, index: int, built=None) -> SimResult:
         t0 = time.perf_counter()
         tracer = current_tracer()
         with span("request", benchmark=request.benchmark, index=index) as req_span:
-            build_span = None
-            if built is not None and len(built) == 5:
-                trace, reused, hits, misses, build_span = built
-            elif built is not None:
-                trace, reused, hits, misses = built
+            if built is not None:
+                trace, reused, build_span = built
+                if build_span is not None:
+                    # Overlap mode: the build ran detached on the side
+                    # thread; attribute it to this request explicitly.
+                    req_span.children.insert(0, build_span)
             else:
-                with span("trace_build") as bs:
-                    trace, reused, hits, misses = self._build_trace(request)
-                    if hits or misses:
-                        bs.count("cache_hits", hits)
-                        bs.count("cache_misses", misses)
-            if build_span is not None:
-                # Overlap mode: the build ran detached on the side thread;
-                # attribute it to this request explicitly.
-                req_span.children.insert(0, build_span)
+                with span("trace_build"):
+                    trace, reused = self._build_trace(request)
             result = SimResult(
                 request=request,
                 index=index,
                 trace=trace,
                 trace_reused=reused,
-                map_cache_hits=hits,
-                map_cache_misses=misses,
             )
             key = request.workload_key
             for name, backend in self.backends.items():
                 rkey = (key, name)
-                report = self._reports.get(rkey) if self.reuse_traces else None
+                report = self._reports.get(rkey)
                 if report is not None:
                     self._stats.report_reuses += 1
                 else:
@@ -313,8 +268,7 @@ class SimulationEngine:
                         except UnsupportedModelError as exc:
                             result.errors[name] = str(exc)
                             continue
-                    if self.reuse_traces:
-                        self._reports[rkey] = report
+                    self._reports[rkey] = report
                 result.reports[name] = report
                 self._stats.backend_seconds[name] += report.total_seconds
             result.wall_seconds = time.perf_counter() - t0
@@ -336,9 +290,9 @@ class SimulationEngine:
         backend cost models evaluate on this one.  The builder is a
         single thread and the next build is only submitted once the
         previous build has completed, so trace builds — the only phase
-        that touches the mapping caches and the trace memo — run in
-        exactly the sequential order and the pipeline can never change a
-        result, only wall clock.
+        that touches the trace store — run in exactly the sequential
+        order and the pipeline can never change a result, only wall
+        clock.
         """
         order = list(order)
         if not self.overlap or len(order) < 2:
@@ -402,13 +356,9 @@ class SimulationEngine:
             self._served += len(chunk)
 
     def stats(self) -> EngineStats:
-        """Aggregate stats; the map-cache snapshot is taken at call time.
-
-        With an injected L2 the snapshot is the tiered chain's: top-level
-        hits/misses plus one nested snapshot per tier.
-        """
-        if self._lookup is not None:
-            self._stats.map_cache = self._lookup.stats().snapshot()
+        """Aggregate stats; the trace-store snapshot is taken at call time
+        (a shared store's counters cover every engine using it)."""
+        self._stats.map_cache = self.store.snapshot()
         return self._stats
 
 

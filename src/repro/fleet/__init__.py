@@ -6,10 +6,10 @@ sources, one backend fleet — serves several vehicles at once.
 streams (:class:`StreamSpec`) over one shared
 :class:`~repro.cluster.EngineCluster`: in-order delivery per stream,
 EDF/fair-share across streams via the existing QoS layer, aggregate
-:class:`FleetStats`.  Streams share the executor's whole-op digest tiers
-(each shard's L1 and the cluster's L2); nothing else is shared.
+:class:`FleetStats`.  Streams share the executor's trace store; every
+frame of every vehicle is its own workload.
 
-See ``README.md`` ("Fleet serving") for the cache-hierarchy diagram.
+See ``README.md`` ("Fleet serving") for the serving diagram.
 """
 
 from .session import FleetSession, FleetStats, StreamSpec

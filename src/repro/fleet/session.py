@@ -17,13 +17,14 @@ the next pending frame of every live stream as one window, so
   executor runs rounds in submission order under its own policy, and the
   session scores its deadlines against each round's wall time.
 
-The shared executor is what makes a fleet more than N sessions: every
-vehicle's mapping calls go through the same whole-op digest tiers, so an
-identical call made for one vehicle is served from the shard L1 or the
-cluster L2 for the next.  kNN and ball query run on each whole frame
-through the selection kernels of :mod:`repro.mapping`.  None of it may
-change a result: each stream's output is bit-identical to running that
-stream cold and alone (``tests/properties/test_prop_fleet.py``).
+The shared executor is what makes a fleet more than N sessions: one QoS
+layer orders every vehicle's frames, and one trace store (the cluster's
+shared store, disk-backed with ``cache_dir``) serves any workload
+already built, whichever shard built it.  Each frame's mapping ops run
+on the whole frame (kNN and ball query through the selection kernels of
+:mod:`repro.mapping`).  None of it may change a result: each stream's
+output is bit-identical to running that stream cold and alone
+(``tests/properties/test_prop_fleet.py``).
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class FleetSession:
         the session builds its own from ``n_shards`` — an
         :class:`~repro.cluster.EngineCluster` for ``n_shards >= 1`` (the
         QoS path), or a single engine for ``n_shards == 0``.  Injected
-        executors bring their own cache configuration.
+        executors bring their own store configuration.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution per stream
         exactly for networks whose registry entry declares
@@ -128,20 +129,19 @@ class FleetSession:
         undeclared (see
         :func:`~repro.nn.models.registry.resolve_geometry_only`).
     cache_dir:
-        Disk-spill directory for the session-built cluster's shared L2
-        (ignored with an injected or ``n_shards == 0`` executor).
+        Disk-spill directory for the session-built cluster's shared trace
+        store (ignored with an injected or ``n_shards == 0`` executor).
     l2:
-        Shared-L2 policy for the session-built cluster (``"auto"`` /
-        ``None`` / a pre-built store, as in
-        :class:`~repro.cluster.EngineCluster`).  A single-shard fleet
-        already shares everything through that shard's L1, so ``None``
-        drops the write-through L2 copy.
+        Trace-store policy for the session-built cluster, as in
+        :class:`~repro.cluster.EngineCluster`: ``"auto"`` shares one
+        store across its shards, ``None`` gives each shard a private
+        store, or pass a pre-built store.
     workers:
         Worker processes for the session-built cluster
         (:class:`~repro.cluster.EngineCluster` ``workers=``): ``0``
         (default) keeps in-process execution; ``N >= 1`` runs shards in
         real OS processes so streams simulate concurrently; shards in
-        different workers share maps only through the disk L2 of a
+        different workers share traces only through the disk tier of a
         ``cache_dir``.  Requires a session-built cluster
         (``n_shards >= 1``, no injected executor).
         Per-stream results stay bit-identical to ``workers=0``.

@@ -2,7 +2,6 @@
 
 from .ball_query import ball_query_bruteforce, ball_query_indices, ball_query_maps
 from .fps import farthest_point_sampling, fps_bruteforce, random_sampling
-from .hooks import TieredLookup, TieredStats, active_cache, use_map_cache
 from .kernel_map import (
     kernel_map,
     kernel_map_bruteforce,
@@ -14,10 +13,6 @@ from .maps import MapTable
 
 __all__ = [
     "MapTable",
-    "TieredLookup",
-    "TieredStats",
-    "active_cache",
-    "use_map_cache",
     "ball_query_bruteforce",
     "ball_query_indices",
     "ball_query_maps",

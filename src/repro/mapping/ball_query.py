@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..pointcloud.coords import pairwise_squared_distance, squared_distance_blocks
-from . import hooks
 from .maps import MapTable
 
 __all__ = ["ball_query_bruteforce", "ball_query_indices", "ball_query_maps"]
@@ -31,7 +30,7 @@ def ball_query_indices(
     implementation's behaviour), so groups are never empty.
 
     Never mutates either input; the returned array is freshly owned by the
-    caller (also on a map-cache hit).
+    caller.
     """
     queries = np.asarray(queries, dtype=np.float64)
     references = np.asarray(references, dtype=np.float64)
@@ -41,14 +40,6 @@ def ball_query_indices(
         raise ValueError(f"radius must be positive, got {radius}")
     if len(references) == 0:
         raise ValueError("ball query with empty reference cloud")
-    cache = hooks.active_cache()
-    if cache is not None:
-        return cache.memoize(
-            "ball_query",
-            (queries, references),
-            {"radius": float(radius), "k": k},
-            lambda: _ball_query_compute(queries, references, radius, k),
-        )
     return _ball_query_compute(queries, references, radius, k)
 
 

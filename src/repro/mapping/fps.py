@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import hooks
-
 __all__ = [
     "coordinate_columns",
     "farthest_point_sampling",
@@ -34,7 +32,7 @@ def farthest_point_sampling(
     the arg-max.
 
     Never mutates ``points``; the returned index array is freshly owned by
-    the caller (also on a map-cache hit).
+    the caller.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -46,14 +44,6 @@ def farthest_point_sampling(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     n_samples = min(n_samples, n)
 
-    cache = hooks.active_cache()
-    if cache is not None:
-        return cache.memoize(
-            "fps",
-            (points,),
-            {"n_samples": n_samples, "start_index": start_index},
-            lambda: _fps_compute(points, n_samples, start_index),
-        )
     return _fps_compute(points, n_samples, start_index)
 
 

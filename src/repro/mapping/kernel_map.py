@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..pointcloud.coords import coords_to_keys, kernel_offsets, key_deltas
-from . import hooks
 from .maps import MapTable
 
 __all__ = [
@@ -58,23 +57,6 @@ def _resolve_offsets(
     return kernel_offsets(kernel_size, in_coords.shape[1]) * tensor_stride
 
 
-def _memoized(
-    algorithm: str,
-    in_coords: np.ndarray,
-    out_coords: np.ndarray,
-    offsets: np.ndarray,
-    compute,
-) -> MapTable:
-    """Consult the active map cache; algorithms key separately because their
-    tables are set-equal but row-ordered differently (bit-identity matters)."""
-    cache = hooks.active_cache()
-    if cache is None:
-        return compute()
-    return cache.memoize(
-        f"kernel_map/{algorithm}", (in_coords, out_coords, offsets), {}, compute
-    )
-
-
 def kernel_map_bruteforce(
     in_coords: np.ndarray,
     out_coords: np.ndarray,
@@ -85,10 +67,7 @@ def kernel_map_bruteforce(
     """Reference kernel mapping by exhaustive comparison (testing only)."""
     in_coords, out_coords = _validate(in_coords, out_coords)
     offsets = _resolve_offsets(in_coords, kernel_size, tensor_stride, offsets)
-    return _memoized(
-        "bruteforce", in_coords, out_coords, offsets,
-        lambda: _bruteforce_compute(in_coords, out_coords, offsets),
-    )
+    return _bruteforce_compute(in_coords, out_coords, offsets)
 
 
 def _bruteforce_compute(
@@ -127,10 +106,7 @@ def kernel_map_hash(
     """
     in_coords, out_coords = _validate(in_coords, out_coords)
     offsets = _resolve_offsets(in_coords, kernel_size, tensor_stride, offsets)
-    return _memoized(
-        "hash", in_coords, out_coords, offsets,
-        lambda: _hash_compute(in_coords, out_coords, offsets),
-    )
+    return _hash_compute(in_coords, out_coords, offsets)
 
 
 def _hash_compute(
@@ -182,10 +158,7 @@ def kernel_map_mergesort(
     """
     in_coords, out_coords = _validate(in_coords, out_coords)
     offsets = _resolve_offsets(in_coords, kernel_size, tensor_stride, offsets)
-    return _memoized(
-        "mergesort", in_coords, out_coords, offsets,
-        lambda: _mergesort_compute(in_coords, out_coords, offsets),
-    )
+    return _mergesort_compute(in_coords, out_coords, offsets)
 
 
 def _mergesort_compute(

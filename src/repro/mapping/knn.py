@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..pointcloud.coords import pairwise_squared_distance, squared_distance_blocks
-from . import hooks
 from .maps import MapTable
 
 __all__ = ["knn_bruteforce", "knn_indices", "knn_maps"]
@@ -32,7 +31,7 @@ def knn_indices(
     the nearest point).
 
     Never mutates either input; both returned arrays are freshly owned by
-    the caller (no views of internals, also on a map-cache hit).
+    the caller (no views of internals).
     """
     queries = np.asarray(queries, dtype=np.float64)
     references = np.asarray(references, dtype=np.float64)
@@ -40,14 +39,6 @@ def knn_indices(
         raise ValueError(f"k must be >= 1, got {k}")
     if len(references) == 0:
         raise ValueError("knn with empty reference cloud")
-    cache = hooks.active_cache()
-    if cache is not None:
-        return cache.memoize(
-            "knn",
-            (queries, references),
-            {"k": k},
-            lambda: _knn_compute(queries, references, k),
-        )
     return _knn_compute(queries, references, k)
 
 

@@ -42,9 +42,9 @@ class MapTable:
         self._sorted: dict = {}
 
     def __getstate__(self):
-        # Keep disk spills (SharedMapStore pickles) free of the sort memo
-        # and the MMU's cache-replay memo (see mmu/cache.py): per-instance
-        # accelerations, not content.
+        # Keep trace-store spills (pickled traces carry their tables) free
+        # of the sort memo and the MMU's cache-replay memo (see
+        # mmu/cache.py): per-instance accelerations, not content.
         state = self.__dict__.copy()
         state["_sorted"] = {}
         state.pop("_cache_sims", None)
@@ -134,8 +134,8 @@ class MapTable:
 
 
 def copy_value(value):
-    """Deep-copy a cacheable mapping result (ndarray, MapTable, or tuple
-    of them) — the one definition of an owned copy for every cache tier."""
+    """Deep-copy a mapping result (ndarray, MapTable, or tuple of them)
+    into arrays the caller owns."""
     if isinstance(value, np.ndarray):
         return value.copy()
     if isinstance(value, MapTable):
@@ -147,4 +147,4 @@ def copy_value(value):
         )
     if isinstance(value, tuple):
         return tuple(copy_value(v) for v in value)
-    raise TypeError(f"uncacheable mapping result type: {type(value).__name__}")
+    raise TypeError(f"not a mapping result: {type(value).__name__}")

@@ -118,8 +118,8 @@ class Trace:
     """An ordered workload trace plus aggregate statistics.
 
     ``meta`` carries build provenance that is *not* part of the workload
-    itself — e.g. the simulation engine stamps map-cache hit/miss counts and
-    trace-reuse flags there.  Hardware models must never read it (two traces
+    itself — e.g. the simulation engine stamps the workload key there.
+    Hardware models must never read it (two traces
     with different ``meta`` describe identical work), which is why it stays
     out of ``summary()``'s workload counts.
     """

@@ -1,19 +1,20 @@
-"""Cache-lineage ledger: which map-cache entries left, where, and when.
+"""Cache-lineage ledger: which stored traces left, where, and when.
 
 The span layer (:mod:`repro.obs.trace`) says where time went; this module
-records the cache decisions behind it.  A :class:`RecomputeLedger` is a
-bounded structured event log fed by the serving stack's cache layers:
+records the memo decisions behind it.  A :class:`RecomputeLedger` is a
+bounded structured event log fed by the engine's trace store
+(:class:`repro.engine.trace_store.TraceStore`):
 
 ``eviction`` events
-    ``(key, tier, bytes)`` whenever a cache layer drops an entry: the
-    in-memory LRU (:meth:`repro.engine.map_cache.MapCache._evict`,
-    ``tier="memory"``) and the shared store's disk budget
-    (:meth:`repro.cluster.store.SharedMapStore._enforce_disk_budget`,
-    ``tier="disk"``).  A later miss on an evicted key is a recompute the
-    cache's capacity caused.
+    ``(key, tier, bytes)`` whenever the store drops a trace: its
+    in-memory LRU (``tier="memory"``) or its disk budget
+    (``tier="disk"``).  ``key`` is the hex of the store's versioned
+    workload digest and ``bytes`` the trace's map-table payload (memory)
+    or file size (disk).  A later miss on an evicted key is a rebuild
+    the store's capacity caused.
 
 Installation follows the module-level context pattern of
-:mod:`repro.obs.trace` / :mod:`repro.mapping.hooks`: ``use_ledger``
+:mod:`repro.obs.trace`: ``use_ledger``
 installs a process-wide active ledger, every emission site reads one
 module global and returns immediately when it is ``None`` — so the
 disabled cost per site is a global read plus a ``None`` check, inside
@@ -43,7 +44,7 @@ __all__ = [
 
 
 class RecomputeLedger:
-    """Bounded structured event log of cache decisions.
+    """Bounded structured event log of trace-store decisions.
 
     ``max_events`` bounds the retained event ring (oldest dropped first,
     counted in ``dropped``); the per-tier aggregates keep totals
@@ -71,7 +72,7 @@ class RecomputeLedger:
         self._events.append(event)
 
     def eviction(self, tier: str, key: str, nbytes: int) -> None:
-        """Record one cache entry leaving ``tier``."""
+        """Record one stored trace leaving ``tier``."""
         slot = self.evictions.setdefault(tier, {"count": 0, "bytes": 0})
         slot["count"] += 1
         slot["bytes"] += int(nbytes)
@@ -124,8 +125,8 @@ def use_ledger(ledger: RecomputeLedger) -> Iterator[RecomputeLedger]:
 def ledger_frame(tag: Any) -> Iterator[None]:
     """Stamp events emitted inside the block with ``tag`` (a frame id).
 
-    Installed by the engine around each request's functional build, so
-    every cache decision joins back to the request's frame span.
+    Installed by the engine around each request's store lookup and
+    build, so every eviction joins back to the request's frame span.
     A no-op (one global read) when no ledger is active.
     """
     ledger = _ACTIVE

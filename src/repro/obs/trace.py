@@ -1,9 +1,8 @@
 """Phase-attributed tracing: nested spans with monotonic timings.
 
-The tracer follows the module-level context pattern of
-``repro.mapping.hooks``: ``use_tracer(tracer)`` installs a process-wide
-active tracer, and every instrumentation site calls the module function
-``span("name", **attrs)``.  When no tracer is installed ``span`` returns
+The tracer follows a module-level context pattern: ``use_tracer(tracer)``
+installs a process-wide active tracer, and every instrumentation site
+calls the module function ``span("name", **attrs)``.  When no tracer is installed ``span`` returns
 a shared no-op context manager, so the disabled cost is one global read
 and one function call per site — no allocation, no clock read.
 

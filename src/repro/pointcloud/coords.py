@@ -157,36 +157,10 @@ def voxelize(
 
     Returns ``(voxel_coords, inverse)`` where ``voxel_coords`` are the unique
     occupied voxels (sorted) and ``inverse`` maps each point to its voxel.
-
-    Like the mapping ops, voxelization is a pure function of its inputs and
-    consults the active map cache (:mod:`repro.mapping.hooks`) when one is
-    installed: it is the first thing every SparseConv frame pays, and an
-    identical cloud (a replayed frame, another shard presenting the same
-    one) hits the whole-op digest tiers.  With no cache active — every
-    direct caller outside the engine — the behaviour is exactly the plain
-    computation.
     """
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
     points = np.asarray(points, dtype=np.float64)
-    # Deferred import: repro.mapping imports this module at package load.
-    from ..mapping import hooks
-
-    cache = hooks.active_cache()
-    if cache is not None:
-        return cache.memoize(
-            "voxelize",
-            (points,),
-            {"voxel_size": float(voxel_size)},
-            lambda: _voxelize_compute(points, voxel_size),
-        )
-    return _voxelize_compute(points, voxel_size)
-
-
-def _voxelize_compute(
-    points: np.ndarray, voxel_size: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The reference voxelization: quantize to the grid, deduplicate."""
     grid = np.floor(points / voxel_size).astype(np.int64)
     return unique_coords(grid)
 

@@ -19,7 +19,7 @@ cluster layers:
 
 kNN and ball query run on each whole frame through the selection kernels
 of :mod:`repro.mapping`, as the MPU ranks a whole cloud (paper §4.1.4);
-the engine's whole-op digest tiers are the only map caches.
+the engine's trace store, keyed by workload, is the only memo.
 
 See ``README.md`` ("Streaming") for the architecture sketch.
 """

@@ -10,14 +10,16 @@ not a batch to reorder — and tracks what a serving operator cares about:
 per-frame latency percentiles and deadline behaviour (including dropping
 frames whose deadline already expired before dispatch).
 
-By default a session builds its own single engine with the default
-:class:`~repro.engine.MapCache` and requests geometry-only execution for
-networks whose mapping reads coordinates only (the SparseConv models and
-PointNet++(c), (ps) and (s), whose trace is a pure function of
-coordinates — see :mod:`repro.nn.ghost`).  kNN and ball query run on
-each whole frame through the selection kernels of :mod:`repro.mapping`.
-Pass a pre-built ``engine=`` or ``cluster=`` to reuse existing fleets;
-the session then respects their cache configuration.
+By default a session builds its own single engine with a private
+:class:`~repro.engine.TraceStore` and requests geometry-only execution
+for networks whose mapping reads coordinates only (the SparseConv models
+and PointNet++(c), (ps) and (s), whose trace is a pure function of
+coordinates — see :mod:`repro.nn.ghost`).  Every frame is a distinct
+workload, so a single pass builds every trace; each build computes its
+mapping ops on the whole frame (kNN and ball query through the selection
+kernels of :mod:`repro.mapping`).  Pass a pre-built ``engine=`` or
+``cluster=`` to reuse existing fleets; the session then respects their
+store configuration.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ class StreamSession:
         ``"MinkNet(o)"``) over ``sequence``'s frames at ``scale``.
     engine / cluster:
         Optional pre-built executor (at most one); when neither is given
-        the session builds a single engine with the default map cache.
+        the session builds a single engine with a private trace store.
     backends:
         Backends of the session-built engine (ignored when an executor is
         injected).

@@ -1,9 +1,9 @@
-"""EngineCluster plumbing: sharding, QoS wiring, stats, persistence hooks."""
+"""EngineCluster plumbing: sharding, QoS wiring, stats, the shared store."""
 
 import pytest
 
-from repro.cluster import EngineCluster, SharedMapStore
-from repro.engine import SimRequest
+from repro.cluster import EngineCluster
+from repro.engine import SimRequest, TraceStore
 
 
 def _reqs(n=6, **kw):
@@ -15,7 +15,7 @@ class TestConstruction:
     def test_defaults(self):
         cluster = EngineCluster()
         assert cluster.n_shards == 2
-        assert isinstance(cluster.l2, SharedMapStore)
+        assert isinstance(cluster.l2, TraceStore)
         assert cluster.l2.cache_dir is None
 
     def test_rejects_bad_shards_and_routing(self):
@@ -30,7 +30,7 @@ class TestConstruction:
 
     def test_shared_l2_is_one_object(self):
         cluster = EngineCluster(n_shards=3)
-        assert all(shard.l2 is cluster.l2 for shard in cluster.shards)
+        assert all(shard.store is cluster.l2 for shard in cluster.shards)
 
 
 class TestExecution:
@@ -64,12 +64,14 @@ class TestExecution:
             next(cluster.stream(iter([]), window=0))
 
     def test_l2_serves_across_shards(self):
-        # Two shards forced to see the same geometry (least-loaded splits
-        # the repeats): the second shard's build hits the shared store.
+        # Two shards forced to see the same workload (least-loaded splits
+        # the repeats): the second shard reuses the first shard's trace.
         cluster = EngineCluster(n_shards=2, routing="least-loaded")
-        cluster.run_batch([SimRequest("PointNet++(c)", scale=0.1, seed=0)] * 2)
-        # one trace built per shard; the second build was served by L2
-        assert cluster.l2.stats().hits > 0
+        results = cluster.run_batch(
+            [SimRequest("PointNet++(c)", scale=0.1, seed=0)] * 2)
+        assert results[0].shard != results[1].shard
+        assert [r.trace_reused for r in results] == [False, True]
+        assert cluster.l2.hits > 0
 
     def test_rejected_requests_keep_their_slot(self):
         cluster = EngineCluster(n_shards=2)
@@ -113,11 +115,13 @@ class TestStats:
         summary = stats.summary()
         assert summary["admitted"] == 6
 
-    def test_l1_disabled_tier_config(self):
-        cluster = EngineCluster(n_shards=2, map_cache=None)
+    def test_private_stores_without_l2(self):
+        cluster = EngineCluster(n_shards=2, l2=None)
         cluster.run_batch(_reqs(4))
-        assert all(shard.map_cache is None for shard in cluster.shards)
-        assert cluster.l2.stats().lookups > 0  # L2 alone still consulted
+        stores = [shard.store for shard in cluster.shards]
+        assert stores[0] is not stores[1]
+        assert sum(s.snapshot()["lookups"] for s in stores) == 4
+        assert cluster.l2 is None and cluster.stats().l2 == {}
 
 
 class TestPersistence:
@@ -125,21 +129,9 @@ class TestPersistence:
         cache_dir = tmp_path / "spill"
         cold = EngineCluster(n_shards=2, cache_dir=cache_dir)
         cold.run_batch(_reqs(4))
-        assert any(cache_dir.glob("*.map"))  # write-through spilled
+        assert any(cache_dir.glob("*.trace"))  # write-through spilled
         warm = EngineCluster(n_shards=2, cache_dir=cache_dir)
         first = warm.run_batch(_reqs(1))[0]
-        assert first.map_cache_hits > 0  # very first request is warm
+        assert first.trace_reused  # very first request is warm
         assert warm.l2.disk_hits > 0
-
-    def test_save_cache_without_l2_is_noop(self):
-        assert EngineCluster(l2=None).save_cache() == 0
-
-    def test_explicit_save_for_non_write_through_store(self, tmp_path):
-        store = SharedMapStore(write_through=False)
-        cluster = EngineCluster(n_shards=2, l2=store)
-        cluster.run_batch(_reqs(4))
-        target = tmp_path / "explicit"
-        written = cluster.save_cache(target)
-        assert written == len(store)
-        assert written > 0
-        assert len(list(target.glob("*.map"))) == written
+        assert sum(s["trace_builds"] for s in warm.stats().shards) == 0

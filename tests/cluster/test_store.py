@@ -1,404 +1,407 @@
-"""SharedMapStore: L2 semantics, disk spill, persistence, corruption."""
+"""The shared store: TraceStore's LRU memory tier, versioned key and disk spill.
 
+A cluster serves every shard from one :class:`~repro.engine.TraceStore`
+(and a bare engine builds a private one); with a ``cache_dir`` it spills
+every trace to disk, which is also the cross-process store of worker
+mode.
+"""
+
+import errno
 import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.cluster import SharedMapStore
-from repro.engine import MapCache
-from repro.mapping import TieredLookup, farthest_point_sampling, use_map_cache
+from repro.engine import TraceStore
+from repro.engine import trace_store as store_mod
+from repro.engine.trace_store import trace_bytes, trace_key
+from repro.mapping import MapTable
+from repro.nn.trace import LayerKind, LayerSpec, Trace
+from repro.obs.ledger import RecomputeLedger, ledger_frame, use_ledger
 
 
 @pytest.fixture
 def cache_dir(tmp_path):
-    """Persistence spill directory, auto-removed by pytest's tmp_path."""
-    return tmp_path / "map-store"
+    """Spill directory, auto-removed by pytest's tmp_path."""
+    return tmp_path / "trace-store"
 
 
-def _fill(store, n=3):
-    keys = []
+def _trace(i: int, rows: int = 64) -> Trace:
+    """A one-layer trace whose map table is filled with ``i``."""
+    maps = MapTable(np.full(rows, i), np.arange(rows),
+                    np.zeros(rows, dtype=np.int64), kernel_volume=1)
+    trace = Trace(name=f"t{i}")
+    trace.record(LayerSpec(name="conv", kind=LayerKind.SPARSE_CONV,
+                           n_in=rows, n_out=rows, rows=rows, n_maps=rows,
+                           params={"maps": maps}))
+    return trace
+
+
+def _marker(trace: Trace) -> int:
+    """The ``i`` a trace from :func:`_trace` was built with."""
+    (value,) = set(trace.specs[0].params["maps"].in_idx.tolist())
+    return value
+
+
+def _key(i: int) -> tuple:
+    return ("net", 0.1, i)
+
+
+def _path(cache_dir, i: int):
+    return cache_dir / (trace_key(_key(i)).hex() + ".trace")
+
+
+def _fill(store, n=3, rows=64):
     for i in range(n):
-        key = store.key("op", (np.full(4, i),), {"i": i})
-        store.put(key, np.arange(8) + i, "op")
-        keys.append(key)
-    return keys
+        store.put(_key(i), _trace(i, rows))
 
 
 class TestMemoryTier:
-    def test_is_a_map_cache(self):
-        store = SharedMapStore()
-        assert isinstance(store, MapCache)
-        with use_map_cache(store):
-            pts = np.random.default_rng(0).normal(size=(32, 3))
-            a = farthest_point_sampling(pts, 4)
-            b = farthest_point_sampling(pts, 4)
-        assert np.array_equal(a, b)
-        assert store.stats().hits == 1
+    def test_hit_miss_accounting(self):
+        store = TraceStore()
+        assert store.get(_key(0)) is None
+        store.put(_key(0), _trace(0))
+        assert _marker(store.get(_key(0))) == 0
+        assert store.get(_key(1)) is None
+        snap = store.snapshot()
+        assert (snap["hits"], snap["misses"], snap["lookups"]) == (1, 2, 3)
+        assert snap["hit_rate"] == pytest.approx(1 / 3)
+        assert snap["entries"] == 1
+
+    def test_stores_and_returns_by_reference(self):
+        store = TraceStore()
+        trace = _trace(3)
+        store.put(_key(3), trace)
+        assert store.get(_key(3)) is trace
+        assert store.get(_key(3)) is trace
+
+    def test_content_addressing_sees_values_not_objects(self):
+        """The key is the workload key's value: an equal tuple hits."""
+        store = TraceStore()
+        store.put(("net", 1.0, 0), _trace(0))
+        assert store.get(("net", 1.0, 0)) is not None
+        assert store.get(("net", 1.0, 1)) is None
+        assert store.get(("other", 1.0, 0)) is None
+
+    def test_lru_eviction_by_entries(self):
+        store = TraceStore(max_entries=2)
+        _fill(store, 4)
+        assert len(store) == 2
+        assert store.evictions == 2
+        assert store.get(_key(0)) is None and store.get(_key(3)) is not None
+
+    def test_get_refreshes_recency(self):
+        store = TraceStore(max_entries=2)
+        _fill(store, 2)
+        store.get(_key(0))
+        store.put(_key(2), _trace(2))  # evicts key 1, the least recent
+        assert store.get(_key(0)) is not None
+        assert store.get(_key(1)) is None
+
+    def test_eviction_by_bytes(self):
+        one = trace_bytes(_trace(0, rows=32))
+        store = TraceStore(max_bytes=2 * one)
+        _fill(store, 3, rows=32)
+        assert store.stored_bytes <= 2 * one
+        assert store.evictions == 1
+        assert store.snapshot()["stored_mb"] == pytest.approx(2 * one / 1e6)
+
+    def test_oversized_trace_still_served(self):
+        """The most recent trace stays even when it alone is over budget."""
+        store = TraceStore(max_bytes=1)
+        store.put(_key(0), _trace(0))
+        assert store.get(_key(0)) is not None and len(store) == 1
+
+    def test_trace_bytes_count_distinct_map_tables(self):
+        trace = _trace(0, rows=10)
+        assert trace_bytes(trace) == 3 * 10 * 8
+        shared = trace.specs[0]
+        trace.record(shared)  # a second layer reading the same table
+        assert trace_bytes(trace) == 3 * 10 * 8
+        assert trace_bytes(Trace()) == 0
+
+    def test_memory_evictions_reach_the_ledger(self):
+        ledger = RecomputeLedger()
+        store = TraceStore(max_entries=1)
+        with use_ledger(ledger):
+            with ledger_frame("f0"):
+                store.put(_key(0), _trace(0))
+            with ledger_frame("f1"):
+                store.put(_key(1), _trace(1))
+        (event,) = ledger.events()
+        assert event["tier"] == "memory" and event["frame"] == "f1"
+        assert event["key"] == trace_key(_key(0)).hex()
+        assert event["bytes"] == trace_bytes(_trace(0))
+
+    def test_rejects_bad_limits(self):
+        with pytest.raises(ValueError):
+            TraceStore(max_entries=0)
+        with pytest.raises(ValueError):
+            TraceStore(max_bytes=0)
 
     def test_no_disk_without_cache_dir(self, tmp_path):
-        store = SharedMapStore()
+        store = TraceStore()
         _fill(store)
         assert list(tmp_path.iterdir()) == []
-        with pytest.raises(ValueError):
-            store.save()
+        assert store.snapshot()["persistent"] is False
+
+
+class TestVersionedKey:
+    def test_key_covers_version_and_workload(self, monkeypatch):
+        key = trace_key(_key(0))
+        assert len(key) == 16 and key == trace_key(_key(0))
+        assert key != trace_key(_key(1))
+        monkeypatch.setattr(store_mod, "code_version", lambda: b"other code")
+        assert trace_key(_key(0)) != key
+
+    def test_version_digest_covers_the_package_sources(self):
+        version = store_mod.code_version()
+        assert len(version) == 16 and version == store_mod.code_version()
+
+    def test_spill_from_other_code_version_misses(self, cache_dir,
+                                                  monkeypatch):
+        TraceStore(cache_dir=cache_dir).put(_key(0), _trace(0))
+        # A store running different code: the spill is not its trace.
+        with monkeypatch.context() as patch:
+            patch.setattr(store_mod, "code_version", lambda: b"newer code")
+            stale = TraceStore(cache_dir=cache_dir)
+            assert stale.get(_key(0)) is None
+            assert stale.disk_hits == 0 and stale.disk_errors == 0
+        # The same code in a fresh process warm-starts from it.
+        fresh = TraceStore(cache_dir=cache_dir)
+        assert _marker(fresh.get(_key(0))) == 0
+        assert fresh.disk_hits == 1
 
 
 class TestDiskSpill:
     def test_write_through_persists_each_put(self, cache_dir):
-        store = SharedMapStore(cache_dir=cache_dir)
-        keys = _fill(store)
-        files = sorted(p.name for p in cache_dir.glob("*.map"))
-        assert files == sorted(k.hex() + ".map" for k in keys)
+        _fill(TraceStore(cache_dir=cache_dir))
+        files = sorted(p.name for p in cache_dir.glob("*.trace"))
+        assert files == sorted(_path(cache_dir, i).name for i in range(3))
 
     def test_lazy_probe_warm_starts_fresh_store(self, cache_dir):
-        keys = _fill(SharedMapStore(cache_dir=cache_dir))
-        fresh = SharedMapStore(cache_dir=cache_dir)
-        value = fresh.get(keys[0], "op")
-        assert np.array_equal(value, np.arange(8))
+        _fill(TraceStore(cache_dir=cache_dir))
+        fresh = TraceStore(cache_dir=cache_dir)
+        assert _marker(fresh.get(_key(0))) == 0
         assert fresh.disk_hits == 1
-        assert fresh.stats().hits == 1  # a disk hit is a hit, not a miss
-        # promoted: second get is a pure memory hit
-        fresh.get(keys[0], "op")
-        assert fresh.disk_hits == 1
-
-    def test_save_and_bulk_load_round_trip(self, cache_dir):
-        store = SharedMapStore(cache_dir=None, write_through=False)
-        keys = _fill(store, n=4)
-        assert store.save(cache_dir) == 4
-        warm = SharedMapStore()
-        assert warm.load(cache_dir) == 4
-        for i, key in enumerate(keys):
-            assert np.array_equal(warm.get(key, "op"), np.arange(8) + i)
-
-    def test_load_missing_dir_is_empty(self, cache_dir):
-        assert SharedMapStore().load(cache_dir / "nope") == 0
+        assert fresh.hits == 1 and fresh.misses == 0  # a disk hit is a hit
+        # promoted: the second get is a pure memory hit
+        fresh.get(_key(0))
+        assert fresh.disk_hits == 1 and len(fresh) == 1
 
     def test_memory_eviction_keeps_disk(self, cache_dir):
-        store = SharedMapStore(max_entries=1, cache_dir=cache_dir)
-        keys = _fill(store)
+        store = TraceStore(max_entries=1, cache_dir=cache_dir)
+        _fill(store)
         assert len(store) == 1  # memory evicted down to the bound
-        assert len(list(cache_dir.glob("*.map"))) == 3  # disk kept everything
-        # the evicted entry comes back from disk, not recompute
-        assert np.array_equal(store.get(keys[0], "op"), np.arange(8))
-        assert store.disk_hits == 1
-        # regression: the disk hit repairs the eviction-miss count too —
-        # it was a spill hit, not a capacity problem
-        stats = store.stats()
-        assert stats.eviction_misses == 0
-        assert stats.eviction_misses <= stats.misses  # subset invariant
+        assert len(list(cache_dir.glob("*.trace"))) == 3  # disk kept all
+        # the evicted trace comes back from disk, not a rebuild
+        assert _marker(store.get(_key(0))) == 0
+        assert store.disk_hits == 1 and store.misses == 0
 
     def test_corrupt_file_is_a_miss_not_a_failure(self, cache_dir):
-        store = SharedMapStore(cache_dir=cache_dir)
-        keys = _fill(store)
-        path = cache_dir / (keys[1].hex() + ".map")
-        path.write_bytes(b"not a pickle")
-        fresh = SharedMapStore(cache_dir=cache_dir)
-        assert fresh.get(keys[1], "op") is None
+        _fill(TraceStore(cache_dir=cache_dir))
+        _path(cache_dir, 1).write_bytes(b"not a pickle")
+        fresh = TraceStore(cache_dir=cache_dir)
+        assert fresh.get(_key(1)) is None
+        assert fresh.disk_errors == 1 and fresh.misses == 1
+        # the healthy spills are still served
+        assert _marker(fresh.get(_key(0))) == 0
+        assert _marker(fresh.get(_key(2))) == 2
         assert fresh.disk_errors == 1
-        # bulk load skips it but takes the healthy ones
-        warm = SharedMapStore()
-        assert warm.load(cache_dir) == 2
-
-    def test_load_skips_foreign_files(self, cache_dir):
-        _fill(SharedMapStore(cache_dir=cache_dir), n=2)
-        (cache_dir / "zz-not-hex.map").write_bytes(pickle.dumps(np.arange(2)))
-        warm = SharedMapStore()
-        assert warm.load(cache_dir) == 2
-        assert warm.disk_errors == 1
-        # Foreign files are not ours to delete — only corrupt *spills* go.
-        assert (cache_dir / "zz-not-hex.map").is_file()
 
     def test_corrupt_spill_is_deleted_and_slot_rewritable(self, cache_dir):
-        """Regression: a truncated spill (killed mid-write without the tmp
-        rename, disk-full debris) must be treated as a miss, removed, and
-        rewritable by the recompute — not resurface as an error forever."""
-        store = SharedMapStore(cache_dir=cache_dir)
-        keys = _fill(store)
-        path = cache_dir / (keys[0].hex() + ".map")
-        path.write_bytes(pickle.dumps(np.arange(8))[:7])  # truncated pickle
-        fresh = SharedMapStore(cache_dir=cache_dir)
-        assert fresh.get(keys[0], "op") is None
+        """A truncated spill (killed mid-write without the tmp rename,
+        disk-full debris) is a miss, is removed, and the rebuild rewrites
+        the slot — it never resurfaces as an error."""
+        _fill(TraceStore(cache_dir=cache_dir))
+        path = _path(cache_dir, 0)
+        path.write_bytes(pickle.dumps(_trace(0))[:7])  # truncated pickle
+        fresh = TraceStore(cache_dir=cache_dir)
+        assert fresh.get(_key(0)) is None
         assert fresh.disk_errors == 1
         assert not path.is_file()  # deleted on sight
-        fresh.put(keys[0], np.arange(8), "op")  # recompute rewrites the slot
-        rewarm = SharedMapStore(cache_dir=cache_dir)
-        assert np.array_equal(rewarm.get(keys[0], "op"), np.arange(8))
+        fresh.put(_key(0), _trace(0))  # the rebuild rewrites the slot
+        rewarm = TraceStore(cache_dir=cache_dir)
+        assert _marker(rewarm.get(_key(0))) == 0
         assert rewarm.disk_errors == 0
 
-    def test_corrupt_spill_deleted_by_bulk_load(self, cache_dir):
-        store = SharedMapStore(cache_dir=cache_dir)
-        keys = _fill(store)
-        path = cache_dir / (keys[2].hex() + ".map")
-        path.write_bytes(b"\x80")  # unreadable pickle
-        warm = SharedMapStore()
-        assert warm.load(cache_dir) == 2
-        assert warm.disk_errors == 1
-        assert not path.is_file()
+    def test_failed_spill_keeps_serving_from_memory(self, cache_dir,
+                                                    monkeypatch):
+        """A spill that fails mid-write (disk full) must not fail the put:
+        its temp file goes, the error is counted, memory still serves."""
+
+        def disk_full(obj, fh, protocol=None):
+            fh.write(b"\x80\x05partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store_mod.pickle, "dump", disk_full)
+        store = TraceStore(cache_dir=cache_dir)
+        trace = _trace(0)
+        store.put(_key(0), trace)
+        assert store.disk_errors == 1
+        assert store.get(_key(0)) is trace
+        assert list(cache_dir.iterdir()) == []  # no temp file, no entry
 
     def test_snapshot_reports_disk_tier(self, cache_dir):
-        store = SharedMapStore(cache_dir=cache_dir)
-        snap = store.stats().snapshot()
+        snap = TraceStore(cache_dir=cache_dir).snapshot()
         assert snap["persistent"] is True
-        assert snap["disk_hits"] == 0
-
-
-class TestTieredLookup:
-    def _compute_counter(self):
-        calls = {"n": 0}
-
-        def compute():
-            calls["n"] += 1
-            return np.arange(6)
-
-        return calls, compute
-
-    def test_l2_hit_promotes_into_l1(self):
-        l1, l2 = MapCache(), SharedMapStore()
-        tiered = TieredLookup([l1, l2])
-        calls, compute = self._compute_counter()
-        args = ("op", (np.arange(4),), {"k": 1})
-        tiered.memoize(*args, compute)          # full miss -> both tiers filled
-        assert calls["n"] == 1 and len(l1) == 1 and len(l2) == 1
-        l1.clear()
-        out = tiered.memoize(*args, compute)    # L1 miss, L2 hit
-        assert calls["n"] == 1
-        assert np.array_equal(out, np.arange(6))
-        assert len(l1) == 1                     # promoted back into L1
-        assert tiered.stats().hits == 1 and tiered.stats().misses == 1
-
-    def test_disk_hit_promotes_through_both_tiers(self, cache_dir):
-        seed = SharedMapStore(cache_dir=cache_dir)
-        key = seed.key("op", (np.arange(4),), {"k": 1})
-        seed.put(key, np.arange(6), "op")
-        l1, l2 = MapCache(), SharedMapStore(cache_dir=cache_dir)
-        tiered = TieredLookup([l1, l2])
-        calls, compute = self._compute_counter()
-        out = tiered.memoize("op", (np.arange(4),), {"k": 1}, compute)
-        assert calls["n"] == 0                  # served from disk
-        assert np.array_equal(out, np.arange(6))
-        assert l2.disk_hits == 1 and len(l1) == 1
-
-    def test_use_map_cache_accepts_tier_list(self):
-        l1, l2 = MapCache(), SharedMapStore()
-        pts = np.random.default_rng(1).normal(size=(24, 3))
-        with use_map_cache([l1, l2]) as installed:
-            farthest_point_sampling(pts, 4)
-        assert isinstance(installed, TieredLookup)
-        assert len(l1) == 1 and len(l2) == 1
-
-    def test_hit_returns_owned_arrays(self):
-        l1, l2 = MapCache(), SharedMapStore()
-        tiered = TieredLookup([l1, l2])
-        args = ("op", (np.arange(3),), {})
-        tiered.memoize(*args, lambda: np.zeros(4))
-        first = tiered.memoize(*args, lambda: np.zeros(4))
-        first[:] = -1  # vandalize
-        second = tiered.memoize(*args, lambda: np.zeros(4))
-        assert np.array_equal(second, np.zeros(4))
-
-    def test_miss_stores_one_private_copy_in_every_tier(self):
-        """A miss copies the computed value once and shares that object
-        across tiers: L1 and L2 hold the same entry, not two copies, and
-        the caller's result is not it."""
-        l1, l2 = MapCache(), SharedMapStore()
-        tiered = TieredLookup([l1, l2])
-        args = ("op", (np.arange(3),), {})
-        out = tiered.memoize(*args, lambda: np.arange(4))
-        (key,) = l1._entries
-        assert l1._entries[key] is l2._entries[key]
-        assert l1._entries[key] is not out
-        assert l1.stats().stored_bytes == out.nbytes
-        out[:] = -1  # vandalize the caller's result
-        assert np.array_equal(l1._entries[key], np.arange(4))
-
-    def test_l2_hit_promotes_the_shared_object(self):
-        """A hit promotes the L2's stored object into L1 by reference and
-        hands the caller a copy: vandalizing it leaves both tiers intact."""
-        l1, l2 = MapCache(), SharedMapStore()
-        tiered = TieredLookup([l1, l2])
-        args = ("op", (np.arange(3),), {})
-        tiered.memoize(*args, lambda: np.arange(4))
-        l1.clear()
-        out = tiered.memoize(*args, lambda: np.zeros(4))
-        (key,) = l2._entries
-        assert l1._entries[key] is l2._entries[key]
-        out[:] = -1
-        assert np.array_equal(l1._entries[key], np.arange(4))
-        assert np.array_equal(tiered.memoize(*args, lambda: np.zeros(4)),
-                              np.arange(4))
-
-    def test_rejects_empty_tier_list(self):
-        with pytest.raises(ValueError):
-            TieredLookup([None, None])
+        assert snap["disk_hits"] == snap["disk_errors"] == 0
+        assert snap["disk_evictions"] == 0
 
 
 class TestDiskBudget:
-    def _fill(self, store, n, size=512, start=0):
-        keys = []
-        for i in range(start, start + n):
-            key = bytes([i, 0]) + b"k" * 14
-            store.put(key, np.arange(size), "op")
-            keys.append(key)
-        return keys
-
     def _disk_bytes(self, cache_dir):
-        return sum(p.stat().st_size for p in cache_dir.glob("*.map"))
+        return sum(p.stat().st_size for p in cache_dir.glob("*.trace"))
 
     def test_spill_growth_is_bounded(self, tmp_path):
-        """Regression: without a budget the spill directory grew without
-        limit; with ``max_disk_bytes`` it stays under budget after every
-        write, oldest entries evicted first."""
+        """With ``max_disk_bytes`` the directory stays under budget after
+        every write, oldest entries evicted first."""
         cache_dir = tmp_path / "spill"
-        probe = SharedMapStore(cache_dir=cache_dir)
-        self._fill(probe, 1)
+        _fill(TraceStore(cache_dir=cache_dir), 1, rows=512)
         entry_bytes = self._disk_bytes(cache_dir)
-        for f in cache_dir.glob("*.map"):
+        for f in cache_dir.glob("*.trace"):
             f.unlink()
 
         budget = int(entry_bytes * 4.5)  # room for 4 entries, not 12
-        store = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=budget)
-        keys = self._fill(store, 12)
+        store = TraceStore(cache_dir=cache_dir, max_disk_bytes=budget)
+        _fill(store, 12, rows=512)
         assert self._disk_bytes(cache_dir) <= budget
-        assert store.stats().extra["disk_evictions"] >= 8
+        assert store.disk_evictions >= 8
         # The newest entries survive on disk; the oldest are gone.
-        assert store._path(keys[-1]).is_file()
-        assert not store._path(keys[0]).is_file()
+        assert _path(cache_dir, 11).is_file()
+        assert not _path(cache_dir, 0).is_file()
+
+    def test_disk_evictions_reach_the_ledger(self, tmp_path):
+        cache_dir = tmp_path / "spill"
+        ledger = RecomputeLedger()
+        store = TraceStore(cache_dir=cache_dir, max_disk_bytes=1)
+        with use_ledger(ledger), ledger_frame("f7"):
+            store.put(_key(0), _trace(0))
+        (event,) = ledger.events()
+        assert event["tier"] == "disk" and event["frame"] == "f7"
+        assert event["key"] == trace_key(_key(0)).hex()
 
     def test_evicted_key_is_a_miss_never_a_failure(self, tmp_path):
         cache_dir = tmp_path / "spill"
-        store = SharedMapStore(max_entries=2, cache_dir=cache_dir,
-                               max_disk_bytes=4096)
-        keys = self._fill(store, 10, size=64)
+        store = TraceStore(max_entries=2, cache_dir=cache_dir,
+                           max_disk_bytes=4096)
+        _fill(store, 10, rows=16)
         # Old key: evicted from memory (max_entries=2) and from disk.
-        fresh = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=4096)
-        assert fresh.get(keys[0], "op") is None  # plain miss
-        assert fresh.get(keys[-1], "op") is not None
+        fresh = TraceStore(cache_dir=cache_dir, max_disk_bytes=4096)
+        assert fresh.get(_key(0)) is None  # plain miss
+        assert fresh.get(_key(9)) is not None
+        assert fresh.disk_errors == 0
 
     def test_disk_hit_refreshes_recency(self, tmp_path):
-        """A disk hit must touch the file so the LRU spares reused
-        entries across store instances."""
+        """A disk hit touches the file so the LRU spares reused entries
+        across store instances."""
         cache_dir = tmp_path / "spill"
-        store = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        keys = self._fill(store, 3)
-        old = store._path(keys[0])
+        _fill(TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20))
+        old = _path(cache_dir, 0)
         stamp = old.stat().st_mtime - 100
         os.utime(old, (stamp, stamp))
-        reader = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        assert reader.get(keys[0], "op") is not None
+        reader = TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
+        assert reader.get(_key(0)) is not None
         assert old.stat().st_mtime > stamp + 50
 
     def test_unbounded_by_default(self, tmp_path):
-        store = SharedMapStore(cache_dir=tmp_path / "spill")
-        self._fill(store, 8)
-        assert store.stats().extra["disk_evictions"] == 0
-        assert len(list((tmp_path / "spill").glob("*.map"))) == 8
+        store = TraceStore(cache_dir=tmp_path / "spill")
+        _fill(store, 8)
+        assert store.disk_evictions == 0
+        assert len(list((tmp_path / "spill").glob("*.trace"))) == 8
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SharedMapStore(max_disk_bytes=0)
+            TraceStore(max_disk_bytes=0)
 
     def test_overwrite_does_not_inflate_estimate(self, tmp_path):
-        """Regression: every put added the full file size to the running
-        estimate, double-counting overwrites (os.replace reuses the file)
-        — repeated puts of one key drifted the estimate upward until it
-        crossed the budget and triggered a spurious O(files) rescan."""
+        """Every put used to add the full file size to the running
+        estimate, double-counting overwrites (os.replace reuses the
+        file), until a spurious O(files) rescan."""
         cache_dir = tmp_path / "spill"
-        store = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        key = bytes(16)
-        store.put(key, np.arange(256), "op")
+        store = TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
+        store.put(_key(0), _trace(0, rows=256))
         first = store._disk_bytes_estimate
         assert first == self._disk_bytes(cache_dir)
         for _ in range(20):
-            store.put(key, np.arange(256), "op")
+            store.put(_key(0), _trace(0, rows=256))
         assert store._disk_bytes_estimate == first  # flat, not 21x
-        assert store.stats().extra["disk_evictions"] == 0
+        assert store.disk_evictions == 0
 
     def test_overwrite_with_smaller_value_shrinks_estimate(self, tmp_path):
         cache_dir = tmp_path / "spill"
-        store = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        key = bytes(16)
-        store.put(key, np.arange(4096), "op")
-        store.put(key, np.arange(8), "op")
+        store = TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
+        store.put(_key(0), _trace(0, rows=4096))
+        store.put(_key(0), _trace(0, rows=8))
         assert store._disk_bytes_estimate == self._disk_bytes(cache_dir)
 
 
 class TestSharedDirectory:
     """Several stores (processes) on one cache_dir: races and debris."""
 
-    def _key(self, i):
-        return bytes([i]) + bytes(15)
-
-    def test_stale_tmp_from_dead_writer_swept_on_init(self, tmp_path):
-        """Regression: a process killed between open() and os.replace()
-        leaves `<digest>.map.tmp<pid>` debris that the *.map-filtered
-        budget scan never sees — it accumulated unboundedly."""
+    def _dead_pid(self):
         import subprocess
         import sys
 
-        cache_dir = tmp_path / "spill"
-        seed = SharedMapStore(cache_dir=cache_dir)
-        seed.put(self._key(0), np.arange(8), "op")
         proc = subprocess.Popen([sys.executable, "-c", "pass"])
         proc.wait()  # a guaranteed-dead pid
-        dead = cache_dir / (self._key(1).hex() + f".map.tmp{proc.pid}")
+        return proc.pid
+
+    def test_stale_tmp_from_dead_writer_swept_on_init(self, tmp_path):
+        """A process killed between open() and os.replace() leaves
+        `<digest>.trace.tmp<pid>` debris that the *.trace-filtered budget
+        scan never sees; construction sweeps it."""
+        cache_dir = tmp_path / "spill"
+        TraceStore(cache_dir=cache_dir).put(_key(0), _trace(0))
+        dead = cache_dir / (_path(cache_dir, 1).name + f".tmp{self._dead_pid()}")
         dead.write_bytes(b"partial pickle debr")
-        ours = cache_dir / (self._key(2).hex() + f".map.tmp{os.getpid()}")
+        ours = cache_dir / (_path(cache_dir, 2).name + f".tmp{os.getpid()}")
         ours.write_bytes(b"in-flight write of a live process")
-        SharedMapStore(cache_dir=cache_dir)  # init sweeps
+        TraceStore(cache_dir=cache_dir)  # init sweeps
         assert not dead.is_file()
         assert ours.is_file()  # live writers (us included) are never touched
         ours.unlink()
 
     def test_stale_tmp_swept_during_budget_rescan(self, tmp_path):
-        import subprocess
-        import sys
-
         cache_dir = tmp_path / "spill"
         cache_dir.mkdir()
-        store = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=4096)
-        proc = subprocess.Popen([sys.executable, "-c", "pass"])
-        proc.wait()
-        dead = cache_dir / (self._key(9).hex() + f".map.tmp{proc.pid}")
+        store = TraceStore(cache_dir=cache_dir, max_disk_bytes=4096)
+        dead = cache_dir / (_path(cache_dir, 9).name + f".tmp{self._dead_pid()}")
         dead.write_bytes(b"debris")
         # Overflow the budget so _enforce_disk_budget rescans.
-        for i in range(10):
-            store.put(self._key(i), np.arange(512), "op")
+        _fill(store, 10, rows=128)
         assert not dead.is_file()
 
     def test_evicted_by_other_store_is_plain_miss(self, tmp_path):
-        """Two stores, one directory: B re-probing an entry that A's
-        budget enforcement unlinked must count a miss — never an error,
-        never a raise."""
+        """Two stores, one directory: re-probing an entry that another
+        store's budget enforcement unlinked counts a miss — never an
+        error, never a raise."""
         cache_dir = tmp_path / "spill"
-        a = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        a.put(self._key(0), np.arange(64), "op")
-        b = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        assert b.get(self._key(0), "op") is not None  # disk hit, promoted
-        # A evicts it (simulate the budget unlink; same syscall path).
-        os.unlink(a._path(self._key(0)))
-        fresh = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        assert fresh.get(self._key(0), "op") is None
-        stats = fresh.stats()
-        assert stats.misses == 1
+        a = TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
+        a.put(_key(0), _trace(0))
+        b = TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
+        assert b.get(_key(0)) is not None  # disk hit, promoted
+        os.unlink(_path(cache_dir, 0))  # what A's budget unlink does
+        fresh = TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
+        assert fresh.get(_key(0)) is None
+        assert fresh.misses == 1
         assert fresh.disk_errors == 0  # a vanished file is not corruption
-        # B still serves its promoted in-memory copy.
-        assert np.array_equal(b.get(self._key(0), "op"), np.arange(64))
+        # B still serves its promoted in-memory trace.
+        assert _marker(b.get(_key(0))) == 0
 
-    def test_utime_refresh_tolerates_concurrent_unlink(self, tmp_path, monkeypatch):
+    def test_utime_refresh_tolerates_concurrent_unlink(self, tmp_path,
+                                                       monkeypatch):
         """The disk-hit mtime refresh racing another worker's eviction:
-        the value was already read, so the lookup stays a hit."""
+        the trace was already read, so the lookup stays a hit."""
         cache_dir = tmp_path / "spill"
-        seed = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
-        seed.put(self._key(3), np.arange(16), "op")
-        reader = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
+        TraceStore(cache_dir=cache_dir).put(_key(3), _trace(3))
+        reader = TraceStore(cache_dir=cache_dir, max_disk_bytes=1 << 20)
 
         def vanished(path, *args, **kwargs):
             raise FileNotFoundError(path)
 
         monkeypatch.setattr(os, "utime", vanished)
-        value = reader.get(self._key(3), "op")
-        assert np.array_equal(value, np.arange(16))
-        assert reader.stats().hits == 1 and reader.disk_hits == 1
+        assert _marker(reader.get(_key(3))) == 3
+        assert reader.hits == 1 and reader.disk_hits == 1
         assert reader.disk_errors == 0

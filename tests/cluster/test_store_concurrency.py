@@ -1,15 +1,15 @@
 """Multi-process hammering of one shared cache directory.
 
 This is the safety net under worker-mode serving: N real OS processes
-share one ``SharedMapStore`` cache directory — overlapping keys, tight
+share one ``TraceStore`` cache directory — overlapping keys, tight
 memory bounds (so disk re-probes happen constantly), a tight disk budget
 (so eviction races happen constantly), corrupt spill files injected by
 the parent, and writers killed between ``open`` and ``os.replace``.
 
 The invariants, verified from inside every process:
 
-* a served value is always *correct* — a corrupt or truncated spill is
-  only ever a counted ``disk_errors`` miss, never a wrong array;
+* a served trace is always *correct* — a corrupt or truncated spill is
+  only ever a counted ``disk_errors`` miss, never a wrong trace;
 * a file vanishing underneath a read/refresh (another process's budget
   enforcement) is a plain miss or a kept hit, never an exception;
 * per-store counters stay internally consistent under any interleaving;
@@ -23,66 +23,82 @@ import random
 import numpy as np
 import pytest
 
-from repro.cluster import SharedMapStore
-from repro.cluster.store import _TMP_MARKER
+from repro.engine import TraceStore
+from repro.engine.trace_store import _TMP_MARKER, trace_key
+from repro.mapping import MapTable
+from repro.nn.trace import LayerKind, LayerSpec, Trace
 
 N_WORKERS = 4
 N_KEYS = 12
 N_ROUNDS = 50
-DISK_BUDGET = 8 * 1024  # ~12 entries of ~640 B: rescans and evictions galore
+DISK_BUDGET = 8 * 1024  # ~12 traces of ~630 B: rescans and evictions galore
 
 _CTX = multiprocessing.get_context(
     "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 )
 
 
-def _key(i: int) -> bytes:
-    return bytes([i]) + bytes(15)
+def _key(i: int) -> tuple:
+    return ("net", 0.1, i)
 
 
-def _value(i: int) -> np.ndarray:
-    return np.full(64, i, dtype=np.int64)
+def _name(i: int) -> str:
+    return trace_key(_key(i)).hex() + ".trace"
+
+
+def _value(i: int) -> Trace:
+    """A one-layer trace that pickles to ~630 B."""
+    maps = MapTable(np.full(4, i), np.arange(4), np.zeros(4, np.int64), 1)
+    trace = Trace(name=f"t{i}")
+    trace.record(LayerSpec(name="conv", kind=LayerKind.SPARSE_CONV, n_in=4,
+                           n_out=4, rows=4, n_maps=4, params={"maps": maps}))
+    return trace
+
+
+def _matches(trace, i: int) -> bool:
+    maps = trace.specs[0].params["maps"]
+    return trace.name == f"t{i}" and np.array_equal(maps.in_idx, np.full(4, i))
 
 
 def _hammer(cache_dir, worker_idx, corrupt_key, max_disk_bytes, conn):
     """One worker: verify the pre-corrupted key is a counted error, then
-    hammer overlapping keys, checking every served value.  Exit codes:
-    0 ok, 2 corrupt-probe contract broken, 3 wrong value served."""
-    store = SharedMapStore(
+    hammer overlapping keys, checking every served trace.  Exit codes:
+    0 ok, 2 corrupt-probe contract broken, 3 wrong trace served."""
+    store = TraceStore(
         max_entries=4,  # tiny memory tier: almost every get re-probes disk
         cache_dir=cache_dir,
         max_disk_bytes=max_disk_bytes,
     )
     # The parent planted a corrupt spill under this worker's private key:
     # it must come back as a miss, counted in disk_errors, never raise.
-    if store.get(corrupt_key, op="t") is not None or store.disk_errors != 1:
+    if store.get(corrupt_key) is not None or store.disk_errors != 1:
         conn.send(("corrupt-probe", None))
         os._exit(2)
     rng = random.Random(worker_idx)
     for _ in range(N_ROUNDS):
         i = rng.randrange(N_KEYS)
-        served = store.get(_key(i), op="t")
+        served = store.get(_key(i))
         if served is None:
-            store.put(_key(i), _value(i), op="t")
-        elif not np.array_equal(served, _value(i)):
+            store.put(_key(i), _value(i))
+        elif not _matches(served, i):
             conn.send(("wrong-value", i))
             os._exit(3)
-    conn.send(("ok", store.stats().snapshot()))
+    conn.send(("ok", store.snapshot()))
     os._exit(0)
 
 
 def _die_mid_write(cache_dir, conn):
     """A writer killed between open() and os.replace(): patch the rename
     away and exit hard, leaving a pid-suffixed temp orphan behind."""
-    store = SharedMapStore(cache_dir=cache_dir)
-    import repro.cluster.store as store_mod
+    store = TraceStore(cache_dir=cache_dir)
+    import repro.engine.trace_store as store_mod
 
     def killed(*args, **kwargs):
         conn.send(os.getpid())
         os._exit(0)  # the "SIGKILL" lands here, temp file still on disk
 
     store_mod.os.replace = killed
-    store.put(_key(0), _value(0), op="t")
+    store.put(_key(0), _value(0))
     os._exit(4)  # unreachable unless the write path stopped using os.replace
 
 
@@ -94,10 +110,10 @@ def test_concurrent_hammer_never_serves_corrupt_values(tmp_path, budgeted):
     # corrupt keys inside the hammer range that whichever worker probes
     # first will delete-and-recompute.
     corrupt_keys = [_key(N_KEYS + w) for w in range(N_WORKERS)]
-    for key in corrupt_keys:
-        (cache_dir / (key.hex() + ".map")).write_bytes(b"\x80\x05partial")
+    for w in range(N_WORKERS):
+        (cache_dir / _name(N_KEYS + w)).write_bytes(b"\x80\x05partial")
     for i in (0, 1):
-        (cache_dir / (_key(i).hex() + ".map")).write_bytes(b"not a pickle")
+        (cache_dir / _name(i)).write_bytes(b"not a pickle")
 
     workers, conns = [], []
     for w in range(N_WORKERS):
@@ -128,13 +144,13 @@ def test_concurrent_hammer_never_serves_corrupt_values(tmp_path, budgeted):
     # The planted corrupt files were all discovered (and deleted), whether
     # by the private probe or the shared-key hammering.
     assert sum(s["disk_errors"] for s in snapshots) >= N_WORKERS
-    # Every spill that survived the melee unpickles to the right value.
-    survivor = SharedMapStore(cache_dir=cache_dir)
+    # Every spill that survived the melee unpickles to the right trace.
+    survivor = TraceStore(cache_dir=cache_dir)
     served = 0
     for i in range(N_KEYS):
-        value = survivor.get(_key(i), op="t")
+        value = survivor.get(_key(i))
         if value is not None:
-            assert np.array_equal(value, _value(i))
+            assert _matches(value, i)
             served += 1
     assert survivor.disk_errors == 0
     assert served > 0  # the directory is not empty after 4x50 rounds
@@ -150,19 +166,17 @@ def test_mid_write_kill_leaves_sweepable_debris_only(tmp_path):
     proc.join(timeout=60)
     assert proc.exitcode == 0
     debris = [p.name for p in cache_dir.iterdir() if _TMP_MARKER in p.name]
-    assert debris == [_key(0).hex() + f".map.tmp{dead_pid}"]
+    assert debris == [_name(0) + f".tmp{dead_pid}"]
     # No committed entry: the kill landed before the atomic rename.
-    assert not list(cache_dir.glob("*.map"))
+    assert not list(cache_dir.glob("*.trace"))
     # A fresh store on the same directory sweeps the dead writer's orphan
     # at construction and serves normally afterwards.
-    store = SharedMapStore(cache_dir=cache_dir)
+    store = TraceStore(cache_dir=cache_dir)
     assert not [p for p in cache_dir.iterdir() if _TMP_MARKER in p.name]
-    assert store.get(_key(0), op="t") is None  # plain miss, not an error
+    assert store.get(_key(0)) is None  # plain miss, not an error
     assert store.disk_errors == 0
-    store.put(_key(0), _value(0), op="t")
-    assert np.array_equal(
-        SharedMapStore(cache_dir=cache_dir).get(_key(0), op="t"), _value(0)
-    )
+    store.put(_key(0), _value(0))
+    assert _matches(TraceStore(cache_dir=cache_dir).get(_key(0)), 0)
 
 
 def test_concurrent_budget_enforcement_stays_consistent(tmp_path):
@@ -170,16 +184,15 @@ def test_concurrent_budget_enforcement_stays_consistent(tmp_path):
     triggers enforcement: whatever interleaving happens, reads stay
     exception-free and the directory ends within budget once quiescent."""
     cache_dir = tmp_path / "shared"
-    a = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=2048)
-    b = SharedMapStore(cache_dir=cache_dir, max_disk_bytes=2048)
+    a = TraceStore(cache_dir=cache_dir, max_disk_bytes=2048)
+    b = TraceStore(cache_dir=cache_dir, max_disk_bytes=2048)
     for round_idx in range(20):
         i = round_idx % 6
-        a.put(_key(i), _value(i), op="t")
-        value = b.get(_key(i), op="t")
+        a.put(_key(i), _value(i))
+        value = b.get(_key(i))
         if value is not None:
-            assert np.array_equal(value, _value(i))
-        b.put(_key(i + 1), _value(i + 1), op="t")
-    total = sum(p.stat().st_size for p in cache_dir.glob("*.map"))
+            assert _matches(value, i)
+        b.put(_key(i + 1), _value(i + 1))
+    total = sum(p.stat().st_size for p in cache_dir.glob("*.trace"))
     assert total <= 2048
-    assert a.stats().extra["disk_evictions"] + b.stats().extra[
-        "disk_evictions"] > 0
+    assert a.disk_evictions + b.disk_evictions > 0

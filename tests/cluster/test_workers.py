@@ -16,9 +16,8 @@ from repro.engine import SimRequest
 
 def _spec(**overrides):
     base = dict(
-        backends=("pointacc",), policy="fifo", map_cache="auto",
-        l2=None, cache_dir=None,
-        reuse_traces=True, overlap=False,
+        backends=("pointacc",), policy="fifo", l2=None, cache_dir=None,
+        overlap=False,
     )
     base.update(overrides)
     return engine_spec(**base)

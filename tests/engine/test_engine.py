@@ -1,140 +1,18 @@
-"""Unit tests for the simulation engine: cache, scheduler, engine plumbing."""
+"""Unit tests for the simulation engine: scheduler, backends, engine plumbing."""
 
-import numpy as np
 import pytest
 
 from repro.engine import (
-    MapCache,
     SimRequest,
     SimulationEngine,
+    TraceStore,
     backend_names,
     estimate_points,
     resolve_backend,
     run_cold,
     schedule,
 )
-from repro.mapping import MapTable, farthest_point_sampling, use_map_cache
-
-
-class TestMapCache:
-    def test_hit_miss_accounting(self, rng):
-        cache = MapCache()
-        pts = rng.normal(size=(64, 3))
-        with use_map_cache(cache):
-            a = farthest_point_sampling(pts, 8)
-            b = farthest_point_sampling(pts, 8)
-            c = farthest_point_sampling(pts, 9)  # different params -> miss
-        assert np.array_equal(a, b)
-        assert cache.stats().hits == 1 and cache.stats().misses == 2
-        assert cache.stats().by_op["fps"] == {"hits": 1, "misses": 2}
-        assert 0 < cache.stats().hit_rate < 1
-        assert len(c) == 9
-
-    def test_content_addressing_sees_values_not_objects(self, rng):
-        cache = MapCache()
-        pts = rng.normal(size=(32, 3))
-        with use_map_cache(cache):
-            a = farthest_point_sampling(pts, 6)
-            b = farthest_point_sampling(pts.copy(), 6)  # equal content -> hit
-        assert cache.stats().hits == 1
-        assert np.array_equal(a, b)
-
-    def test_hits_return_owned_uncorruptible_arrays(self, rng):
-        cache = MapCache()
-        pts = rng.normal(size=(32, 3))
-        with use_map_cache(cache):
-            first = farthest_point_sampling(pts, 6)
-            first[:] = -1  # vandalize the returned array
-            second = farthest_point_sampling(pts, 6)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(second, farthest_point_sampling(pts, 6))
-
-    def test_memoize_copies_tuples_and_maptables(self):
-        cache = MapCache()
-        table = MapTable(np.arange(3), np.arange(3), np.zeros(3, np.int64), 4)
-        out1 = cache.memoize("op", (np.arange(4),), {}, lambda: table)
-        out2 = cache.memoize("op", (np.arange(4),), {}, lambda: table)
-        assert out2.as_set() == table.as_set()
-        assert not np.shares_memory(out2.in_idx, out1.in_idx)
-        tup = cache.memoize("op2", (np.arange(2),), {}, lambda: (np.ones(2), np.zeros(2)))
-        assert isinstance(tup, tuple) and len(tup) == 2
-
-    def test_lru_eviction_by_entries(self):
-        cache = MapCache(max_entries=2)
-        for i in range(4):
-            cache.memoize("op", (np.full(4, i),), {}, lambda i=i: np.full(2, i))
-        assert len(cache) == 2
-        assert cache.stats().evictions == 2
-
-    def test_eviction_by_bytes(self):
-        cache = MapCache(max_bytes=100)
-        for i in range(3):
-            cache.memoize("op", (np.full(4, i),), {}, lambda: np.zeros(32))
-        assert cache.stats().stored_bytes <= 100 + 32 * 8
-        assert cache.stats().evictions >= 2
-
-    def test_nested_activation_restores_previous(self):
-        outer, inner = MapCache(), MapCache()
-        from repro.mapping import active_cache
-
-        assert active_cache() is None
-        with use_map_cache(outer):
-            with use_map_cache(inner):
-                assert active_cache() is inner
-            assert active_cache() is outer
-        assert active_cache() is None
-
-    def test_rejects_bad_limits(self):
-        with pytest.raises(ValueError):
-            MapCache(max_entries=0)
-        with pytest.raises(ValueError):
-            MapCache(max_bytes=0)
-
-    def test_eviction_misses_distinct_from_cold_misses(self):
-        cache = MapCache(max_entries=2)
-        keys = [cache.key("op", (np.full(4, i),), {}) for i in range(3)]
-        for i, key in enumerate(keys):
-            cache.put(key, np.full(2, i))
-        assert cache.stats().evictions == 1  # keys[0] fell out
-        assert cache.get(keys[0]) is None
-        assert cache.get(cache.key("op", (np.full(4, 9),), {})) is None
-        stats = cache.stats()
-        # one capacity miss, one cold miss — reported distinctly
-        assert stats.misses == 2
-        assert stats.eviction_misses == 1
-        assert stats.snapshot()["eviction_misses"] == 1
-
-    def test_reinserted_key_stops_counting_as_evicted(self):
-        cache = MapCache(max_entries=2)
-        keys = [cache.key("op", (np.full(4, i),), {}) for i in range(3)]
-        for i, key in enumerate(keys):
-            cache.put(key, np.full(2, i))
-        cache.put(keys[0], np.full(2, 0))  # back in residence
-        assert cache.get(keys[0]) is not None
-        assert cache.stats().eviction_misses == 0
-
-    def test_clear_and_reset_stats(self, rng):
-        cache = MapCache()
-        pts = rng.normal(size=(16, 3))
-        with use_map_cache(cache):
-            farthest_point_sampling(pts, 4)
-            farthest_point_sampling(pts, 4)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats().hits == 1  # counters survive a plain clear
-        cache.clear(reset_stats=True)
-        assert cache.stats().hits == 0 and cache.stats().lookups == 0
-
-    def test_get_put_round_trip_owned(self):
-        cache = MapCache()
-        key = cache.key("op", (np.arange(4),), {"k": 2})
-        assert cache.get(key, "op") is None
-        stored = np.arange(6)
-        cache.put(key, stored, "op")
-        out = cache.get(key, "op")
-        assert np.array_equal(out, stored)
-        assert not np.shares_memory(out, stored)
-        assert cache.stats().by_op["op"] == {"hits": 1, "misses": 1}
+from repro.obs.ledger import RecomputeLedger, use_ledger
 
 
 class TestScheduler:
@@ -224,7 +102,7 @@ class TestSimulationEngine:
         assert [r.trace_reused for r in results] == [False, True, True]
         trace = results[0].trace
         assert trace.meta["workload_key"] == reqs[0].workload_key
-        assert trace.meta["map_cache"]["misses"] > 0
+        assert all(r.trace is trace for r in results)
         stats = engine.stats()
         assert stats.trace_builds == 1 and stats.trace_reuses == 2
         assert stats.report_reuses == 2
@@ -263,28 +141,48 @@ class TestSimulationEngine:
         with pytest.raises(ValueError):
             next(engine.stream(iter([]), window=0))
 
-    def test_disabled_map_cache(self):
-        engine = SimulationEngine(backends=("pointacc",), map_cache=None)
-        results = engine.run_batch(
-            [SimRequest("PointNet++(c)", scale=0.1)] * 2
-        )
-        assert results[0].map_cache_hits == 0
-        assert engine.stats().map_cache == {}
-
-    def test_injected_l2_builds_tiered_lookup(self):
-        from repro.mapping import TieredLookup
-
-        l2 = MapCache()
-        engine = SimulationEngine(backends=("pointacc",), l2=l2,
-                                  reuse_traces=False)
-        assert isinstance(engine._lookup, TieredLookup)
+    def test_store_snapshot_in_stats(self):
+        engine = SimulationEngine(backends=("pointacc",))
         engine.run_batch([SimRequest("PointNet++(c)", scale=0.1)] * 2)
-        # both tiers saw the build; the repeat was served from a tier
-        assert l2.stats().lookups > 0
         snap = engine.stats().map_cache
-        assert snap["hits"] > 0 and len(snap["tiers"]) == 2
-        # a sibling engine sharing the same L2 hits immediately
-        sibling = SimulationEngine(backends=("pointacc",), l2=l2,
-                                   reuse_traces=False)
-        sibling.run_batch([SimRequest("PointNet++(c)", scale=0.1)])
-        assert l2.stats().hits > 0
+        assert (snap["hits"], snap["misses"], snap["entries"]) == (1, 1, 1)
+        assert snap == engine.stats().summary()["map_cache"]
+
+    def test_shared_store_serves_sibling_engine(self):
+        """Two engines on one store: a trace built by one is reused by the
+        other, whose own report memo still runs the backend."""
+        store = TraceStore()
+        first = SimulationEngine(backends=("pointacc",), store=store)
+        sibling = SimulationEngine(backends=("pointacc",), store=store)
+        request = SimRequest("PointNet++(c)", scale=0.1)
+        built = first.run_batch([request])[0]
+        reused = sibling.run_batch([request])[0]
+        assert not built.trace_reused and reused.trace_reused
+        assert reused.trace is built.trace
+        assert reused.reports == built.reports
+        assert sibling.stats().trace_builds == 0
+        assert sibling.stats().report_reuses == 0
+        assert store.snapshot()["hits"] == 1
+
+    def test_one_entry_store_rebuilds_alternating_workloads(self):
+        """With room for one trace, alternating two workloads rebuilds
+        every time, sends each eviction to the ledger tagged with the
+        frame whose build caused it, and stays equal to the cold oracle."""
+        engine = SimulationEngine(backends=("pointacc",),
+                                  store=TraceStore(max_entries=1))
+        a = SimRequest("PointNet++(c)", scale=0.1, seed=0)
+        b = SimRequest("PointNet++(c)", scale=0.1, seed=1)
+        requests = [SimRequest(r.benchmark, scale=r.scale, seed=r.seed,
+                               tag=f"f{i}")
+                    for i, r in enumerate([a, b, a, b, a])]
+        ledger = RecomputeLedger()
+        with use_ledger(ledger):
+            results = engine.run_batch(requests)
+        assert [r.trace_reused for r in results] == [False] * 5
+        assert engine.stats().trace_builds == 5
+        events = ledger.events()
+        assert [e["tier"] for e in events] == ["memory"] * 4
+        assert [e["frame"] for e in events] == ["f1", "f2", "f3", "f4"]
+        oracle = {r.seed: run_cold(r).reports for r in (a, b)}
+        for result in results:
+            assert result.reports == oracle[result.request.seed]

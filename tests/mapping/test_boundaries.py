@@ -1,22 +1,20 @@
 """Boundary conditions and array-ownership contracts of the mapping ops.
 
 Locks in the documented padding / tie-break / clamping semantics at the
-edges of each op's domain, plus the ownership contract the map cache relies
-on: mapping ops never mutate caller arrays, and every returned array is
-freshly owned (no views of inputs or internals) — so a caller scribbling on
-a result can corrupt neither its own inputs nor a cache entry.
+edges of each op's domain, plus the ownership contract: mapping ops never
+mutate caller arrays, and every returned array is freshly owned (no views
+of inputs or internals) — so a caller scribbling on a result can corrupt
+neither its own inputs nor another result.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine import MapCache
 from repro.mapping import (
     ball_query_indices,
     farthest_point_sampling,
     knn_indices,
     random_sampling,
-    use_map_cache,
 )
 
 
@@ -140,21 +138,8 @@ class TestOwnershipContracts:
         idx, dist = knn_indices(points[:4], points[:2], k=6)
         assert idx.base is None and dist.base is None
 
-    def test_cache_hits_are_owned_too(self, points):
-        with use_map_cache(MapCache()):
-            for _ in range(2):  # miss, then hit
-                selected = farthest_point_sampling(points, 8)
-                idx, dist = knn_indices(points[:10], points, 4)
-                ball = ball_query_indices(points[:10], points, 0.8, 4)
-                for arr in (selected, idx, dist, ball):
-                    assert arr.base is None
-                    arr[:] = -7  # must not poison the cache...
-            clean = farthest_point_sampling(points, 8)
-        assert np.array_equal(clean, farthest_point_sampling(points, 8))
-
     def test_mutating_one_result_does_not_affect_another(self, points):
-        with use_map_cache(MapCache()):
-            first = farthest_point_sampling(points, 8)
-            second = farthest_point_sampling(points, 8)
-            first[:] = 0
-            assert not np.array_equal(first, second)
+        first = farthest_point_sampling(points, 8)
+        second = farthest_point_sampling(points, 8)
+        first[:] = 0
+        assert not np.array_equal(first, second)

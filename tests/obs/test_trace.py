@@ -50,9 +50,9 @@ class TestSpanTree:
     def test_attrs_recorded(self):
         tracer = Tracer()
         with use_tracer(tracer):
-            with span("tier_io", tier="MapCache", way="get") as sp:
+            with span("tier_io", tier="TraceStore", way="get") as sp:
                 pass
-        assert sp.attrs == {"tier": "MapCache", "way": "get"}
+        assert sp.attrs == {"tier": "TraceStore", "way": "get"}
 
 
 class TestBalanceUnderExceptions:

@@ -1,23 +1,28 @@
 """Cluster equivalence properties: the fleet may never change a result.
 
 The acceptance contract for the cluster subsystem: for every shard count
-{1, 2, 4}, both routing modes, and every cache-tier configuration (L1 only,
-L1+L2, L1+L2+disk), serving a batch through :class:`EngineCluster` yields
-per-request ``PerfReport``s exactly equal — dataclass equality, every
-float — to cold sequential :class:`~repro.core.PointAccModel` runs
-(:func:`repro.engine.run_cold`).  Sharding, QoS ordering, L2 sharing and
-disk warm-starts are all wall-clock phenomena only.
+{1, 2, 4}, both routing modes, and every trace-store configuration —
+``l1`` (each shard a private store, ``l2=None``), ``l1+l2`` (one store
+shared by every shard) and ``l1+l2+disk`` (the shared store with a disk
+tier) — serving a batch through :class:`EngineCluster` yields per-request
+``PerfReport``s exactly equal — dataclass equality, every float — to cold
+sequential :class:`~repro.core.PointAccModel` runs
+(:func:`repro.engine.run_cold`).  Sharding, QoS ordering, store sharing
+and disk warm-starts are all wall-clock phenomena only.
 
 A second family checks QoS-field invariance (tenants/deadlines/priorities
-reorder, never alter) and that a *warm-started* cluster — same cache dir,
+reorder, never alter), that a *warm-started* cluster — same cache dir,
 fresh process-equivalent state — still reproduces the cold oracle bit for
-bit, which is exactly the persistence path the CLI exercises.
+bit, which is exactly the persistence path the CLI exercises, and that
+least-loaded routing builds each workload once however its repeats
+scatter across shards.
 """
 
 import pytest
 
 from repro.cluster import EngineCluster
 from repro.engine import SimRequest, run_cold
+from repro.nn.models.registry import BENCHMARKS
 
 SHARD_COUNTS = (1, 2, 4)
 ROUTINGS = ("affinity", "least-loaded")
@@ -25,8 +30,8 @@ TIERS = ("l1", "l1+l2", "l1+l2+disk")
 
 
 def _mixed_batch() -> list[SimRequest]:
-    """Small mixed batch with repeats: both request-level and op-level reuse
-    fire, plus a SparseConv model so the kernel-map path is covered."""
+    """Small mixed batch with a repeat, plus a SparseConv model so the
+    kernel-map path is covered."""
     batch = [
         SimRequest("PointNet++(c)", scale=0.1, seed=0),
         SimRequest("DGCNN", scale=0.1, seed=0, priority=2),
@@ -81,7 +86,7 @@ def test_warm_started_cluster_still_bit_identical(routing, oracle, tmp_path):
     assert warm.l2.disk_hits > 0  # genuinely warm-started, not recomputed
     for cold, hot in zip(oracle, results):
         assert hot.reports["pointacc"] == cold.reports["pointacc"]
-    assert any(cache_dir.glob("*.map"))
+    assert any(cache_dir.glob("*.trace"))
 
 
 def test_qos_fields_never_change_results(oracle):
@@ -102,3 +107,23 @@ def test_qos_fields_never_change_results(oracle):
         assert hot.reports["pointacc"] == cold.reports["pointacc"]
     stats = cluster.stats()
     assert stats.deadline_met == len(decorated)  # generous budgets all met
+
+
+def test_least_loaded_cluster_builds_each_workload_once():
+    """Least-loaded routing scatters repeats across shards; the shared
+    store still builds each of the 16 workloads exactly once over three
+    passes, and every report equals the cold oracle."""
+    workloads = [SimRequest(name, scale=0.1, seed=seed)
+                 for name in BENCHMARKS for seed in (0, 1)]
+    cluster = EngineCluster(n_shards=3, backends=("pointacc",),
+                            routing="least-loaded")
+    passes = [cluster.run_batch(workloads) for _ in range(3)]
+    stats = cluster.stats()
+    assert sum(s["trace_builds"] for s in stats.shards) == len(workloads) == 16
+    assert len({r.shard for results in passes for r in results}) == 3
+    for request in workloads:
+        cold = run_cold(request, backends=("pointacc",))
+        for results in passes:
+            (hot,) = [r for r in results if r.request == request]
+            assert hot.reports == cold.reports
+            assert hot.errors == cold.errors

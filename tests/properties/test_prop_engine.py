@@ -1,45 +1,21 @@
-"""Engine equivalence properties: caching must never change a result.
+"""Engine equivalence properties: memoizing must never change a result.
 
-Two families of properties, both required by the PR acceptance criteria:
+*Batched == sequential, bit-identical.*  For any batch of requests, every
+engine configuration — any scheduling policy, and each trace-store
+configuration: a private store, a store shared with a sibling engine, a
+disk-backed store read back by a fresh process-like store, and a
+one-entry store that rebuilds almost every trace — produces per-request
+``PerfReport``s exactly equal (dataclass equality, every float) to cold
+sequential ``PointAccModel`` runs.
 
-1. *Batched == sequential, bit-identical.*  For any batch of requests, every
-   engine configuration (any scheduling policy, map cache on/off, trace memo
-   on/off) produces per-request ``PerfReport``s exactly equal — dataclass
-   equality, every float — to cold sequential ``PointAccModel`` runs.
-2. *Cache hit/miss transparency at the op level.*  For random geometry, a
-   mapping op called through an active ``MapCache`` (miss then hit) returns
-   arrays bit-identical to the uncached call.
-
-The heavyweight network-level properties enumerate seeded batches (the
-benchmark registry is the input space — the clouds inside are already
-randomized per seed); the op-level properties use hypothesis directly.
+The properties enumerate seeded batches: the benchmark registry is the
+input space, and the clouds inside are already randomized per seed.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.engine import MapCache, SimRequest, SimulationEngine, run_cold
-from repro.mapping import (
-    ball_query_indices,
-    farthest_point_sampling,
-    kernel_map_hash,
-    kernel_map_mergesort,
-    knn_indices,
-    use_map_cache,
-)
-
-point_arrays = hnp.arrays(
-    np.float64, st.tuples(st.integers(2, 40), st.just(3)),
-    elements=st.floats(-10, 10, allow_nan=False).map(lambda v: round(v, 3)),
-)
-# Sparse-tensor coordinates are duplicate-free by construction (voxelized
-# clouds); the kernel-map algorithms document that precondition.
-coord_arrays = hnp.arrays(
-    np.int64, st.tuples(st.integers(1, 30), st.just(3)),
-    elements=st.integers(-20, 20),
-).map(lambda a: np.unique(a, axis=0))
+from repro.engine import SimRequest, SimulationEngine, TraceStore, run_cold
 
 
 def _mixed_batch(seed: int) -> list[SimRequest]:
@@ -59,33 +35,55 @@ def _mixed_batch(seed: int) -> list[SimRequest]:
     return requests
 
 
+def _engines(config: str, policy: str, tmp_path):
+    """The engines that serve the batch, in order, for one store config.
+
+    ``shared`` and ``disk`` serve it twice: a second engine then finds
+    every trace already built, in the shared object or on disk.
+    """
+    def engine(store):
+        return SimulationEngine(backends=("pointacc",), policy=policy,
+                                store=store)
+
+    if config == "private":
+        return [engine(None)]
+    if config == "one-entry":
+        return [engine(TraceStore(max_entries=1))]
+    if config == "shared":
+        store = TraceStore()
+        return [engine(store), engine(store)]
+    return [engine(TraceStore(cache_dir=tmp_path)),
+            engine(TraceStore(cache_dir=tmp_path))]
+
+
 @pytest.mark.parametrize("batch_seed", [0, 1])
 @pytest.mark.parametrize(
-    "policy,map_cache,reuse_traces",
+    "policy,config",
     [
-        ("fifo", "auto", True),
-        ("bucketed", "auto", False),  # op-level cache only
-        ("priority", None, True),     # trace memo only
+        # The first three ids keep the names of the earlier
+        # (map_cache, reuse_traces) matrix they replace: the default
+        # memos, the arm that rebuilt every trace, and the trace memo
+        # alone.
+        pytest.param("fifo", "private", id="fifo-auto-True"),
+        pytest.param("bucketed", "one-entry", id="bucketed-auto-False"),
+        pytest.param("priority", "shared", id="priority-None-True"),
+        pytest.param("fifo", "disk", id="fifo-disk"),
     ],
 )
-def test_engine_bit_identical_to_sequential(
-    batch_seed, policy, map_cache, reuse_traces
-):
+def test_engine_bit_identical_to_sequential(batch_seed, policy, config,
+                                            tmp_path):
     batch = _mixed_batch(batch_seed)
     sequential = [run_cold(r, backends=("pointacc",)) for r in batch]
-    engine = SimulationEngine(
-        backends=("pointacc",),
-        policy=policy,
-        map_cache=map_cache,
-        reuse_traces=reuse_traces,
-    )
-    results = engine.run_batch(batch)
-    assert len(results) == len(batch)
-    for cold, hot in zip(sequential, results):
-        assert hot.request == cold.request
-        # Dataclass equality covers every field of every LayerRecord —
-        # seconds, cycles, DRAM bytes, the full energy ledger, detail dicts.
-        assert hot.reports["pointacc"] == cold.reports["pointacc"]
+    for served, engine in enumerate(_engines(config, policy, tmp_path)):
+        results = engine.run_batch(batch)
+        assert len(results) == len(batch)
+        if served:  # the second engine builds nothing
+            assert all(r.trace_reused for r in results)
+        for cold, hot in zip(sequential, results):
+            assert hot.request == cold.request
+            # Dataclass equality covers every field of every LayerRecord —
+            # seconds, cycles, DRAM bytes, the full energy ledger, details.
+            assert hot.reports["pointacc"] == cold.reports["pointacc"]
 
 
 def test_cache_hit_and_miss_reports_identical():
@@ -100,66 +98,10 @@ def test_cache_hit_and_miss_reports_identical():
 
 
 def test_sparseconv_requests_equivalent_through_engine():
-    """Kernel-map caching path (MinkNet) is covered too, both cache modes."""
+    """SparseConv traces (MinkNet) are covered too, reused and rebuilt."""
     batch = [SimRequest("MinkNet(i)", scale=0.08, seed=s % 2) for s in range(3)]
     sequential = [run_cold(r, backends=("pointacc",)) for r in batch]
-    for reuse_traces in (True, False):
-        engine = SimulationEngine(
-            backends=("pointacc",), reuse_traces=reuse_traces
-        )
+    for store in (TraceStore(), TraceStore(max_entries=1)):
+        engine = SimulationEngine(backends=("pointacc",), store=store)
         for cold, hot in zip(sequential, engine.run_batch(batch)):
             assert hot.reports["pointacc"] == cold.reports["pointacc"]
-
-
-# ----------------------------------------------------------------------
-# Op-level transparency: miss stores what compute returned, hit returns it
-# bit-identically, and the caller can never tell which happened.
-# ----------------------------------------------------------------------
-
-
-@given(points=point_arrays, n_samples=st.integers(1, 50))
-@settings(max_examples=40, deadline=None)
-def test_fps_transparent_through_cache(points, n_samples):
-    plain = farthest_point_sampling(points, n_samples)
-    with use_map_cache(MapCache()) as cache:
-        miss = farthest_point_sampling(points, n_samples)
-        hit = farthest_point_sampling(points, n_samples)
-    assert cache.stats().hits == 1 and cache.stats().misses == 1
-    assert np.array_equal(plain, miss)
-    assert np.array_equal(plain, hit)
-    assert hit.dtype == plain.dtype
-
-
-@given(points=point_arrays, k=st.integers(1, 8), radius=st.floats(0.1, 5.0))
-@settings(max_examples=40, deadline=None)
-def test_knn_and_ball_transparent_through_cache(points, k, radius):
-    queries = points[: max(1, len(points) // 2)]
-    plain_idx, plain_dist = knn_indices(queries, points, k)
-    plain_ball = ball_query_indices(queries, points, radius, k)
-    with use_map_cache(MapCache()):
-        for _ in range(2):  # miss pass then hit pass
-            idx, dist = knn_indices(queries, points, k)
-            ball = ball_query_indices(queries, points, radius, k)
-            assert np.array_equal(idx, plain_idx)
-            assert np.array_equal(dist, plain_dist)
-            assert np.array_equal(ball, plain_ball)
-
-
-@given(in_coords=coord_arrays, out_coords=coord_arrays)
-@settings(max_examples=30, deadline=None)
-def test_kernel_map_transparent_and_algorithms_keyed_apart(in_coords, out_coords):
-    plain_ms = kernel_map_mergesort(in_coords, out_coords, 3, 1)
-    plain_hash = kernel_map_hash(in_coords, out_coords, 3, 1)
-    with use_map_cache(MapCache()) as cache:
-        for _ in range(2):
-            ms = kernel_map_mergesort(in_coords, out_coords, 3, 1)
-            hh = kernel_map_hash(in_coords, out_coords, 3, 1)
-            # Bit-identical to the uncached tables, including row order.
-            assert np.array_equal(ms.in_idx, plain_ms.in_idx)
-            assert np.array_equal(ms.out_idx, plain_ms.out_idx)
-            assert np.array_equal(ms.weight_idx, plain_ms.weight_idx)
-            assert np.array_equal(hh.in_idx, plain_hash.in_idx)
-            assert hh.as_set() == ms.as_set()
-    by_op = cache.stats().by_op
-    assert by_op["kernel_map/mergesort"] == {"hits": 1, "misses": 1}
-    assert by_op["kernel_map/hash"] == {"hits": 1, "misses": 1}

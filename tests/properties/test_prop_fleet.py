@@ -2,10 +2,9 @@
 
 The acceptance contract of ``repro.fleet``: each stream served through a
 :class:`~repro.fleet.FleetSession` — interleaved rounds, shared executor,
-shared whole-op map caches — produces per-frame ``PerfReport``\\ s
-exactly equal to running that stream **cold and alone**
-(:func:`repro.engine.run_cold` per frame: fresh functional simulation, no
-caches, no fleet).  The matrix covers {2, 4} streams x overlapping vs
+shared trace store — produces per-frame ``PerfReport``\\ s exactly equal
+to running that stream **cold and alone** (:func:`repro.engine.run_cold`
+per frame: fresh functional simulation, no memos, no fleet).  The matrix covers {2, 4} streams x overlapping vs
 disjoint world regions x engine vs cluster execution x a SparseConv
 network (kernel maps, voxelize) vs a PointNet++ network (FPS and ball
 query on whole clouds).
@@ -83,18 +82,12 @@ def test_fleet_bit_identical_to_cold_alone(oracles, n_streams, regions,
             ), f"{spec.name} frame {frame.index} diverged from cold oracle"
 
 
-# Every op a fleet's mapping calls reach the tiers as: one whole-op entry
-# per call, keyed by the op's own name.
-WHOLE_OPS = {"fps", "knn", "ball_query", "voxelize"}
-
-
 @pytest.mark.parametrize("bench_name", BENCHMARKS)
 @pytest.mark.parametrize("n_shards", [0, 2], ids=["engine", "cluster"])
 def test_fleet_without_front_bit_identical(oracles, n_shards, bench_name):
     """With no tile front, kNN / ball-query calls run the selection kernels
-    on whole clouds, shared only through the digest tiers — each mapping
-    call is one whole-op lookup there — and every frame still equals its
-    cold oracle."""
+    on whole clouds inside each frame's trace build; every frame is its
+    own workload, built exactly once, and still equals its cold oracle."""
     specs = _specs(2, "overlapping", bench_name)
     fleet = FleetSession(specs, n_shards=n_shards)
     results = fleet.run()
@@ -107,8 +100,6 @@ def test_fleet_without_front_bit_identical(oracles, n_shards, bench_name):
                 == cold_result.reports["pointacc"]
             ), f"{spec.name} frame {frame.index} diverged from cold oracle"
     stats = fleet.executor.stats()
-    snapshots = ([stats.map_cache] if n_shards == 0
-                 else [shard["map_cache"] for shard in stats.shards])
-    ops = set().union(*(snap["by_op"] for snap in snapshots))
-    assert ops, "no mapping call reached the tiers"
-    assert all(op in WHOLE_OPS or op.startswith("kernel_map/") for op in ops)
+    engines = ([stats.summary()] if n_shards == 0 else stats.shards)
+    assert sum(e["trace_builds"] for e in engines) == len(specs) * N_FRAMES
+    assert sum(e["trace_reuses"] for e in engines) == 0

@@ -1,27 +1,27 @@
 """Batched-serving equivalence properties.
 
 Two contracts of serving on whole clouds.  Op level: for the neighbour
-searches (kNN, ball query), served over drifting frames through both
-chain shapes a stream runs on — a session-built engine's L1, a cluster
-shard's L1 over a shared L2 — cold and warm, every answer equals the
-``*_bruteforce`` reference, bit for bit.  Network level: a stream's frames
-submitted to a cluster as one batch, and a fleet whose every round is one
-batch on the shared executor, produce per-frame reports exactly equal to
-the cold reference computation (:func:`repro.engine.run_cold`), for a
-SparseConv network (kernel maps, voxelize) and a PointNet++ network (FPS,
-ball query).
+searches (kNN, ball query), run over drifting frames under both row-block
+budgets of the distance matrix (the default, and one row per block),
+first call and repeated calls, every answer equals the ``*_bruteforce``
+reference, bit for bit.  Network level: a stream's frames submitted to a
+cluster as one batch, and a fleet whose every round is one batch on the
+shared executor, produce per-frame reports exactly equal to the cold
+reference computation (:func:`repro.engine.run_cold`), for a SparseConv
+network (kernel maps, voxelize) and a PointNet++ network (FPS, ball
+query).  (The module name is historical: the tile planner it once
+tested is gone, and the test ids are kept.)
 """
 
 import numpy as np
 import pytest
 
 from repro.cluster import EngineCluster
-from repro.cluster.store import SharedMapStore
-from repro.engine import MapCache, SimRequest, run_cold
+from repro.engine import SimRequest, run_cold
 from repro.fleet import FleetSession, StreamSpec
 from repro.mapping.ball_query import ball_query_bruteforce, ball_query_indices
-from repro.mapping.hooks import TieredLookup, use_map_cache
 from repro.mapping.knn import knn_bruteforce, knn_indices
+from repro.pointcloud import coords
 from repro.stream import FrameSequence, SequenceConfig, StreamSession
 
 N_FRAMES = 3
@@ -30,7 +30,7 @@ CFG = SequenceConfig(seed=23, n_frames=N_FRAMES, base_points=2200,
 
 
 # ----------------------------------------------------------------------
-# Op level: served == reference, over perturbed frames
+# Op level: searched == reference, over perturbed frames
 # ----------------------------------------------------------------------
 
 
@@ -46,36 +46,24 @@ def _drifting_clouds(rng, n=900, span=32.0, frames=3):
     return out
 
 
-def _chains():
-    return [
-        TieredLookup([MapCache(max_entries=1 << 15)]),
-        TieredLookup([MapCache(max_entries=1 << 15), SharedMapStore()]),
-    ]
-
-
 @pytest.mark.parametrize("radius,repeats", [(3.0, 1), (6.0, 2), (10.0, 0)])
-def test_knn_and_ball_modes_agree_across_frames(rng, radius, repeats):
-    """Each frame is served once cold and ``repeats`` more times warm; at
-    radius 6 and 10 most ball-query rows hold more than k pairs."""
-    frames = _drifting_clouds(rng)
-    chains = _chains()
-    for cloud in frames:
+def test_knn_and_ball_modes_agree_across_frames(rng, monkeypatch, radius,
+                                                repeats):
+    """Each frame is searched once and ``repeats`` more times, in both
+    modes: the default row-block budget and one row per block.  At radius
+    6 and 10 most ball-query rows hold more than k pairs."""
+    budgets = (coords._BLOCK_BYTES, 8)
+    for cloud in _drifting_clouds(rng):
         expect_idx, expect_dist = knn_bruteforce(cloud, cloud, 6)
         expect_ball = ball_query_bruteforce(cloud, cloud, radius, 5)
-        for chain in chains:
-            with use_map_cache(chain):
-                for _ in range(1 + repeats):
-                    got_idx, got_dist = knn_indices(cloud, cloud, 6)
-                    got_ball = ball_query_indices(cloud, cloud, radius, 5)
-                    assert np.array_equal(expect_idx, got_idx)
-                    assert np.array_equal(expect_dist, got_dist)
-                    assert np.array_equal(expect_ball, got_ball)
-    # Every drifted frame is new content: one miss per frame, and only
-    # the replays hit.
-    for chain in chains:
-        for op in ("knn", "ball_query"):
-            assert chain.stats().by_op[op] == {
-                "hits": repeats * len(frames), "misses": len(frames)}
+        for block_bytes in budgets:
+            monkeypatch.setattr(coords, "_BLOCK_BYTES", block_bytes)
+            for _ in range(1 + repeats):
+                got_idx, got_dist = knn_indices(cloud, cloud, 6)
+                got_ball = ball_query_indices(cloud, cloud, radius, 5)
+                assert np.array_equal(expect_idx, got_idx)
+                assert np.array_equal(expect_dist, got_dist)
+                assert np.array_equal(expect_ball, got_ball)
 
 
 # ----------------------------------------------------------------------
@@ -103,9 +91,9 @@ def oracles(sequence):
 @pytest.mark.parametrize("bench_name", ["MinkNet(o)", "PointNet++(c)"])
 def test_cluster_stream_batched_bit_identical(sequence, oracles, bench_name,
                                               tmp_path):
-    """All of a stream's frames in one cluster batch (shard L1s, shared L2,
-    disk spill): results in submission order, each equal to its frame's
-    cold oracle."""
+    """All of a stream's frames in one cluster batch (a shared trace store
+    with a disk tier): results in submission order, each equal to its
+    frame's cold oracle."""
     cluster = EngineCluster(
         n_shards=2,
         backends=("pointacc",),

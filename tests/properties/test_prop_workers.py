@@ -1,15 +1,17 @@
 """Worker-mode equivalence properties: processes may never change a result.
 
-The acceptance contract for PR 6: ``EngineCluster(workers=N)`` — real OS
-processes hosting the shard engines, requests/results crossing pickled,
-the disk tier of :class:`~repro.cluster.store.SharedMapStore` standing in
-for a shared L2 — produces per-request ``PerfReport``\\ s exactly equal,
-dataclass equality on every float, to both the in-process ``workers=0``
-cluster and the cold sequential oracle (:func:`repro.engine.run_cold`).
-The matrix covers both routing modes and every cache-tier configuration,
-plus stream and fleet serving (merged per-worker stats) and the
-intra-engine trace/cost overlap pipeline.  Parallelism, pickling, and
-disk sharing are wall-clock phenomena only.
+The acceptance contract for worker mode: ``EngineCluster(workers=N)`` —
+real OS processes hosting the shard engines, requests/results crossing
+pickled, the disk tier of :class:`~repro.engine.TraceStore` standing in
+for a shared store — produces per-request ``PerfReport``\\ s exactly
+equal, dataclass equality on every float, to both the in-process
+``workers=0`` cluster and the cold sequential oracle
+(:func:`repro.engine.run_cold`).  The matrix covers both routing modes
+and every store configuration (``l1``: a private store per shard,
+``l1+l2``: one store per worker, ``l1+l2+disk``: per-worker stores over
+one shared directory), plus stream and fleet serving (merged per-worker
+stats) and the intra-engine trace/cost overlap pipeline.  Parallelism,
+pickling, and disk sharing are wall-clock phenomena only.
 """
 
 import pytest
@@ -24,8 +26,8 @@ TIERS = ("l1", "l1+l2", "l1+l2+disk")
 
 
 def _mixed_batch() -> list[SimRequest]:
-    """Mixed batch with repeats (request- and op-level reuse both fire)
-    and a SparseConv model so the kernel-map path crosses the pipes."""
+    """Mixed batch with a repeat and a SparseConv model, so kernel-map
+    traces cross the pipes and the disk."""
     return [
         SimRequest("PointNet++(c)", scale=0.1, seed=0),
         SimRequest("DGCNN", scale=0.1, seed=0, priority=2),
@@ -83,19 +85,22 @@ def test_workers_bit_identical_to_in_process_and_cold(
 
 @pytest.mark.parametrize("routing", ROUTINGS)
 def test_worker_disk_tier_shared_across_processes(routing, oracle, tmp_path):
-    """The cross-process L2: a worker cluster pointed at another cluster's
-    cache_dir warm-starts from disk — and still matches the oracle."""
+    """The cross-process store: a worker cluster pointed at another
+    cluster's cache_dir warm-starts from disk — its first request is a
+    trace reuse, it builds nothing — and still matches the oracle."""
     cache_dir = tmp_path / "spill"
     seeder = _cluster(routing, "l1+l2+disk", tmp_path, workers=0, subdir="spill")
     seeder.run_batch(_mixed_batch())
-    assert any(cache_dir.glob("*.map"))
+    assert any(cache_dir.glob("*.trace"))
     with EngineCluster(
         n_shards=4, backends=("pointacc",), routing=routing,
         workers=2, cache_dir=cache_dir,
     ) as warm:
         results = warm.run_batch(_mixed_batch())
         stats = warm.stats()
-    assert stats.l2.get("disk_hits", 0) > 0  # genuinely served from disk
+    assert results[0].trace_reused
+    assert stats.l2.get("disk_hits", 0) >= 1  # genuinely served from disk
+    assert sum(s["trace_builds"] for s in stats.shards) == 0
     for cold, hot in zip(oracle, results):
         assert hot.reports["pointacc"] == cold.reports["pointacc"]
 
@@ -105,9 +110,9 @@ def test_workers_clamped_and_validated(tmp_path):
         assert cluster.workers == 2  # clamped to shard granularity
     with pytest.raises(ValueError):
         EngineCluster(n_shards=2, workers=-1)
-    from repro.cluster import SharedMapStore
+    from repro.engine import TraceStore
     with pytest.raises(ValueError):
-        EngineCluster(n_shards=2, workers=2, l2=SharedMapStore())
+        EngineCluster(n_shards=2, workers=2, l2=TraceStore())
 
 
 def test_fleet_workers_bit_identical_to_in_process():

@@ -139,18 +139,21 @@ class TestQoS:
 
 
 class TestWholeCloudSearch:
-    def test_knn_and_ball_query_take_the_whole_op_tiers(self):
-        """A default PointNet++(s) stream hands every kNN and ball-query
-        call to the engine's whole-op map cache as one lookup per call;
-        frames never repeat, so each one misses and runs the selection
-        kernel on the whole cloud (~2k points here)."""
+    def test_knn_and_ball_query_run_on_whole_frames(self,
+                                                    record_mapping_calls):
+        """A default PointNet++(s) stream builds each frame's trace once:
+        its first ball query ranks the whole frame (~2k points here) in
+        one call, and kNN runs in the same build."""
         seq = FrameSequence(SequenceConfig(seed=9, n_frames=2,
                                            base_points=9000, fov=24.0))
         session = StreamSession(seq, "PointNet++(s)", scale=0.2)
-        session.run(2)
-        by_op = session.executor.map_cache.stats().by_op  # the engine's L1
-        for op in ("knn", "ball_query"):
-            assert by_op[op]["misses"] > 0
-            assert by_op[op]["hits"] == 0
-        assert set(by_op) <= {"fps", "knn", "ball_query"}
+        for index in range(2):
+            with record_mapping_calls() as calls:
+                (frame,) = session.run(1)
+            assert not frame.result.trace_reused
+            names = [name for name, _, _ in calls]
+            assert "knn_indices" in names
+            _, args, _ = calls[names.index("ball_query_indices")]
+            _, references_shape, _ = args[1]
+            assert references_shape == (seq.frame(index, scale=0.2).n, 3)
         assert "tiles" not in session.summary()

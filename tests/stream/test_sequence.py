@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.mapping.hooks import use_map_cache
 from repro.mapping.maps import MapTable
 from repro.nn.ghost import is_ghost
 from repro.nn.models.registry import (
@@ -38,19 +37,6 @@ def _assert_same_specs(full, geo, case) -> None:
                                           getattr(other, name)), where
             else:
                 assert value == other, (*where, key)
-
-
-class _MapCalls:
-    """A map cache that computes every call and records its op, input
-    bytes and parameters."""
-
-    def __init__(self):
-        self.calls = []
-
-    def memoize(self, op, arrays, params, compute):
-        self.calls.append((op, [np.asarray(a).tobytes() for a in arrays],
-                           sorted(params.items())))
-        return compute()
 
 
 @pytest.fixture
@@ -136,7 +122,8 @@ class TestRegistryPlumbing:
         assert [s.name for s in t2] == [s.name for s in t4]
 
     def test_geometry_only_trace_matches_functional(self, seq,
-                                                    duplicated_source):
+                                                    duplicated_source,
+                                                    record_mapping_calls):
         """A geometry-only run (weightless model, ghost features) records
         the full-weight functional run's trace spec for spec — map rows and
         ``cached`` flags included — on stream-sourced and dataset clouds,
@@ -149,15 +136,14 @@ class TestRegistryPlumbing:
                                     (f"{bench}@{duplicated_source}", 0.02)):
                 for seed in (1, 2):
                     case = (notation, seed)
-                    full_calls, geo_calls = _MapCalls(), _MapCalls()
-                    with use_map_cache(full_calls):
+                    with record_mapping_calls() as full_calls:
                         full, logits = run_benchmark(notation, scale=scale,
                                                      seed=seed)
-                    with use_map_cache(geo_calls):
+                    with record_mapping_calls() as geo_calls:
                         geo, out = run_benchmark(notation, scale=scale,
                                                  seed=seed, geometry_only=True)
-                    assert full_calls.calls, case
-                    assert geo_calls.calls == full_calls.calls, case
+                    assert full_calls, case
+                    assert geo_calls == full_calls, case
                     assert isinstance(logits, np.ndarray), case
                     assert is_ghost(out) and out.shape == logits.shape, case
                     assert geo.input_points == full.input_points, case

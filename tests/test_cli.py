@@ -118,7 +118,8 @@ class TestCommands:
         assert "served 6/6 requests" in out
         assert "deadlines: 6 met, 0 missed" in out
         assert "tenant tenantA" in out and "tenant tenantB" in out
-        assert "L2 store" in out
+        assert "trace store: 4 hits / 2 misses" in out
+        assert "first-request trace: build" in out
 
     def test_serve_cluster_persists_and_warm_starts(self, tmp_path, capsys):
         cache_dir = tmp_path / "maps"
@@ -127,10 +128,11 @@ class TestCommands:
                 "--shards", "1", "--cache-dir", str(cache_dir)]
         assert main(list(argv)) == 0
         capsys.readouterr()
-        assert any(cache_dir.glob("*.map"))
+        assert any(cache_dir.glob("*.trace"))
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
-        assert "first-request map hits: 0" not in out  # warm-started
+        assert "first-request trace: reuse" in out  # warm-started
+        assert "1 disk hits" in out
 
     def test_serve_cluster_request_file(self, tmp_path, capsys):
         path = tmp_path / "reqs.jsonl"
@@ -155,19 +157,12 @@ class TestCommands:
         assert "bit-identical: yes" in out
         assert "warm cluster" in out
 
-    def test_serve_sim_reports_per_op_breakdown(self, capsys):
+    def test_serve_sim_reports_trace_reuse(self, capsys):
         assert main(["serve-sim", "--requests", "4", "--scale", "0.1",
-                     "--benchmarks", "PointNet++(c)"]) == 0
+                     "--seed-pool", "2", "--benchmarks", "PointNet++(c)"]) == 0
         out = capsys.readouterr().out
-        assert "map cache by op" in out
-        assert "fps" in out and "ball_query" in out
-
-    def test_serve_cluster_reports_per_op_breakdown(self, capsys):
-        assert main(["serve-cluster", "--requests", "4", "--scale", "0.1",
-                     "--benchmarks", "PointNet++(c)", "--shards", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "map lookups by op" in out
-        assert "fps" in out
+        assert "traces: 2 built, 2 reused; reports: 2 reused" in out
+        assert "by op" not in out
 
     def test_serve_stream(self, capsys):
         code = main(["serve-stream", "--frames", "3", "--scale", "0.12",
@@ -175,8 +170,8 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "served 3/3 frames" in out
-        assert "map lookups by op (hits/lookups): kernel_map" in out
         assert "geometry-only: yes" in out
+        assert "by op" not in out
 
     def test_no_batch_is_a_clear_error(self, capsys):
         """A script still passing the removed --no-batch fails at once,
@@ -315,7 +310,8 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "served 4/4 frames from 2 streams" in out
-        assert "map lookups by op (hits/lookups): ball_query" in out
+        assert "stream veh0: 2/2 completed" in out
+        assert "by op" not in out
 
     def test_serve_fleet_disjoint(self, capsys):
         code = main(["serve-fleet", "--streams", "2", "--frames", "2",
@@ -323,7 +319,7 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "served 4/4 frames from 2 streams" in out
-        assert "map lookups by op (hits/lookups): kernel_map" in out
+        assert "stream veh1: 2/2 completed" in out
 
     def test_bench_fleet_with_json(self, tmp_path, capsys):
         import json
@@ -366,7 +362,7 @@ class TestCommands:
         payload = json.loads(path.read_text())
         assert payload["command"] == "bench-engine"
         assert payload["mismatches"] == 0
-        assert "by_op" in payload["map_cache"]
+        assert payload["map_cache"]["hits"] == payload["trace_reuses"] == 1
 
     def test_bench_cluster_json(self, tmp_path, capsys):
         import json

@@ -77,7 +77,7 @@ def test_cluster_serving(capsys):
 def test_stream_serving(capsys):
     run_example("stream_serving.py", ["--frames", "3", "--scale", "0.12"])
     out = capsys.readouterr().out
-    assert "map lookups by op" in out
+    assert "traces: 3 built, 0 reused" in out
     assert "frames/s" in out
     assert "bit-identical -> True" in out
 
