@@ -1,10 +1,10 @@
 """Fleet throughput: one shared fleet vs separate per-stream sessions.
 
 Serving **4 overlapping streams** through one
-:class:`~repro.fleet.FleetSession` (one shared executor and its whole-op
-map cache) is timed against the same 4 streams served as separate
-sessions (each stream its own :class:`~repro.stream.StreamSession`:
-private engine, private map cache).  Every stream's reports must stay
+:class:`~repro.fleet.FleetSession` (one shared executor and its trace
+store) is timed against the same 4 streams served as separate sessions
+(each stream its own :class:`~repro.stream.StreamSession`: private
+engine, private trace store).  Every stream's reports must stay
 bit-identical between the two.
 
 The timed workload is a *lockstep convoy* of MinkNet(o) vehicles (same

@@ -23,7 +23,7 @@ from repro.mapping import (
 from repro.mapping.maps import copy_value
 from repro.nn.models.registry import _resident_model, run_benchmark
 from repro.nn.trace import LayerKind, LayerSpec
-from repro.pointcloud import generate_sample
+from repro.pointcloud import SparseTensor, generate_sample
 from repro.stream import FrameSequence, SequenceConfig
 
 
@@ -41,6 +41,14 @@ def lidar_points():
 def test_kernel_map_mergesort_speed(benchmark, voxel_coords):
     maps = benchmark(kernel_map_mergesort, voxel_coords, voxel_coords, 3, 1)
     assert maps.n_maps > len(voxel_coords)
+
+
+def test_kernel_map_strided_speed(benchmark, voxel_coords):
+    """A k=2, stride-2 downsampling conv's map onto the quantized cloud:
+    every voxel maps once, onto its parent."""
+    parents = SparseTensor(voxel_coords, _sorted=True).downsample(2).coords
+    maps = benchmark(kernel_map_mergesort, voxel_coords, parents, 2, 1)
+    assert maps.n_maps == len(voxel_coords)
 
 
 def test_kernel_map_hash_speed(benchmark, voxel_coords):
@@ -173,3 +181,24 @@ def test_pointnet2_stream_trace_speed(benchmark, geometry_only):
     )
     _resident_model.cache_clear()
     assert len(trace.by_kind(LayerKind.MAP_FPS)) == 4
+
+
+def test_minknet_stream_trace_speed(benchmark):
+    """One MinkNet(o) geometry-only stream-frame trace build at scale 0.4
+    (~8k voxels): voxelize, 9 kernel maps shared by 26 convs, and the
+    ghost forward.  Every round gets a fresh resident weightless model,
+    built in setup, as in :func:`test_pointnet2_stream_trace_speed`."""
+    sequence = FrameSequence(SequenceConfig(seed=11, n_frames=2))
+    notation = sequence.notation("MinkNet(o)")
+
+    def setup():
+        _resident_model.cache_clear()
+        _resident_model("MinkNet(o)", sequence.config.seed, True)
+        return (), {}
+
+    trace, _ = benchmark.pedantic(
+        lambda: run_benchmark(notation, scale=0.4, seed=1, geometry_only=True),
+        setup=setup, rounds=5,
+    )
+    _resident_model.cache_clear()
+    assert len(trace.by_kind(LayerKind.MAP_KERNEL)) == 26

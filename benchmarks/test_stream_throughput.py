@@ -2,16 +2,16 @@
 
 The acceptance claim of the streaming subsystem: on an overlapping
 synthetic LiDAR sequence, a single-pass :class:`~repro.stream.StreamSession`
-— geometry-only trace construction on a resident weightless model,
-content-addressed map caches — must clear >= 3x the
+— geometry-only trace construction on a resident weightless model, every
+mapping op computed once on the whole frame — must clear >= 3x the
 throughput of the cold per-frame baseline (:func:`repro.engine.run_cold`
 per frame: fresh functional simulation, no caches — exactly what serving
 this stream looked like before the subsystem existed), while every
 frame's report stays bit-identical to that baseline.
 
-Unlike the engine/cluster benches there is no warm-up pass: the session
-starts cold and earns its reuse *within* the stream, frame over frame —
-that is the streaming regime's actual win.  The table is printed, not
+Unlike the engine/cluster benches there is no warm-up pass, and no
+frame reuses another's mapping results: the session's edge is
+geometry-only execution, frame after frame.  The table is printed, not
 archived (wall-clock timings are machine-dependent and never touch the
 golden store).
 """

@@ -230,9 +230,7 @@ class SparseConv(_SparseConvBase):
                 f"{self.name}: expected {self.c_in} channels, got {tensor.channels}"
             )
         if self.stride == 1:
-            out_tensor = SparseTensor(
-                tensor.coords, None, tensor.tensor_stride, _sorted=True
-            )
+            out_tensor = tensor.with_features(None)
         else:
             out_tensor = tensor.downsample(self.stride)
             if trace is not None:
@@ -336,9 +334,7 @@ class SparseConvTranspose(_SparseConvBase):
             raise ValueError(
                 f"{self.name}: expected {self.c_in} channels, got {tensor.channels}"
             )
-        out_tensor = SparseTensor(
-            out_cloud.coords, None, out_cloud.tensor_stride, _sorted=True
-        )
+        out_tensor = out_cloud.with_features(None)
         # Checked before any lookup: it is what keeps this conv's keys
         # apart from those of same-stride convs.
         self._check_upsamples(tensor, out_tensor)

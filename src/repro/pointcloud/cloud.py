@@ -16,7 +16,8 @@ the quantities every cost model downstream consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +30,13 @@ def _is_ghost(features) -> bool:
     """Geometry-only stand-in (see :mod:`repro.nn.ghost`), duck-typed so the
     container layer needs no import from the model layer."""
     return type(features).__name__ == "GhostFeatures"
+
+
+def _as_features(features):
+    """Features as float64, or ``None``/a ghost as given."""
+    if features is None or _is_ghost(features):
+        return features
+    return np.asarray(features, dtype=np.float64)
 
 
 def _check_points_features(points: np.ndarray, features: np.ndarray | None) -> None:
@@ -57,8 +65,7 @@ class PointCloud:
 
     def __post_init__(self) -> None:
         self.points = np.asarray(self.points, dtype=np.float64)
-        if self.features is not None and not _is_ghost(self.features):
-            self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _as_features(self.features)
         _check_points_features(self.points, self.features)
 
     @property
@@ -116,8 +123,7 @@ class SparseTensor:
 
     def __post_init__(self) -> None:
         self.coords = np.asarray(self.coords, dtype=np.int64)
-        if self.features is not None and not _is_ghost(self.features):
-            self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _as_features(self.features)
         _check_points_features(self.coords, self.features)
         if self.tensor_stride < 1:
             raise ValueError(f"tensor_stride must be >= 1, got {self.tensor_stride}")
@@ -153,7 +159,16 @@ class SparseTensor:
         return coord_ops.coords_to_keys(self.coords)
 
     def with_features(self, features: np.ndarray | None) -> "SparseTensor":
-        return replace(self, features=features)
+        """This cloud with new features (``None``, an array or a ghost).
+
+        The result shares this tensor's ``coords`` array and stride, which
+        already hold the invariants, so only the features are checked.
+        """
+        features = _as_features(features)
+        _check_points_features(self.coords, features)
+        tensor = copy.copy(self)
+        tensor.features = features
+        return tensor
 
     def downsample(self, stride_factor: int = 2) -> "SparseTensor":
         """Output-cloud construction by coordinate quantization (Section 2.1.1).

@@ -13,12 +13,13 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.engine import TraceStore
+from repro.engine import SimRequest, SimulationEngine, TraceStore
 from repro.engine import trace_store as store_mod
 from repro.engine.trace_store import trace_bytes, trace_key
 from repro.mapping import MapTable
 from repro.nn.trace import LayerKind, LayerSpec, Trace
 from repro.obs.ledger import RecomputeLedger, ledger_frame, use_ledger
+from repro.stream import FrameSequence, SequenceConfig
 
 
 @pytest.fixture
@@ -120,6 +121,24 @@ class TestMemoryTier:
         trace.record(shared)  # a second layer reading the same table
         assert trace_bytes(trace) == 3 * 10 * 8
         assert trace_bytes(Trace()) == 0
+
+    def test_served_minknet_frame_holds_only_counted_arrays(self):
+        """Every kernel-map table of a served MinkNet(o) stream frame is
+        already in weight order, so the weight-sorted table the MMU replays
+        views the table's own arrays: ``trace_bytes`` counts everything
+        the stored tables hold (their cache-replay memos are scalars)."""
+        sequence = FrameSequence(SequenceConfig(seed=1, n_frames=2))
+        request = SimRequest(sequence.notation("MinkNet(o)"), scale=0.4, seed=1,
+                             geometry_only=True)
+        (result,) = SimulationEngine(backends=("pointacc",)).run_batch([request])
+        assert not result.errors
+        tables = {id(spec.params["maps"]): spec.params["maps"]
+                  for spec in result.trace.by_kind(LayerKind.SPARSE_CONV)}
+        assert len(tables) == 13
+        for maps in tables.values():
+            ordered = maps.sorted_by(by="weight")
+            for name in ("in_idx", "out_idx", "weight_idx"):
+                assert np.shares_memory(getattr(ordered, name), getattr(maps, name))
 
     def test_memory_evictions_reach_the_ledger(self):
         ledger = RecomputeLedger()

@@ -267,6 +267,145 @@ class TestMergesortRowOrder:
             )
 
 
+def rows_or_error(fn, *args, **kwargs):
+    """``fn``'s table, or ``None`` where it raises ``ValueError``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return None
+
+
+@st.composite
+def aligned_clouds(draw):
+    """``(s, cloud)``: ``s`` times small integers, ``s`` a power of two or
+    3, optionally moved next to either end of the packable range (some
+    draws leave it), shuffled, with duplicates, or with one point nudged
+    off the grid."""
+    s = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    cloud = np.unique(draw(small_clouds) * s, axis=0).reshape(-1, 3)
+    if draw(st.booleans()):
+        cloud = cloud + np.array([
+            draw(st.sampled_from([0, -EDGE, EDGE])) + s * draw(st.integers(-6, 6))
+            for _ in range(3)
+        ])
+    if len(cloud) and draw(st.booleans()):
+        cloud = np.concatenate([cloud, cloud[: draw(st.integers(1, len(cloud)))]])
+    if len(cloud) and draw(st.booleans()):
+        cloud = cloud[draw(st.permutations(range(len(cloud))))]
+    if len(cloud) and s > 1 and draw(st.integers(0, 3)) == 0:
+        cloud = cloud.copy()
+        cloud[draw(st.integers(0, len(cloud) - 1)), draw(st.integers(0, 2))] += 1
+    return s, cloud
+
+
+class TestKeyStructureShortcuts:
+    """The column (submanifold) and parent (strided) shortcuts of
+    ``kernel_map_mergesort`` on grid-aligned clouds, and their fallbacks,
+    against the per-offset reference loop."""
+
+    @given(drawn=aligned_clouds())
+    @settings(max_examples=200, deadline=None)
+    def test_submanifold_matches_reference(self, drawn):
+        s, cloud = drawn
+        offsets = kernel_offsets(3) * s
+        want = rows_or_error(per_offset_mergesort, cloud, cloud, offsets)
+        got = rows_or_error(kernel_map_mergesort, cloud, cloud, offsets=offsets)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_rows(got, want)
+
+    @given(
+        drawn=aligned_clouds(),
+        outputs=st.sampled_from(["parents", "subset", "parents+others"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_strided_matches_reference(self, drawn, outputs, data):
+        s, cloud = drawn
+        parents = np.unique(np.floor_divide(cloud, 2 * s) * 2 * s, axis=0)
+        parents = parents.reshape(-1, 3)
+        if outputs == "subset":
+            keep = data.draw(hnp.arrays(bool, len(parents)))
+            out = parents[keep]
+        elif outputs == "parents+others":
+            others = data.draw(small_clouds) * 2 * s
+            out = np.concatenate([parents, others])
+            out = out[data.draw(st.permutations(range(len(out))))]
+        else:
+            out = parents
+        offsets = kernel_offsets(2) * s
+        want = rows_or_error(per_offset_mergesort, cloud, out, offsets)
+        got = rows_or_error(kernel_map_mergesort, cloud, out, offsets=offsets)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert_same_rows(got, want)
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Every ``np.searchsorted`` call made while the test runs."""
+        calls = []
+        real = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        return calls
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_submanifold_columns_search_four_times(self, small_tensor, searches,
+                                                   stride):
+        tensor = small_tensor
+        while tensor.tensor_stride < stride:
+            tensor = tensor.downsample(2)
+        offsets = kernel_offsets(3) * stride
+        got = kernel_map_mergesort(tensor.coords, tensor.coords, offsets=offsets)
+        assert len(searches) == 4  # one per (dx, dy) column, 13 without
+        assert_same_rows(
+            got, per_offset_mergesort(tensor.coords, tensor.coords, offsets)
+        )
+
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    def test_strided_parents_search_once(self, small_tensor, searches, stride):
+        tensor = small_tensor
+        while tensor.tensor_stride < stride:
+            tensor = tensor.downsample(2)
+        parents = tensor.downsample(2).coords
+        offsets = kernel_offsets(2) * stride
+        got = kernel_map_mergesort(tensor.coords, parents, offsets=offsets)
+        assert len(searches) == 1  # 8 without
+        # Every input maps exactly once: onto its parent.
+        assert got.n_maps == tensor.n
+        assert_same_rows(got, per_offset_mergesort(tensor.coords, parents, offsets))
+
+    @pytest.mark.parametrize("case, sub_searches, strided_searches", [
+        ("stride 3", 13, 8),
+        ("unaligned point", 13, 8),
+        # Duplicates defeat the half-probe; a duplicate still has one parent.
+        ("duplicates", 27, 1),
+    ])
+    def test_fallbacks(self, small_tensor, searches, case, sub_searches,
+                       strided_searches):
+        cloud, s = small_tensor.downsample(2).coords, 2
+        if case == "stride 3":
+            cloud, s = small_tensor.coords * 3, 3
+        elif case == "unaligned point":
+            cloud = cloud.copy()
+            cloud[0] += 1
+        else:
+            cloud = np.concatenate([cloud, cloud[:1]])
+        parents = np.unique(np.floor_divide(cloud, 2 * s) * 2 * s, axis=0)
+        sub = kernel_map_mergesort(cloud, cloud, offsets=kernel_offsets(3) * s)
+        assert len(searches) == sub_searches
+        strided = kernel_map_mergesort(cloud, parents, offsets=kernel_offsets(2) * s)
+        assert len(searches) == sub_searches + strided_searches
+        assert_same_rows(sub, per_offset_mergesort(cloud, cloud, kernel_offsets(3) * s))
+        assert_same_rows(
+            strided, per_offset_mergesort(cloud, parents, kernel_offsets(2) * s)
+        )
+
+
 edge_values = (
     st.integers(-EDGE, -EDGE + 2)
     | st.integers(EDGE - 3, EDGE - 1)

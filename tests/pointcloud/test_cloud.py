@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn.ghost import GhostFeatures
 from repro.pointcloud import PointCloud, SparseTensor
 from repro.pointcloud.coords import coords_to_keys
 
@@ -90,3 +91,34 @@ class TestSparseTensor:
     def test_with_features_validates_length(self, voxel_tensor):
         with pytest.raises(ValueError):
             voxel_tensor.with_features(np.zeros((voxel_tensor.n + 1, 2)))
+
+
+class TestSparseTensorWithFeatures:
+    """``with_features`` keeps the cloud and checks only the features."""
+
+    def test_shares_coords_and_stride(self, voxel_tensor):
+        down = voxel_tensor.downsample(2)
+        new = down.with_features(np.ones((down.n, 3), dtype=np.int64))
+        assert new.coords is down.coords
+        assert new.tensor_stride == 2 and new.channels == 3
+        assert down.features is None
+        assert new.features.dtype == np.float64
+
+    @pytest.mark.parametrize("extra_rows, shape", [
+        (-1, (2,)), (0, ()), (0, (2, 1)),
+    ])
+    def test_rejects_wrong_length_or_rank(self, voxel_tensor, extra_rows, shape):
+        features = np.zeros((voxel_tensor.n + extra_rows, *shape))
+        with pytest.raises(ValueError):
+            voxel_tensor.with_features(features)
+
+    def test_accepts_none_and_ghost(self, voxel_tensor):
+        assert voxel_tensor.with_features(None).features is None
+        ghost = GhostFeatures(voxel_tensor.n, 5)
+        new = voxel_tensor.with_features(ghost)
+        assert new.features is ghost and new.channels == 5
+
+    def test_new_coordinates_are_still_checked(self, voxel_tensor):
+        down = voxel_tensor.downsample(2)
+        with pytest.raises(ValueError, match="divisible"):
+            SparseTensor(down.coords + 1, None, tensor_stride=2, _sorted=True)
