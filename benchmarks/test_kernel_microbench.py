@@ -126,12 +126,16 @@ def test_cache_simulation_speed(benchmark, voxel_coords):
     assert 0.0 <= stats.miss_rate <= 1.0
 
 
-def test_block_size_sweep_speed(benchmark, voxel_coords):
-    """One SparseConv layer's MMU block-size sweep on a fresh table."""
+@pytest.mark.parametrize("c_in", [96, 384])
+def test_block_size_sweep_speed(benchmark, voxel_coords, c_in):
+    """One SparseConv layer's MMU block-size sweep on a fresh table.  Both
+    channel counts leave odd set counts to the sweep; at 384 a MinkNet(o)
+    frame's costliest layer (``dec0.block0.conv1``) replays five block
+    sizes without the per-weight-group miss bound."""
     maps = kernel_map_mergesort(voxel_coords, voxel_coords, 3, 1)
     spec = LayerSpec(
         name="conv", kind=LayerKind.SPARSE_CONV, n_in=len(voxel_coords),
-        n_out=len(voxel_coords), c_in=96, c_out=96, rows=maps.n_maps,
+        n_out=len(voxel_coords), c_in=c_in, c_out=c_in, rows=maps.n_maps,
         n_maps=maps.n_maps, kernel_volume=maps.kernel_volume,
     )
     mmu = MemoryManagementUnit(POINTACC_FULL)

@@ -36,8 +36,9 @@ class PointAccModel:
     Every :class:`~repro.core.report.LayerRecord` is built directly from
     its spec, so each report is a fresh object, and the model keeps no
     state across runs.  Repeated work is saved where it is shared: the MMU
-    memoizes cache replays on each map table
-    (:func:`~repro.core.mmu.cache.simulate_conv_cache`).
+    memoizes cache replays and miss bounds on each map table
+    (:func:`~repro.core.mmu.cache.simulate_conv_cache`,
+    :func:`~repro.core.mmu.cache.group_miss_bound`).
     """
 
     def __init__(

@@ -1,6 +1,12 @@
 """Memory Management Unit (paper Section 4.2): explicit data orchestration."""
 
-from .cache import CacheConfig, CacheStats, InputFeatureCache, simulate_conv_cache
+from .cache import (
+    CacheConfig,
+    CacheStats,
+    InputFeatureCache,
+    group_miss_bound,
+    simulate_conv_cache,
+)
 from .dataflow import FlowCost, fetch_on_demand_cost, gather_matmul_scatter_cost
 from .dram import DRAMStats, DRAMTiming, DRAMTimingModel, TIMINGS
 from .fusion import (
@@ -17,6 +23,7 @@ __all__ = [
     "CacheConfig",
     "CacheStats",
     "InputFeatureCache",
+    "group_miss_bound",
     "simulate_conv_cache",
     "FlowCost",
     "fetch_on_demand_cost",

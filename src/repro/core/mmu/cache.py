@@ -12,7 +12,9 @@ features mean more words per (necessarily missing) first touch.
 
 :func:`simulate_conv_cache` replays the exact fetch-on-demand request stream
 of a sparse convolution (maps grouped per weight, outputs in order) and
-returns measured miss rate + DRAM traffic.
+returns measured miss rate + DRAM traffic; :func:`group_miss_bound` bounds
+its misses from below without a replay, so the MMU's block-size sweep can
+skip sizes that cannot win.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ import numpy as np
 from ...mapping.maps import MapTable
 from .mir import MIRContainer
 
-__all__ = ["CacheConfig", "CacheStats", "InputFeatureCache", "simulate_conv_cache"]
+__all__ = [
+    "CacheConfig",
+    "CacheStats",
+    "InputFeatureCache",
+    "group_miss_bound",
+    "simulate_conv_cache",
+]
 
 DEFAULT_WORD_BYTES = 32  # bus word: 16 fp16 feature elements
 
@@ -116,11 +124,23 @@ def simulate_conv_cache(maps: MapTable, config: CacheConfig) -> CacheStats:
     order — under an output-stationary outer loop, so partial sums never
     leave the chip and input fetches are the only demand traffic.
 
-    Vectorized exact simulation: a direct-mapped access hits iff the
-    previous access to the same set carried the same tag, so grouping the
-    access stream by set (stable, preserving arrival order) and diffing
-    tags yields the exact miss sequence without a Python-level loop.  This
-    is property-tested against the step-wise :class:`InputFeatureCache`.
+    Vectorized exact simulation, property-tested against the step-wise
+    :class:`InputFeatureCache`, in two steps:
+
+    * **Run heads.**  An access to the block the access just before it
+      read always hits, and a hit changes no cache state, so dropping it
+      changes no other access's outcome.  Only the *run heads* — accesses
+      whose block differs from the previous access's — can miss.
+    * **Set order.**  A direct-mapped access hits iff the previous access
+      to its set carried the same tag.  One in-place sort of the packed
+      key ``(set << position_bits) | position`` orders the heads by set,
+      in arrival order within each set; equal blocks force equal sets, so
+      every set boundary is also a block change, and counting adjacent
+      block changes in that order counts the misses exactly.
+
+    The key is int32 when the set count, the head count and the largest
+    block id fit, and int64 otherwise.  Power-of-two set counts take the
+    set id with a mask.
 
     Replays are memoized on the table per cache geometry (the same
     convention — tables are immutable — as ``MapTable.sorted_by``):
@@ -136,45 +156,105 @@ def simulate_conv_cache(maps: MapTable, config: CacheConfig) -> CacheStats:
         memo = {}
         maps._cache_sims = memo
     cached = memo.get(geometry)
-    if cached is not None:
-        return CacheStats(cached.accesses, cached.misses, cached.dram_bytes)
-    table = maps.sorted_by(by="weight")
-    stats = CacheStats()
-    n_access_points = len(table.in_idx)
-    stats.accesses = n_access_points * config.words_per_point
-    if n_access_points == 0:
-        memo[geometry] = stats
-        return CacheStats(stats.accesses, stats.misses, stats.dram_bytes)
-    # This function is the backend's hot loop: on POINTACC_FULL the
-    # block-size sweep runs it once per conv layer for power-of-two channel
-    # counts and 4-5 times for 96/192/384 channels
-    # (``MemoryManagementUnit.sparse_conv_cost`` skips sizes that provably
-    # cannot win), each pass over the full map stream.  Two micro-shapes matter: power-of-two block sizes divide by
-    # shifting, and set ids (< n_sets, small) sort with fewer radix passes
-    # in a narrow dtype.
-    bp = config.block_points
-    if bp & (bp - 1) == 0:
-        block_ids = table.in_idx >> bp.bit_length() - 1
-    else:
-        block_ids = table.in_idx // bp
-    n_sets = config.n_sets
+    if cached is None:
+        in_idx = maps.sorted_by(by="weight").in_idx
+        misses = _replay_misses(in_idx, config.block_points, config.n_sets)
+        cached = CacheStats(
+            accesses=len(in_idx) * config.words_per_point,
+            misses=misses,
+            dram_bytes=float(misses * config.block_bytes),
+        )
+        memo[geometry] = cached
+    return CacheStats(cached.accesses, cached.misses, cached.dram_bytes)
+
+
+def _block_ids(in_idx: np.ndarray, block_points: int) -> np.ndarray:
+    if block_points == 1:
+        return in_idx
+    if block_points & (block_points - 1) == 0:
+        return in_idx >> (block_points.bit_length() - 1)
+    return in_idx // block_points
+
+
+def _run_heads(blocks: np.ndarray) -> np.ndarray:
+    """Mask of the accesses whose block differs from the previous one's."""
+    head = np.empty(len(blocks), dtype=bool)
+    head[:1] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=head[1:])
+    return head
+
+
+def _replay_misses(in_idx: np.ndarray, block_points: int, n_sets: int) -> int:
+    """Exact miss count of the access stream ``in_idx`` (see
+    :func:`simulate_conv_cache`)."""
+    if len(in_idx) == 0:
+        return 0
+    blocks = _block_ids(in_idx, block_points)
+    heads = blocks[_run_heads(blocks)]
+    n_heads = len(heads)
     if n_sets == 1:
-        # One set: the arrival order is already set-grouped.
-        sorted_tags = block_ids
+        # One set: every head evicts the block its predecessor read.
+        return n_heads
+    position_bits = (n_heads - 1).bit_length()
+    if n_sets << position_bits <= 1 << 31 and int(heads.max()) < 1 << 31:
+        dtype = np.int32
     else:
-        set_ids = block_ids % n_sets
-        if n_sets <= 1 << 15:
-            set_ids = set_ids.astype(np.int16)
-        elif n_sets <= 1 << 31:
-            set_ids = set_ids.astype(np.int32)
-        order = np.argsort(set_ids, kind="stable")
-        sorted_tags = block_ids[order]
-    # A miss is an access whose predecessor *in its set* carried another
-    # tag.  Equal tags force equal sets (set = tag % n_sets), so in the
-    # set-grouped stream every group boundary is also a tag change, and
-    # counting adjacent tag changes alone is exact.
-    misses = 1 + int(np.count_nonzero(sorted_tags[1:] != sorted_tags[:-1]))
-    stats.misses = misses
-    stats.dram_bytes = float(misses * config.block_bytes)
-    memo[geometry] = stats
-    return CacheStats(stats.accesses, stats.misses, stats.dram_bytes)
+        dtype = np.int64
+    heads = heads.astype(dtype, copy=False)
+    if n_sets & (n_sets - 1) == 0:
+        key = heads & dtype(n_sets - 1)
+    else:
+        # Floor division by a scalar is vectorized; ``%`` is not.
+        key = heads - heads // dtype(n_sets) * dtype(n_sets)
+    key <<= position_bits
+    key |= np.arange(n_heads, dtype=dtype)
+    key.sort()
+    key &= (1 << position_bits) - 1
+    ordered = heads[key]
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def group_miss_bound(maps: MapTable, block_points: int, n_sets: int) -> int | None:
+    """A lower bound on :func:`simulate_conv_cache`'s misses, or ``None``.
+
+    Within one weight group, a block's first access can hit only if the
+    block was already cached when the group began — nothing in between
+    read it — and at most ``n_sets`` blocks are cached at any time.  So
+    the stream misses at least ``sum_g max(0, D_g - n_sets)`` times, where
+    ``D_g`` counts the distinct blocks group ``g`` reads.  The bound holds
+    for every stream, but ``D_g`` is only cheap when ``in_idx`` strictly
+    increases within every group: then the group's block ids never fall
+    and ``D_g`` is its block changes plus one.  Other tables get ``None``.
+
+    Memoized on the table like the replays: the group starts and each
+    block size's ``D_g``, O(kernel_volume) integers each, never a per-map
+    array.
+    """
+    memo = getattr(maps, "_group_blocks", None)
+    if memo is None:
+        memo = {"starts": _increasing_group_starts(maps.sorted_by(by="weight"))}
+        maps._group_blocks = memo
+    starts = memo["starts"]
+    if starts is None:
+        return None
+    distinct = memo.get(block_points)
+    if distinct is None:
+        in_idx = maps.sorted_by(by="weight").in_idx
+        head = _run_heads(_block_ids(in_idx, block_points))
+        head[starts] = True
+        distinct = np.add.reduceat(head, starts, dtype=np.int64)
+        memo[block_points] = distinct
+    return int(np.maximum(distinct - n_sets, 0).sum())
+
+
+def _increasing_group_starts(table: MapTable) -> np.ndarray | None:
+    """Start offsets of a weight-ordered table's groups, or ``None`` when
+    ``in_idx`` does not strictly increase within some group."""
+    if table.n_maps == 0:
+        return np.zeros(0, dtype=np.intp)
+    starts = np.flatnonzero(table.weight_idx[1:] != table.weight_idx[:-1]) + 1
+    step = np.diff(table.in_idx)
+    step[starts - 1] = 1  # the first map of a group may step down
+    if not np.all(step > 0):
+        return None
+    return np.concatenate(([0], starts))

@@ -9,12 +9,12 @@ with temporal layer fusion (Section 4.2.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ...mapping.maps import MapTable
 from ...nn.trace import LayerKind, LayerSpec, Trace
 from ..config import PointAccConfig
-from .cache import CacheStats
+from .cache import CacheStats, group_miss_bound
 from .dataflow import FlowCost, fetch_on_demand_cost, gather_matmul_scatter_cost
 from .fusion import FusionGroup, FusionPlan, FusionPlanner
 
@@ -59,17 +59,33 @@ class MemoryManagementUnit:
     ) -> MemCost:
         """Fetch-on-demand cost with per-layer block-size auto-tuning.
 
-        The tuner keeps the first strict minimum of total bytes.  A
-        candidate ``2b`` is skipped, never replayed, when the cache at
-        block size ``b`` has an even set count ``N``: then coarse set ``s``
-        is exactly fine sets ``{2s, 2s+1}``, and while one coarse block
-        stays resident each fine set sees one fine block, so a coarse miss
-        covers at most two fine misses.  Input bytes therefore never fall
-        (``misses(2b) * 2b >= misses(b) * b``), the fixed traffic is equal,
-        and ``bytes(2b) >= bytes(b) >= best`` cannot win; the bound chains
-        across skipped sizes.  Odd ``N`` breaks it — a 10 B cache, ``c_in``
-        1, 2-byte elements and inputs ``0,1,6,1,6`` cost 10 B at block 1
-        (5 sets) but 8 B at block 2 (2 sets) — so those are replayed.
+        The tuner keeps the first strict minimum of total bytes, and skips
+        a candidate block size, never replaying it, when a proof shows it
+        cannot beat the best so far.  Two proofs apply:
+
+        * **Even set counts.**  A candidate ``2b`` is skipped when the
+          cache at block size ``b`` has an even set count ``N``: then coarse
+          set ``s`` is exactly fine sets ``{2s, 2s+1}``, and while one
+          coarse block stays resident each fine set sees one fine block, so
+          a coarse miss covers at most two fine misses.  Input bytes
+          therefore never fall (``misses(2b) * 2b >= misses(b) * b``), the
+          fixed traffic is equal, and ``bytes(2b) >= bytes(b) >= best``
+          cannot win; the bound chains across skipped sizes.  Odd ``N``
+          breaks it — a 10 B cache, ``c_in`` 1, 2-byte elements and inputs
+          ``0,1,6,1,6`` cost 10 B at block 1 (5 sets) but 8 B at block 2
+          (2 sets) — so those go to the second proof.
+        * **Distinct blocks per weight group.**  Within one weight group, a
+          block's first access can hit only if that block was already in
+          the cache when the group began, and at most ``N`` blocks are.  So
+          ``misses >= sum_g max(0, D_g - N)``, with ``D_g`` the distinct
+          blocks group ``g`` reads (:func:`~.cache.group_miss_bound`).  A
+          candidate whose bound already costs ``>= best`` total bytes is
+          skipped: the total never decreases as misses grow, float
+          rounding included, so the replay could not be a strict minimum.
+          The bound is taken only where ``D_g`` is cheap — tables whose
+          ``in_idx`` strictly increases within every weight group, as every
+          merge-sort kernel map over a sorted cloud does; any other table
+          replays every candidate the first proof leaves.
         """
         if maps is None:
             maps = spec.params.get("maps")
@@ -86,6 +102,14 @@ class MemoryManagementUnit:
                 prev_points, prev_sets = block_points, n_sets
                 if bounded:
                     continue
+                if best is not None:
+                    # Candidates differ only in their input fills, so the
+                    # bound's flow is the best's with the bound's fills.
+                    floor = group_miss_bound(maps, block_points, n_sets)
+                    if floor is not None and replace(
+                        best[1], input_read=float(floor * block_bytes)
+                    ).total_bytes >= best[0]:
+                        continue
                 cost, stats = fetch_on_demand_cost(
                     spec,
                     self.input_buffer_bytes,

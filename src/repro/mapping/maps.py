@@ -43,11 +43,12 @@ class MapTable:
 
     def __getstate__(self):
         # Keep trace-store spills (pickled traces carry their tables) free
-        # of the sort memo and the MMU's cache-replay memo (see
-        # mmu/cache.py): per-instance accelerations, not content.
+        # of the sort memo and the MMU's cache-replay and miss-bound memos
+        # (see mmu/cache.py): per-instance accelerations, not content.
         state = self.__dict__.copy()
         state["_sorted"] = {}
         state.pop("_cache_sims", None)
+        state.pop("_group_blocks", None)
         return state
 
     @property

@@ -13,6 +13,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.mmu import CacheStats
 from repro.engine import SimRequest, SimulationEngine, TraceStore
 from repro.engine import trace_store as store_mod
 from repro.engine.trace_store import trace_bytes, trace_key
@@ -125,8 +126,10 @@ class TestMemoryTier:
     def test_served_minknet_frame_holds_only_counted_arrays(self):
         """Every kernel-map table of a served MinkNet(o) stream frame is
         already in weight order, so the weight-sorted table the MMU replays
-        views the table's own arrays: ``trace_bytes`` counts everything
-        the stored tables hold (their cache-replay memos are scalars)."""
+        views the table's own arrays, and the MMU's memos on a table hold
+        scalars and O(kernel_volume) arrays, never a per-map array:
+        ``trace_bytes`` counts everything the stored tables hold, so
+        ``TraceStore.max_bytes`` bounds the store."""
         sequence = FrameSequence(SequenceConfig(seed=1, n_frames=2))
         request = SimRequest(sequence.notation("MinkNet(o)"), scale=0.4, seed=1,
                              geometry_only=True)
@@ -135,10 +138,20 @@ class TestMemoryTier:
         tables = {id(spec.params["maps"]): spec.params["maps"]
                   for spec in result.trace.by_kind(LayerKind.SPARSE_CONV)}
         assert len(tables) == 13
+        bounded = 0
         for maps in tables.values():
             ordered = maps.sorted_by(by="weight")
             for name in ("in_idx", "out_idx", "weight_idx"):
                 assert np.shares_memory(getattr(ordered, name), getattr(maps, name))
+            memos = {k: v for k, v in vars(maps).items()
+                     if k not in ("in_idx", "out_idx", "weight_idx", "_sorted")}
+            assert set(memos) <= {"kernel_volume", "_cache_sims", "_group_blocks"}
+            assert all(isinstance(stats, CacheStats)
+                       for stats in memos["_cache_sims"].values())
+            for value in memos.get("_group_blocks", {}).values():
+                assert value is None or value.size <= maps.kernel_volume
+            bounded += "_group_blocks" in memos
+        assert bounded > 0
 
     def test_memory_evictions_reach_the_ledger(self):
         ledger = RecomputeLedger()

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import POINTACC_EDGE, POINTACC_FULL
 from repro.core.mmu import (
@@ -15,6 +15,7 @@ from repro.core.mmu import (
     MemoryManagementUnit,
     fetch_on_demand_cost,
     gather_matmul_scatter_cost,
+    group_miss_bound,
     simulate_conv_cache,
 )
 from repro.mapping.kernel_map import kernel_map_mergesort
@@ -257,8 +258,39 @@ def _exhaustive_sweep(mmu, spec, maps):
     return best
 
 
+def _even_rule_candidates(mmu, spec):
+    """The block sizes the even-set-count proof leaves to the sweep."""
+    point_bytes = max(spec.c_in, 1) * mmu.elem_bytes
+    left, prev_points, prev_sets = [], 0, 1
+    for block_points in CANDIDATE_BLOCK_POINTS:
+        if block_points * point_bytes > mmu.input_buffer_bytes:
+            break
+        n_sets = mmu.input_buffer_bytes // (block_points * point_bytes)
+        if not (block_points == 2 * prev_points and prev_sets % 2 == 0):
+            left.append(block_points)
+        prev_points, prev_sets = block_points, n_sets
+    return left
+
+
+def _grouped_table(groups) -> MapTable:
+    """A table whose weight-ordered stream is ``groups``, one per weight."""
+    in_idx = [i for members in groups for i in members]
+    weight_idx = [w for w, members in enumerate(groups) for _ in members]
+    return MapTable(in_idx, np.arange(len(in_idx)), weight_idx, kernel_volume=6)
+
+
+@st.composite
+def increasing_group_tables(draw):
+    """Tables whose ``in_idx`` strictly increases within each weight group."""
+    return _grouped_table([
+        sorted(draw(st.sets(st.integers(0, 255), min_size=1, max_size=40)))
+        for _ in range(draw(st.integers(1, 6)))
+    ])
+
+
 class TestSweepPruning:
-    """The MMU skips block size 2b when the set count at b is even."""
+    """The MMU skips block size 2b when the set count at b is even, and any
+    candidate whose per-weight-group miss bound already costs the best."""
 
     @given(
         stream=st.lists(st.integers(0, 63), min_size=1, max_size=80),
@@ -281,6 +313,64 @@ class TestSweepPruning:
             simulate_conv_cache(maps, coarse).dram_bytes
             >= simulate_conv_cache(maps, fine).dram_bytes
         )
+
+    @given(
+        maps=increasing_group_tables(),
+        c_in=st.integers(1, 4),
+        capacity_points=st.integers(1, 64),
+        slack=st.integers(0, 7),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_group_bound_never_exceeds_replayed_misses(
+        self, maps, c_in, capacity_points, slack
+    ):
+        """Every (block size, set count) the sweep can try on this cache."""
+        capacity = capacity_points * c_in * 2 + slack
+        for block_points in CANDIDATE_BLOCK_POINTS:
+            if block_points * c_in * 2 > capacity:
+                break
+            cfg = CacheConfig(capacity, block_points, c_in)
+            bound = group_miss_bound(maps, block_points, cfg.n_sets)
+            assert bound is not None
+            assert 0 <= bound <= simulate_conv_cache(maps, cfg).misses
+
+    @given(
+        maps=increasing_group_tables(),
+        c_in=st.integers(1, 4),
+        capacity_points=st.integers(1, 64),
+        slack=st.integers(0, 7),
+    )
+    # Block 1 wins nearly every increasing-group table; in these two,
+    # found by search, block 2 does.
+    @example(maps=_grouped_table([[0, 1, 6], [1, 6]]), c_in=1,
+             capacity_points=5, slack=0)
+    @example(maps=_grouped_table([[9], [0, 1, 7, 8], [0, 1, 8, 9],
+                                  [0, 1, 5, 8], [8, 9]]),
+             c_in=2, capacity_points=7, slack=2)
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_sweep_equals_exhaustive_on_increasing_groups(
+        self, maps, c_in, capacity_points, slack
+    ):
+        """Both proofs on small caches, against the exhaustive sweep.  The
+        fixed (weight and output) traffic dominates every candidate's
+        total, so a bound skipping anything near the best would show."""
+        capacity = capacity_points * c_in * 2 + slack
+        sram = dataclasses.replace(POINTACC_FULL.sram, input_kb=capacity / 1024)
+        mmu = MemoryManagementUnit(dataclasses.replace(POINTACC_FULL, sram=sram))
+        spec = _conv_spec(n_in=256, n_out=maps.n_maps, c_in=c_in, c_out=16,
+                          n_maps=maps.n_maps, kv=maps.kernel_volume)
+        got = mmu.sparse_conv_cost(spec, copy_value(maps))
+        _, cost, stats, block_points = _exhaustive_sweep(mmu, spec, copy_value(maps))
+        assert got.block_points == block_points
+        assert got.dram_read_bytes == cost.read_bytes
+        assert got.cache_stats == stats
+
+    def test_group_bound_needs_increasing_groups(self):
+        maps = _stream_table([0, 2, 1])
+        assert group_miss_bound(maps, 1, 1) is None
+        assert group_miss_bound(_stream_table([0, 1, 2]), 1, 1) == 2
+        empty = MapTable(np.empty(0), np.empty(0), np.empty(0), 27)
+        assert group_miss_bound(empty, 1, 1) == 0
 
     def test_odd_set_count_can_prefer_the_larger_block(self):
         """Why odd set counts are still replayed: 10 B, c_in 1, 2-byte
@@ -310,12 +400,26 @@ class TestSweepPruning:
         spec = _conv_spec(n_in=voxel_tensor.n, n_out=voxel_tensor.n, c_in=c_in,
                           n_maps=maps.n_maps)
         mmu = MemoryManagementUnit(config)
-        got = mmu.sparse_conv_cost(spec, copy_value(maps))
+        table = copy_value(maps)
+        got = mmu.sparse_conv_cost(spec, table)
         _, cost, stats, block_points = _exhaustive_sweep(mmu, spec, copy_value(maps))
         assert got.block_points == block_points
         assert got.dram_read_bytes == cost.read_bytes
         assert got.dram_write_bytes == cost.write_bytes
         assert got.cache_stats == stats
+        # The replay memo holds one entry per replayed block size.
+        replays = len(table._cache_sims)
+        left = _even_rule_candidates(mmu, spec)
+        if shuffle:
+            # Not increasing within groups: the group bound is never taken.
+            assert group_miss_bound(table, 1, 1) is None
+            assert replays == len(left)
+        elif config is POINTACC_FULL and c_in >= 96:
+            # Odd set counts, and few sets (at most 1365) against the
+            # distinct blocks each group reads: the bound must prune.
+            assert len(left) > 1 and replays < len(left)
+        else:
+            assert replays <= len(left)
 
     def test_capacity_break_is_reached(self):
         """c_in 1500 fills the FULL input buffer before block 128."""

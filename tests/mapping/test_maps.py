@@ -1,8 +1,11 @@
 """Tests for the MapTable structure."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.mmu import CacheConfig, group_miss_bound, simulate_conv_cache
 from repro.mapping import MapTable
 
 
@@ -37,6 +40,23 @@ class TestMapTable:
     def test_sort_invalid_key(self, table):
         with pytest.raises(ValueError):
             table.sorted_by(by="input")
+
+    def test_pickle_carries_no_memo(self, table):
+        """Trace-store spills pickle their tables: content only, never the
+        sort memo or the MMU's replay and miss-bound memos."""
+        cfg = CacheConfig(capacity_bytes=6, block_points=1, c_in=1)
+        stats = simulate_conv_cache(table, cfg)
+        assert group_miss_bound(table, 2, 1) is not None
+        assert table._sorted and table._cache_sims and table._group_blocks
+        state = table.__getstate__()
+        assert "_cache_sims" not in state and "_group_blocks" not in state
+        assert state["_sorted"] == {}
+        clone = pickle.loads(pickle.dumps(table))
+        assert set(vars(clone)) == {"in_idx", "out_idx", "weight_idx",
+                                    "kernel_volume", "_sorted"}
+        assert clone._sorted == {}
+        assert clone.as_set() == table.as_set()
+        assert simulate_conv_cache(clone, cfg) == stats
 
     def test_per_weight_partition(self, table):
         groups = table.per_weight()

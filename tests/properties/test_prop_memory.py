@@ -1,6 +1,7 @@
 """Hypothesis property tests for the cache and fusion models."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mmu import (
@@ -45,6 +46,72 @@ def test_vectorized_cache_equals_stepwise(maps, cfg):
     assert fast.misses == slow.stats.misses
     assert fast.accesses == slow.stats.accesses
     assert fast.dram_bytes == slow.stats.dram_bytes
+
+
+def _stepwise_misses(maps, cfg) -> int:
+    slow = InputFeatureCache(cfg)
+    for p in maps.sorted_by(by="weight").in_idx.tolist():
+        slow.access_point(int(p))
+    return slow.stats.misses
+
+
+@st.composite
+def grouped_streams(draw):
+    """Weight-grouped access streams built of runs of one repeated index or
+    of adjacent indices, the shapes kernel maps over sorted clouds make.
+    Outputs count up, so the weight-ordered stream is the drawn one."""
+    in_idx, weight_idx = [], []
+    for group in range(draw(st.integers(1, 5))):
+        for _ in range(draw(st.integers(1, 8))):
+            start = draw(st.integers(0, 300))
+            length = draw(st.integers(1, 9))
+            if draw(st.booleans()):
+                run = [start] * length
+            else:
+                run = list(range(start, start + length))
+            in_idx += run
+            weight_idx += [group] * length
+    return MapTable(in_idx, np.arange(len(in_idx)), weight_idx, kernel_volume=5)
+
+
+@st.composite
+def odd_set_configs(draw):
+    """Cache geometries whose set count is odd (no mask, no even pairing)."""
+    block_points = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    c_in = draw(st.sampled_from([1, 8, 16, 96]))
+    block_bytes = block_points * c_in * 2
+    n_sets = 2 * draw(st.integers(0, 40)) + 1
+    slack = draw(st.integers(0, block_bytes - 1))
+    cfg = CacheConfig(n_sets * block_bytes + slack, block_points, c_in)
+    assert cfg.n_sets == n_sets
+    return cfg
+
+
+@given(maps=grouped_streams(), cfg=odd_set_configs())
+@settings(max_examples=150, deadline=None)
+def test_run_head_replay_equals_stepwise(maps, cfg):
+    assert simulate_conv_cache(maps, cfg).misses == _stepwise_misses(maps, cfg)
+
+
+@pytest.mark.parametrize("n_sets", [1 << 15, (1 << 15) + 1])
+def test_replay_with_a_64_bit_key(n_sets):
+    """2^17+ run heads at 2^15+ sets: the packed (set, position) key needs
+    more than 31 bits, so the replay sorts int64 keys."""
+    in_idx = np.random.default_rng(n_sets).integers(0, 1 << 16, (1 << 17) + 64)
+    maps = MapTable(in_idx, np.arange(len(in_idx)), np.zeros_like(in_idx), 1)
+    cfg = CacheConfig(capacity_bytes=2 * n_sets, block_points=1, c_in=1)
+    n_heads = 1 + int(np.count_nonzero(in_idx[1:] != in_idx[:-1]))
+    assert n_heads >= 1 << 17 and cfg.n_sets == n_sets
+    assert n_sets << (n_heads - 1).bit_length() > 1 << 31
+    assert simulate_conv_cache(maps, cfg).misses == _stepwise_misses(maps, cfg)
+
+
+def test_replay_of_block_ids_beyond_int32():
+    in_idx = [1 << 40, (1 << 40) + 3, 5, 1 << 40, 8, (1 << 40) + 3]
+    maps = MapTable(in_idx, np.arange(6), np.zeros(6, dtype=np.int64), 1)
+    for capacity in (6, 8):  # 3 and 4 sets
+        cfg = CacheConfig(capacity_bytes=capacity, block_points=1, c_in=1)
+        assert simulate_conv_cache(maps, cfg).misses == _stepwise_misses(maps, cfg)
 
 
 @given(maps=map_tables(), cfg=cache_configs)
