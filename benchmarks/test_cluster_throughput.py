@@ -4,9 +4,9 @@ Two claims from the cluster PR's acceptance criteria, both asserted here:
 
 1. *Warm beats cold.*  On a repeated-workload stream (every distinct cloud
    appears ``REPEATS`` times — steady-state serving traffic), a 4-shard
-   cluster that has already served the stream once (shared trace store and
-   report memos hot) must clear >= 2x the throughput of a cold single
-   ``SimulationEngine`` on the same stream.
+   cluster that has already served the stream once (shared trace store
+   hot, each trace with its reports) must clear >= 2x the throughput of a
+   cold single ``SimulationEngine`` on the same stream.
 2. *Persistence warm-starts across invocations.*  Two back-to-back
    ``serve-cluster`` CLI invocations pointed at one ``--cache-dir``: the
    second's *first* admitted request must already reuse a trace read from

@@ -7,7 +7,7 @@ the steady-state serving pattern) runs three ways:
   pre-engine behaviour);
 * engine, one-entry store — a ``TraceStore(max_entries=1)`` that keeps
   only the last trace it built;
-* engine, full — the default trace store plus the per-engine report memo.
+* engine, full — the default trace store, which keeps each trace's reports.
 
 The full engine must clear >= 1.5x throughput on this batch (the PR's
 acceptance floor; structurally it sits near REPEATS x), and every report

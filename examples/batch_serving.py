@@ -2,10 +2,11 @@
 
 A serving deployment sees the same workload again and again — popular
 scenes, retried requests.  The SimulationEngine exploits that: one shared
-set of backend models, a trace store keyed by workload
-``(benchmark, scale, seed)``, and a per-engine report memo.  This example
-pushes a mixed batch with repeated clouds through the engine and compares
-against the cold sequential path the repo used before the engine existed.
+set of backend models and a trace store keyed by workload
+``(benchmark, scale, seed)`` that keeps each trace's reports with it.
+This example pushes a mixed batch with repeated clouds through the
+engine and compares against the cold sequential path the repo used
+before the engine existed.
 
 Run:  python examples/batch_serving.py [--repeats N]
 """
@@ -45,7 +46,7 @@ def main() -> None:
     for result in results:
         report = result.report("pointacc")
         print(f"{result.request.benchmark:16s} {result.request.seed:4d} "
-              f"{result.trace.input_points:7d} "
+              f"{result.input_points:7d} "
               f"{report.total_seconds * 1e3:11.3f} "
               f"{'reuse' if result.trace_reused else 'build':>6s}")
 

@@ -47,7 +47,7 @@ def main() -> None:
           f"{'wall ms':>8s}")
     for frame in session.play(args.frames):
         report = frame.result.report("pointacc")
-        print(f"{frame.index:5d} {frame.result.trace.input_points:7d} "
+        print(f"{frame.index:5d} {frame.result.input_points:7d} "
               f"{report.total_seconds * 1e3:11.3f} {frame.latency_ms:8.1f}")
 
     summary = session.summary()
@@ -66,8 +66,9 @@ def main() -> None:
     check = args.frames - 1
     cold = run_cold(SimRequest(benchmark=session.notation, scale=args.scale,
                                seed=check))
-    # The streamed trace and report sit in the engine's memos: replaying
-    # the request through the executor builds nothing.
+    # The session's store keeps the last frame's trace with its report
+    # (one entry: earlier frames never come back): replaying that request
+    # through the executor builds nothing.
     streamed = session.executor.run_batch([session.request(check)])[0]
     identical = cold.reports["pointacc"] == streamed.reports["pointacc"]
     print(f"cold replay of frame {check}: reports bit-identical -> "

@@ -399,9 +399,8 @@ def cmd_serve_sim(args) -> int:
     for result in engine.stream(requests, window=args.window):
         rep = result.reports.get(first)
         modeled = f"{rep.total_seconds * 1e3:12.3f}" if rep else " unsupported"
-        n_pts = result.trace.input_points if result.trace else 0
         print(f"{result.request.tag:>5s} {result.request.benchmark:16s} "
-              f"{n_pts:7d} {modeled} "
+              f"{result.input_points:7d} {modeled} "
               f"{'reuse' if result.trace_reused else 'build':>6s} "
               f"{result.wall_seconds * 1e3:8.2f}")
     stats = engine.stats()
@@ -696,11 +695,10 @@ def cmd_serve_stream(args) -> int:
             continue
         rep = frame.result.reports.get("pointacc")
         modeled = f"{rep.total_seconds * 1e3:12.3f}" if rep else " unsupported"
-        n_pts = frame.result.trace.input_points if frame.result.trace else 0
         deadline = {True: "met", False: "MISSED", None: "ok"}[
             frame.result.deadline_met
         ]
-        print(f"{frame.index:5d} {n_pts:7d} {modeled} "
+        print(f"{frame.index:5d} {frame.result.input_points:7d} {modeled} "
               f"{frame.latency_ms:8.1f} {deadline:>8s}")
     summary = session.summary()
     _ingest_metrics("stream", summary)
@@ -847,11 +845,11 @@ def cmd_serve_fleet(args) -> int:
             rep = frame.result.reports.get("pointacc")
             modeled = (f"{rep.total_seconds * 1e3:12.3f}" if rep
                        else " unsupported")
-            n_pts = frame.result.trace.input_points if frame.result.trace else 0
             deadline = {True: "met", False: "MISSED", None: "-"}[
                 frame.result.deadline_met
             ]
-            print(f"{frame.index:5d} {name:>6s} {n_pts:7d} {modeled} "
+            print(f"{frame.index:5d} {name:>6s} "
+                  f"{frame.result.input_points:7d} {modeled} "
                   f"{frame.latency_ms:8.1f} {deadline:>8s}")
     summary = session.summary()
     _ingest_metrics("fleet", summary)

@@ -1,9 +1,9 @@
 """Batched simulation engine with a workload-keyed trace store.
 
 Serves streams of point-cloud simulation requests through shared hardware
-models, memoizing whole traces by workload key (:class:`TraceStore`) and
-each backend's report across the batch.  See ``README.md`` ("Simulation
-engine") for the architecture sketch and key semantics.
+models, memoizing whole traces by workload key (:class:`TraceStore`) and,
+with each trace, every backend's report of it.  See ``README.md``
+("Simulation engine") for the architecture sketch and key semantics.
 """
 
 from .backends import ACCELERATORS, backend_names, resolve_backend

@@ -2,22 +2,27 @@
 
 The seed reproduction simulated exactly one cloud per call.
 :class:`SimulationEngine` instead serves a *stream* of point-cloud
-requests through shared backend models and two request-level memos:
+requests through shared backend models and one request-level memo, a
+:class:`~repro.engine.trace_store.TraceStore` keyed by the workload key
+``(benchmark, scale, seed)``:
 
-1. a :class:`~repro.engine.trace_store.TraceStore` of whole traces keyed
-   by the workload key ``(benchmark, scale, seed)``: a request whose
-   workload was already built — by this engine, by another engine
-   sharing the store, or by an earlier process when the store is
-   disk-backed — skips the whole trace build.  Mapping ops inside a
-   build always compute; within one build a network reuses its maps
-   across layers, as PointAcc's MMU does;
-2. a per-engine report memo: each backend's report of a workload is
-   computed once per engine.
+* a request whose workload was already built — by this engine, by
+  another engine sharing the store, or by an earlier process when the
+  store is disk-backed — skips the whole trace build.  Mapping ops
+  inside a build always compute; within one build a network reuses its
+  maps across layers, as PointAcc's MMU does;
+* each backend's report of a workload is kept with the workload's trace
+  entry, so it is computed once while the trace stays in memory, by
+  whichever engine sharing the store asks first.  Evicting the trace
+  evicts its reports; a report whose trace was evicted while it ran is
+  simply not memoized.
 
-Neither memo may change a simulated result — a hit affects wall clock
-only.  ``tests/properties/test_prop_engine.py`` proves engine output is
+No hit may change a simulated result — it affects wall clock only.
+``tests/properties/test_prop_engine.py`` proves engine output is
 bit-identical to cold sequential :class:`~repro.core.PointAccModel`
-runs, with every store configuration.
+runs, with every store configuration.  A :class:`SimResult` keeps the
+reports and the input's point count, never the trace, so kept results
+do not pin traces the store has let go.
 
 Reports returned for duplicate requests may be shared objects; treat
 :class:`~repro.core.report.PerfReport` and :class:`~repro.nn.trace.Trace`
@@ -93,7 +98,7 @@ class SimResult:
     index: int  # submission position within its batch/stream
     reports: dict[str, PerfReport] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)  # backend -> reason
-    trace: Trace | None = None
+    input_points: int = 0  # points in the network input (0 when rejected)
     trace_reused: bool = False
     wall_seconds: float = 0.0
     shard: int | None = None  # set by EngineCluster: which shard executed
@@ -193,7 +198,6 @@ class SimulationEngine:
         self.store = TraceStore() if store is None else store
         self.overlap = bool(overlap)
         self._trace_builder: ThreadPoolExecutor | None = None
-        self._reports: dict[tuple, PerfReport] = {}
         self._stats = EngineStats(
             backend_seconds={name: 0.0 for name in self.backends}
         )
@@ -203,23 +207,29 @@ class SimulationEngine:
     # Execution
     # ------------------------------------------------------------------
 
-    def _build_trace(self, request: SimRequest) -> tuple[Trace, bool]:
+    def _build_trace(self, request: SimRequest) -> tuple[Trace, bool, dict]:
+        """``(trace, reused, reports)``: the request's trace and its
+        entry's report memo, read together so that the overlap pipeline's
+        side thread sees the store in sequential order.  The entry just
+        read or written is the most recent, which the store always
+        keeps, so the memo is never ``None`` here."""
         key = request.workload_key
         # The ledger-frame context is observability only (eviction
         # lineage); it must never reach the compute path.
         with ledger_frame(request.tag):
             trace = self.store.get(key)
-            if trace is not None:
+            reused = trace is not None
+            if reused:
                 self._stats.trace_reuses += 1
-                return trace, True
-            trace, _ = run_benchmark(
-                request.benchmark, scale=request.scale, seed=request.seed,
-                geometry_only=request.geometry_only,
-            )
-            trace.meta["workload_key"] = key
-            self.store.put(key, trace)
-        self._stats.trace_builds += 1
-        return trace, False
+            else:
+                trace, _ = run_benchmark(
+                    request.benchmark, scale=request.scale, seed=request.seed,
+                    geometry_only=request.geometry_only,
+                )
+                trace.meta["workload_key"] = key
+                self.store.put(key, trace)
+                self._stats.trace_builds += 1
+        return trace, reused, self.store.reports(key)
 
     def _build_traced(self, request: SimRequest):
         """``_build_trace`` plus a detached span for the overlap pipeline.
@@ -227,38 +237,40 @@ class SimulationEngine:
         Runs on the side thread, where a plain ``span()`` would start a
         new root; instead the span is detached and handed back so
         ``_execute`` can attach it under the request span it belongs to.
-        Returns ``(trace, reused, span|None)``.
+        Returns ``(trace, reused, reports, span|None)``.
         """
         tracer = current_tracer()
         if tracer is None:
             return self._build_trace(request) + (None,)
         with tracer.detached("trace_build", overlap=True) as bs:
-            trace, reused = self._build_trace(request)
-        return trace, reused, bs
+            built = self._build_trace(request)
+        return built + (bs,)
 
     def _execute(self, request: SimRequest, index: int, built=None) -> SimResult:
         t0 = time.perf_counter()
         tracer = current_tracer()
         with span("request", benchmark=request.benchmark, index=index) as req_span:
             if built is not None:
-                trace, reused, build_span = built
+                trace, reused, memo, build_span = built
                 if build_span is not None:
                     # Overlap mode: the build ran detached on the side
                     # thread; attribute it to this request explicitly.
                     req_span.children.insert(0, build_span)
             else:
                 with span("trace_build"):
-                    trace, reused = self._build_trace(request)
+                    trace, reused, memo = self._build_trace(request)
+            # ``memo`` is the trace entry's report memo.  Should the entry
+            # be evicted before a report finishes (the overlap pipeline
+            # builds the next trace meanwhile), the report lands in a dict
+            # nothing else reads: it is simply not memoized.
             result = SimResult(
                 request=request,
                 index=index,
-                trace=trace,
+                input_points=trace.input_points,
                 trace_reused=reused,
             )
-            key = request.workload_key
             for name, backend in self.backends.items():
-                rkey = (key, name)
-                report = self._reports.get(rkey)
+                report = memo.get(name)
                 if report is not None:
                     self._stats.report_reuses += 1
                 else:
@@ -268,7 +280,7 @@ class SimulationEngine:
                         except UnsupportedModelError as exc:
                             result.errors[name] = str(exc)
                             continue
-                    self._reports[rkey] = report
+                    memo[name] = report
                 result.reports[name] = report
                 self._stats.backend_seconds[name] += report.total_seconds
             result.wall_seconds = time.perf_counter() - t0
@@ -374,7 +386,8 @@ def run_cold(request: SimRequest, backends=("pointacc",)) -> SimResult:
         request.benchmark, scale=request.scale, seed=request.seed,
         geometry_only=request.geometry_only,
     )
-    result = SimResult(request=request, index=0, trace=trace)
+    result = SimResult(request=request, index=0,
+                       input_points=trace.input_points)
     for name in backends:
         try:
             result.reports[name] = resolve_backend(name).run(trace)

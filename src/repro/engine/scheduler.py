@@ -3,8 +3,8 @@
 A policy maps a list of :class:`~repro.engine.engine.SimRequest`s to an
 execution order (a permutation of their indices).  Scheduling changes
 *wall-clock* behaviour only — which requests run adjacently, and therefore
-how well the trace store and report memo are exploited — never the simulated
-results, which the property suite enforces.
+how well the trace store (traces and their reports) is exploited — never
+the simulated results, which the property suite enforces.
 
 Policies:
 

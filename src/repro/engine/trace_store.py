@@ -1,4 +1,4 @@
-"""The engine's one memo: whole traces keyed by workload.
+"""The engine's one memo: whole traces keyed by workload, with their reports.
 
 PointAcc's MPU computes a cloud's maps once and the MMU reuses them
 across the layers of that network (paper Sections 4.1–4.2); nothing
@@ -12,7 +12,11 @@ Memory tier
     payload (a trace's size is the size of its :class:`MapTable`\\ s;
     the most recent entry always stays, whatever its size).  Traces are
     stored and returned by reference — traces and reports are treated as
-    immutable everywhere in this library.
+    immutable everywhere in this library.  Each resident trace carries
+    the reports computed from it (:meth:`TraceStore.reports`), so one
+    bound covers both: evicting a trace evicts its reports, and engines
+    sharing a store share them.  Reports are never spilled; a trace
+    promoted from disk starts with none.
 
 Disk tier
     Optional (``cache_dir``).  One file per trace, ``<digest>.trace``,
@@ -121,7 +125,8 @@ class TraceStore:
     Parameters
     ----------
     max_entries / max_bytes:
-        In-memory bounds: trace count and map-table bytes.
+        In-memory bounds: trace count and map-table bytes.  A trace's
+        reports live and die with it.
     cache_dir:
         Spill directory, or ``None`` for a memory-only store.  Created on
         first write.
@@ -151,7 +156,8 @@ class TraceStore:
         self.max_bytes = max_bytes
         self.cache_dir = pathlib.Path(cache_dir) if cache_dir is not None else None
         self.max_disk_bytes = max_disk_bytes
-        self._entries: OrderedDict[bytes, tuple] = OrderedDict()  # (trace, bytes)
+        # key -> (trace, map-table bytes, {backend name: report})
+        self._entries: OrderedDict[bytes, tuple] = OrderedDict()
         self.stored_bytes = 0
         self.hits = self.misses = self.evictions = 0
         self.disk_hits = self.disk_errors = self.disk_evictions = 0
@@ -202,6 +208,15 @@ class TraceStore:
         self._remember(key, trace)  # promote; disk already has it
         return trace
 
+    def reports(self, workload_key) -> dict | None:
+        """The report memo of a resident trace: a dict of reports by
+        backend name, which the caller reads and fills.  ``None`` when
+        the trace is not in memory.  Neither counted nor a use: the LRU
+        order and the hit counters follow :meth:`get` and :meth:`put`
+        only."""
+        entry = self._entries.get(trace_key(workload_key))
+        return entry[2] if entry is not None else None
+
     def put(self, workload_key, trace) -> None:
         """Store ``trace`` by reference, spilling it when disk-backed."""
         key = trace_key(workload_key)
@@ -214,12 +229,12 @@ class TraceStore:
         if previous is not None:
             self.stored_bytes -= previous[1]
         nbytes = trace_bytes(trace)
-        self._entries[key] = (trace, nbytes)
+        self._entries[key] = (trace, nbytes, {})
         self.stored_bytes += nbytes
         while len(self._entries) > self.max_entries or (
             self.stored_bytes > self.max_bytes and len(self._entries) > 1
         ):
-            dropped, (_, size) = self._entries.popitem(last=False)
+            dropped, (_, size, _) = self._entries.popitem(last=False)
             self.stored_bytes -= size
             self.evictions += 1
             ledger = current_ledger()

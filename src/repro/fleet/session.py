@@ -18,10 +18,15 @@ the next pending frame of every live stream as one window, so
   session scores its deadlines against each round's wall time.
 
 The shared executor is what makes a fleet more than N sessions: one QoS
-layer orders every vehicle's frames, and one trace store (the cluster's
-shared store, disk-backed with ``cache_dir``) serves any workload
-already built, whichever shard built it.  Each frame's mapping ops run
-on the whole frame (kNN and ball query through the selection kernels of
+layer orders every vehicle's frames, and one trace store serves every
+shard.  Every frame of every vehicle is its own workload, so a
+session-built executor's store keeps one trace in memory, as a stream
+session's does (:data:`~repro.stream.pipeline.SESSION_STORE_ENTRIES`):
+the latest, with its reports, so a request that repeats the one just
+served (two streams over one sequence, in one round) is still a hit.
+With ``cache_dir`` the store also spills every trace to disk, where a
+later fleet finds it.  Each frame's mapping ops run on the whole frame
+(kNN and ball query through the selection kernels of
 :mod:`repro.mapping`).  None of it may change a result: each stream's
 output is bit-identical to running that stream cold and alone
 (``tests/properties/test_prop_fleet.py``).
@@ -33,10 +38,11 @@ import time
 from dataclasses import dataclass, field
 
 from ..engine.engine import SimRequest, SimulationEngine
+from ..engine.trace_store import TraceStore
 from ..nn.models.registry import resolve_geometry_only
 from ..obs.ledger import current_ledger
 from ..obs.trace import current_tracer, span
-from ..stream.pipeline import FrameResult
+from ..stream.pipeline import SESSION_STORE_ENTRIES, FrameResult
 from ..stream.sequence import FrameSequence
 
 __all__ = ["FleetSession", "FleetStats", "StreamSpec"]
@@ -118,7 +124,10 @@ class FleetSession:
         Optional pre-built executor (at most one); when neither is given
         the session builds its own from ``n_shards`` — an
         :class:`~repro.cluster.EngineCluster` for ``n_shards >= 1`` (the
-        QoS path), or a single engine for ``n_shards == 0``.  Injected
+        QoS path), or a single engine for ``n_shards == 0``.  The
+        session-built engine's store and the session-built in-process
+        cluster's shared store (``l2="auto"``) keep one trace in memory
+        (:data:`~repro.stream.pipeline.SESSION_STORE_ENTRIES`).  Injected
         executors bring their own store configuration.
     geometry_only:
         ``"auto"`` (default) enables geometry-only execution per stream
@@ -134,8 +143,9 @@ class FleetSession:
     l2:
         Trace-store policy for the session-built cluster, as in
         :class:`~repro.cluster.EngineCluster`: ``"auto"`` shares one
-        store across its shards, ``None`` gives each shard a private
-        store, or pass a pre-built store.
+        store across its shards (bounded as above; with ``workers`` each
+        worker process builds its own, as the cluster does), ``None``
+        gives each shard a private store, or pass a pre-built store.
     workers:
         Worker processes for the session-built cluster
         (:class:`~repro.cluster.EngineCluster` ``workers=``): ``0``
@@ -196,6 +206,11 @@ class FleetSession:
         elif n_shards >= 1:
             from ..cluster.cluster import EngineCluster
 
+            if l2 == "auto" and workers == 0:
+                # The in-process shared store, built here to bound it.
+                l2 = TraceStore(max_entries=SESSION_STORE_ENTRIES,
+                                cache_dir=cache_dir)
+                cache_dir = None
             self.executor = EngineCluster(
                 n_shards=n_shards,
                 backends=backends,
@@ -206,7 +221,10 @@ class FleetSession:
                 workers=workers,
             )
         else:
-            self.executor = SimulationEngine(backends=backends, policy=policy)
+            self.executor = SimulationEngine(
+                backends=backends, policy=policy,
+                store=TraceStore(max_entries=SESSION_STORE_ENTRIES),
+            )
         self._stats = FleetStats()
         self._next_frame = {spec.name: 0 for spec in self.streams}
         self._results: dict[str, list[FrameResult]] = {

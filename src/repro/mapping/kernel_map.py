@@ -189,6 +189,9 @@ def _mergesort_compute(
     in_keys = coords_to_keys(in_coords)
     in_order = np.argsort(in_keys, kind="stable")
     sorted_in_keys = in_keys[in_order]
+    # Both clouds already in key order (every voxelize / downsample cloud
+    # is): both stable argsorts are the identity.
+    presorted = _nondecreasing(in_keys)
     same = in_coords.shape == out_coords.shape and np.array_equal(
         in_coords, out_coords
     )
@@ -198,6 +201,7 @@ def _mergesort_compute(
         out_keys = coords_to_keys(out_coords)
         out_order = np.argsort(out_keys, kind="stable")
         sorted_out_keys = out_keys[out_order]
+        presorted = presorted and _nondecreasing(out_keys)
     # Every p - delta is packable iff the two corners of their per-axis
     # bounding box are: this raises exactly where packing each shifted cloud
     # would, and makes key(p - delta) == key(p) - key_delta exact.  (One
@@ -212,7 +216,10 @@ def _mergesort_compute(
     # candidate output is its parent cell.
     s = _kernel_scale(offsets, 2)
     if s and _aligned(sorted_in_keys, s) and _aligned(sorted_out_keys, 2 * s):
-        return _parent_maps(sorted_in_keys, in_order, padded_out_keys, out_order, s)
+        return _seeded(
+            _parent_maps(sorted_in_keys, in_order, padded_out_keys, out_order, s),
+            presorted,
+        )
 
     # Submanifold symmetry: over one duplicate-free cloud with offsets[-1 - w]
     # == -offsets[w], the rows of -delta are the rows of delta with in/out
@@ -240,12 +247,33 @@ def _mergesort_compute(
     if symmetric:
         blocks.append((in_order, in_order))
         blocks += [(q_idx, p_idx) for p_idx, q_idx in reversed(blocks[:-1])]
-    return MapTable(
-        np.concatenate([p_idx for p_idx, _ in blocks]),
-        np.concatenate([q_idx for _, q_idx in blocks]),
-        np.repeat(np.arange(k), [len(p_idx) for p_idx, _ in blocks]),
-        kernel_volume=k,
+    return _seeded(
+        MapTable(
+            np.concatenate([p_idx for p_idx, _ in blocks]),
+            np.concatenate([q_idx for _, q_idx in blocks]),
+            np.repeat(np.arange(k), [len(p_idx) for p_idx, _ in blocks]),
+            kernel_volume=k,
+        ),
+        presorted,
     )
+
+
+def _nondecreasing(keys: np.ndarray) -> bool:
+    """Whether a stable argsort of ``keys`` is the identity."""
+    return not np.any(keys[1:] < keys[:-1])
+
+
+def _seeded(table: MapTable, presorted: bool) -> MapTable:
+    """``table``, marked as in weight order when both clouds were in key
+    order.  Every path emits rows by weight and, within a weight, along
+    ascending sorted keys, whose probes hit ascending positions of the
+    sorted output (a mirrored block runs along its outputs directly).
+    With both argsorts the identity, positions are indices: that is the
+    (weight, output) order :meth:`MapTable.sorted_by` would otherwise
+    check for."""
+    if presorted:
+        table.mark_sorted()
+    return table
 
 
 def _kernel_scale(offsets: np.ndarray, kernel_size: int) -> int:

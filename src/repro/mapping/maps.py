@@ -62,8 +62,10 @@ class MapTable:
         several dataflow variants, and tables are immutable by the same
         convention every mapping consumer in this library relies on, so
         the lexsort only ever needs to run once per ordering.  A table
-        already in order (every merge-sort map over sorted clouds is, by
-        weight) skips it: the result shares this table's arrays.
+        already in order skips it: the result shares this table's arrays.
+        Merge-sort kernel maps over clouds in key order are in weight
+        order by construction, and ``kernel_map_mergesort`` says so
+        (:meth:`mark_sorted`), which skips the order check too.
         """
         cached = self._sorted.get(by)
         if cached is not None:
@@ -88,6 +90,20 @@ class MapTable:
         )
         self._sorted[by] = table
         return table
+
+    def mark_sorted(self) -> None:
+        """Record that this table is already in weight order, so the
+        first ``sorted_by(by="weight")`` skips its order check.
+
+        Only for code that knows the order by construction.  The memo
+        gets a separate table viewing the same arrays, as the checked
+        path returns: a table memoized as itself would be a reference
+        cycle, freed only by the garbage collector, and would keep its
+        trace alive past the last reference.
+        """
+        self._sorted["weight"] = MapTable(
+            self.in_idx, self.out_idx, self.weight_idx, self.kernel_volume
+        )
 
     def per_weight(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Group maps by weight: ``[(weight_idx, in_idx, out_idx), ...]``.

@@ -10,16 +10,20 @@ not a batch to reorder — and tracks what a serving operator cares about:
 per-frame latency percentiles and deadline behaviour (including dropping
 frames whose deadline already expired before dispatch).
 
-By default a session builds its own single engine with a private
-:class:`~repro.engine.TraceStore` and requests geometry-only execution
-for networks whose mapping reads coordinates only (the SparseConv models
-and PointNet++(c), (ps) and (s), whose trace is a pure function of
-coordinates — see :mod:`repro.nn.ghost`).  Every frame is a distinct
-workload, so a single pass builds every trace; each build computes its
-mapping ops on the whole frame (kNN and ball query through the selection
-kernels of :mod:`repro.mapping`).  Pass a pre-built ``engine=`` or
-``cluster=`` to reuse existing fleets; the session then respects their
-store configuration.
+By default a session builds its own single engine and requests
+geometry-only execution for networks whose mapping reads coordinates
+only (the SparseConv models and PointNet++(c), (ps) and (s), whose trace
+is a pure function of coordinates — see :mod:`repro.nn.ghost`).  Every
+frame is a distinct workload, so a single pass builds every trace; each
+build computes its mapping ops on the whole frame (kNN and ball query
+through the selection kernels of :mod:`repro.mapping`).  A frame's key
+never repeats within a session, so the session-built engine's
+:class:`~repro.engine.TraceStore` keeps one trace
+(:data:`SESSION_STORE_ENTRIES`), the frame being served with its
+reports, and a long stream's memory stays flat: PointAcc, too, reuses a
+cloud's maps across that cloud's layers only, never across clouds.
+Pass a pre-built ``engine=`` or ``cluster=`` to reuse existing fleets;
+the session then respects their store configuration.
 """
 
 from __future__ import annotations
@@ -29,12 +33,19 @@ import time
 from dataclasses import dataclass, field
 
 from ..engine.engine import SimRequest, SimResult, SimulationEngine
+from ..engine.trace_store import TraceStore
 from ..nn.models.registry import resolve_geometry_only
 from ..obs.ledger import current_ledger
 from ..obs.trace import current_tracer, span
 from .sequence import FrameSequence
 
 __all__ = ["FrameResult", "StreamSession", "StreamStats"]
+
+#: Traces a session-built trace store keeps (stream and fleet sessions
+#: alike): the smallest bound a store accepts.  A session's frame keys
+#: never repeat, so a larger store would only hold traces, and their
+#: reports, that nothing asks for again.
+SESSION_STORE_ENTRIES = 1
 
 
 @dataclass
@@ -113,7 +124,8 @@ class StreamSession:
         ``"MinkNet(o)"``) over ``sequence``'s frames at ``scale``.
     engine / cluster:
         Optional pre-built executor (at most one); when neither is given
-        the session builds a single engine with a private trace store.
+        the session builds a single engine over a private trace store
+        that keeps one trace (:data:`SESSION_STORE_ENTRIES`).
     backends:
         Backends of the session-built engine (ignored when an executor is
         injected).
@@ -167,7 +179,10 @@ class StreamSession:
         if engine is not None or cluster is not None:
             self.executor = engine if engine is not None else cluster
         else:
-            self.executor = SimulationEngine(backends=backends, policy="fifo")
+            self.executor = SimulationEngine(
+                backends=backends, policy="fifo",
+                store=TraceStore(max_entries=SESSION_STORE_ENTRIES),
+            )
         self._stats = StreamStats()
         self._next_frame = 0
         self._clock = 0.0  # session-relative seconds consumed so far

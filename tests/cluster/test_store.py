@@ -133,10 +133,12 @@ class TestMemoryTier:
         sequence = FrameSequence(SequenceConfig(seed=1, n_frames=2))
         request = SimRequest(sequence.notation("MinkNet(o)"), scale=0.4, seed=1,
                              geometry_only=True)
-        (result,) = SimulationEngine(backends=("pointacc",)).run_batch([request])
+        engine = SimulationEngine(backends=("pointacc",))
+        (result,) = engine.run_batch([request])
         assert not result.errors
+        trace = engine.store.get(request.workload_key)
         tables = {id(spec.params["maps"]): spec.params["maps"]
-                  for spec in result.trace.by_kind(LayerKind.SPARSE_CONV)}
+                  for spec in trace.by_kind(LayerKind.SPARSE_CONV)}
         assert len(tables) == 13
         bounded = 0
         for maps in tables.values():

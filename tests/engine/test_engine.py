@@ -100,9 +100,10 @@ class TestSimulationEngine:
         reqs = [SimRequest("PointNet++(c)", scale=0.1, seed=0)] * 3
         results = engine.run_batch(reqs)
         assert [r.trace_reused for r in results] == [False, True, True]
-        trace = results[0].trace
+        trace = engine.store.get(reqs[0].workload_key)
         assert trace.meta["workload_key"] == reqs[0].workload_key
-        assert all(r.trace is trace for r in results)
+        assert all(r.input_points == trace.input_points > 0 for r in results)
+        assert all(r.reports == results[0].reports for r in results)
         stats = engine.stats()
         assert stats.trace_builds == 1 and stats.trace_reuses == 2
         assert stats.report_reuses == 2
@@ -150,7 +151,7 @@ class TestSimulationEngine:
 
     def test_shared_store_serves_sibling_engine(self):
         """Two engines on one store: a trace built by one is reused by the
-        other, whose own report memo still runs the backend."""
+        other, and so is its report, which lives in the trace's entry."""
         store = TraceStore()
         first = SimulationEngine(backends=("pointacc",), store=store)
         sibling = SimulationEngine(backends=("pointacc",), store=store)
@@ -158,11 +159,48 @@ class TestSimulationEngine:
         built = first.run_batch([request])[0]
         reused = sibling.run_batch([request])[0]
         assert not built.trace_reused and reused.trace_reused
-        assert reused.trace is built.trace
-        assert reused.reports == built.reports
+        assert reused.input_points == built.input_points > 0
+        assert reused.reports["pointacc"] is built.reports["pointacc"]
+        assert store.reports(request.workload_key) == built.reports
         assert sibling.stats().trace_builds == 0
-        assert sibling.stats().report_reuses == 0
+        assert sibling.stats().report_reuses == 1
         assert store.snapshot()["hits"] == 1
+
+    def test_evicting_a_trace_evicts_its_reports(self):
+        """One bound for both memos: a workload whose trace was evicted
+        recomputes its report (equal to the first), and a resident trace's
+        report is served from its entry."""
+        store = TraceStore(max_entries=1)
+        engine = SimulationEngine(backends=("pointacc",), store=store)
+        a = SimRequest("PointNet++(c)", scale=0.1, seed=0)
+        b = SimRequest("PointNet++(c)", scale=0.1, seed=1)
+        first, _, again, repeat = engine.run_batch([a, b, a, a])
+        assert store.reports(b.workload_key) is None
+        assert store.reports(a.workload_key) == again.reports
+        assert again.reports == first.reports
+        assert again.reports["pointacc"] is not first.reports["pointacc"]
+        assert repeat.reports["pointacc"] is again.reports["pointacc"]
+        stats = engine.stats()
+        assert (stats.trace_builds, stats.report_reuses) == (3, 1)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_report_of_an_evicted_entry_is_not_kept(self, overlap):
+        """With overlap, the next request's build can evict a one-entry
+        store's trace while that trace's report runs: the report is
+        served, not memoized, and the counts match the sequential engine."""
+        store = TraceStore(max_entries=1)
+        engine = SimulationEngine(backends=("pointacc",), store=store,
+                                  overlap=overlap)
+        a = SimRequest("PointNet++(c)", scale=0.1, seed=0)
+        b = SimRequest("PointNet++(c)", scale=0.1, seed=1)
+        results = engine.run_batch([a, b, b, a])
+        assert store.reports(b.workload_key) is None
+        assert store.reports(a.workload_key) == results[3].reports
+        stats = engine.stats()
+        assert (stats.trace_builds, stats.report_reuses) == (3, 1)
+        oracle = {r.seed: run_cold(r).reports for r in (a, b)}
+        for result in results:
+            assert result.reports == oracle[result.request.seed]
 
     def test_one_entry_store_rebuilds_alternating_workloads(self):
         """With room for one trace, alternating two workloads rebuilds

@@ -406,6 +406,79 @@ class TestKeyStructureShortcuts:
         )
 
 
+def key_order(cloud: np.ndarray) -> np.ndarray:
+    """``cloud`` in lexicographic (packed-key) order, duplicates kept;
+    it may lie outside the packable range."""
+    return cloud[np.lexsort(cloud.T[::-1])]
+
+
+class TestWeightOrderMark:
+    """A merge-sort table over clouds already in key order comes out
+    marked as in weight order (``MapTable.mark_sorted``), so the MMU's
+    first ``sorted_by`` skips the order check.  The mark must equal the
+    checked ``sorted_by`` row for row, and every other table must keep
+    the check."""
+
+    @staticmethod
+    def assert_mark_matches_check(table: MapTable, in_coords, out_coords):
+        presorted = all(
+            not np.any(np.diff(coords_to_keys(c)) < 0)
+            for c in (in_coords, out_coords)
+        )
+        nonempty = len(in_coords) and len(out_coords) and table.kernel_volume
+        marked = "weight" in table._sorted
+        assert marked == bool(presorted and nonempty)
+        checked = MapTable(table.in_idx, table.out_idx, table.weight_idx,
+                           table.kernel_volume).sorted_by(by="weight")
+        got = table.sorted_by(by="weight")
+        assert got is not table  # a self-memo is a cycle only gc frees
+        assert_same_rows(got, checked)
+        if marked and table.n_maps:
+            for name in ("in_idx", "out_idx", "weight_idx"):
+                assert np.shares_memory(getattr(got, name), getattr(table, name))
+
+    @given(pair=cloud_pairs(), ksize=st.integers(1, 3),
+           stride=st.integers(1, 4), ordered=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_mark_equals_check(self, pair, ksize, stride, ordered):
+        """Sorted, shuffled and duplicated clouds; ``ordered`` puts both
+        in key order, duplicates included."""
+        in_coords, out_coords = pair
+        if ordered:
+            in_coords, out_coords = key_order(in_coords), key_order(out_coords)
+        table = kernel_map_mergesort(
+            in_coords, out_coords, offsets=kernel_offsets(ksize, 3) * stride
+        )
+        self.assert_mark_matches_check(table, in_coords, out_coords)
+
+    @given(drawn=aligned_clouds(), strided=st.booleans(),
+           ordered=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_mark_equals_check_on_key_structure_paths(self, drawn, strided,
+                                                      ordered):
+        """The column and parent shortcuts and their fallbacks."""
+        s, cloud = drawn
+        if ordered:
+            cloud = key_order(cloud)
+        if strided:
+            out = np.unique(np.floor_divide(cloud, 2 * s) * 2 * s, axis=0)
+            out, offsets = out.reshape(-1, 3), kernel_offsets(2) * s
+        else:
+            out, offsets = cloud, kernel_offsets(3) * s
+        table = rows_or_error(kernel_map_mergesort, cloud, out, offsets=offsets)
+        if table is not None:
+            self.assert_mark_matches_check(table, cloud, out)
+
+    def test_voxelized_maps_are_marked(self, small_tensor):
+        parents = small_tensor.downsample(2)
+        for out, ksize in ((small_tensor, 3), (parents, 2)):
+            table = kernel_map_mergesort(small_tensor.coords, out.coords,
+                                         kernel_size=ksize)
+            assert "weight" in table._sorted
+            self.assert_mark_matches_check(table, small_tensor.coords,
+                                           out.coords)
+
+
 edge_values = (
     st.integers(-EDGE, -EDGE + 2)
     | st.integers(EDGE - 3, EDGE - 1)

@@ -18,7 +18,7 @@ declares ``coords_only_mapping`` (the SparseConv models and PointNet++(c),
 import pytest
 
 from repro.cluster import EngineCluster
-from repro.engine import SimRequest, run_cold
+from repro.engine import SimRequest, SimulationEngine, run_cold
 from repro.engine.backends import backend_names
 from repro.stream import FrameSequence, SequenceConfig, StreamSession
 
@@ -111,9 +111,12 @@ def test_geometry_only_equals_full_functional(sequence, duplicated_source):
 
 
 def test_warm_second_pass_still_bit_identical(sequence, oracles):
-    """Replaying the sequence on a hot session (maps cached, trace memo
-    full) must still match the oracle."""
-    session = StreamSession(sequence, "PointNet++(c)", scale=0.25)
+    """Replaying the sequence on a hot session (trace store full, every
+    trace with its report) must still match the oracle.  A session-built
+    store keeps one trace, so the session is given an engine with a
+    default store."""
+    session = StreamSession(sequence, "PointNet++(c)", scale=0.25,
+                            engine=SimulationEngine(backends=("pointacc",)))
     session.run(N_FRAMES)
     session._next_frame = 0  # rewind: same frames, hot caches
     _assert_stream_matches(session, oracles["PointNet++(c)"])

@@ -282,9 +282,18 @@ class TestCommands:
         assert main(["trace-report", str(trace),
                      "--ledger-file", str(ledger)]) == 0
         out = capsys.readouterr().out
-        assert f"ledger {ledger}: 0 event(s)" in out
-        assert "no evictions (every entry stayed resident)" in out
+        # The session's store keeps one trace: frame 1's build evicts
+        # frame 0's, and the report joins the eviction to frame 1.
+        (event,) = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert (event["kind"], event["tier"], event["frame"]) == (
+            "eviction", "memory", "f1")
+        assert f"ledger {ledger}: 1 event(s)" in out
+        assert "evictions by tier:" in out
         assert "top 2 slow frame(s):" in out
+        slow = out.split("top 2 slow frame(s):")[1].split(f"ledger {ledger}")[0]
+        evicted = {block.split(",")[0]: "evicted entries: 1" in block
+                   for block in slow.split("  frame(")[1:]}
+        assert evicted == {"index=0": False, "index=1": True}
 
     def test_trace_diff_cli_self_diff(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
