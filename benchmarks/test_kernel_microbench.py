@@ -72,7 +72,7 @@ def test_knn_speed(benchmark, lidar_points):
         return (knn_indices(queries, lidar_points, 32),
                 knn_indices(dense, centroids, 3))
 
-    (idx, _), (fp_idx, _) = benchmark(both)
+    idx, fp_idx = benchmark(both)
     assert idx.shape == (512, 32)
     assert fp_idx.shape == (4096, 3)
 
@@ -84,6 +84,30 @@ def test_ball_query_speed(benchmark, lidar_points):
     centroids = points[::4]
     idx = benchmark(ball_query_indices, centroids, points, 0.1, 32)
     assert idx.shape == (1024, 32)
+
+
+@pytest.fixture(scope="module")
+def duplicate_points(lidar_points):
+    """The first 4k lidar points with every third one repeated: ties
+    everywhere, so rows the cell index cannot settle go to the one GEMM
+    (and a call whose blocks are that dense never indexes)."""
+    points = lidar_points[:4096]
+    return np.concatenate([points, points[::3]])
+
+
+def test_knn_with_duplicates_speed(benchmark, duplicate_points):
+    """fp1's shape on a duplicate-laden cloud: the cost of the fallback
+    (no floor; it stays visible in the benchmark table)."""
+    centroids = duplicate_points[::4]
+    idx = benchmark(knn_indices, duplicate_points, centroids, 3)
+    assert idx.shape == (len(duplicate_points), 3)
+
+
+def test_ball_query_with_duplicates_speed(benchmark, duplicate_points):
+    """sa1's shape on a duplicate-laden cloud (no floor, as above)."""
+    centroids = duplicate_points[::4]
+    idx = benchmark(ball_query_indices, centroids, duplicate_points, 0.1, 32)
+    assert idx.shape == (len(centroids), 32)
 
 
 def test_streaming_merger_speed(benchmark):

@@ -121,10 +121,10 @@ class MPUPipeline:
         trace = StageTrace()
         n_ref = len(references)
         result = np.empty((len(queries), min(k, n_ref)), dtype=np.int64)
-        # One distance matrix on the operands knn_indices uses, so every
-        # distance is bit-equal to the reference's.  Each key is the exact
-        # distance's rank among all distances, then the index: ties break
-        # by index, and no two distinct distances share a key.
+        # The one-GEMM distance matrix knn_indices' answer is defined on,
+        # so every distance is bit-equal to the reference's.  Each key is
+        # the exact distance's rank among all distances, then the index:
+        # ties break by index, and no two distinct distances share a key.
         sq = pairwise_squared_distance(
             np.asarray(queries, dtype=np.float64),
             np.asarray(references, dtype=np.float64),
@@ -184,7 +184,7 @@ class MPUPipeline:
 
     def verify_knn(self, queries, references, k) -> bool:
         got, _ = self.knn(queries, references, k)
-        ref, _ = knn_indices(queries, references, k)
+        ref = knn_indices(queries, references, k)
         return np.array_equal(got, ref[:, : got.shape[1]])
 
     def verify_fps(self, points, n_samples) -> bool:

@@ -44,7 +44,7 @@ class EdgeConv:
         if c != self.c_in:
             raise ValueError(f"{self.name}: expected {self.c_in} channels, got {c}")
         k = min(self.k, n)
-        idx, _ = knn_indices(features, features, k)
+        idx = knn_indices(features, features, k)
         if trace is not None:
             trace.record(
                 LayerSpec(

@@ -118,10 +118,16 @@ def three_nn_interpolate(
     source_features: np.ndarray,
     eps: float = 1e-8,
 ) -> np.ndarray:
-    """Inverse-distance weighted 3-NN interpolation (PointNet++ FP layer)."""
-    from ..mapping.knn import knn_indices
+    """Inverse-distance weighted 3-NN interpolation (PointNet++ FP layer).
 
-    idx, sq_dist = knn_indices(target_points, source_points, k=3)
+    The weights read the one-GEMM squared distances of the picks
+    (:func:`~repro.pointcloud.coords.squared_distances_at`), the values
+    the neighbours are ranked by; a ghost never builds that GEMM.
+    """
+    from ..mapping.knn import knn_indices
+    from ..pointcloud.coords import squared_distances_at
+
+    idx = knn_indices(target_points, source_points, k=3)
     if is_ghost(source_features):
         # The neighbour search above is mapping and runs on coordinates
         # either way; only the weighted gather is feature arithmetic.
@@ -131,6 +137,7 @@ def three_nn_interpolate(
                 f"{len(source_points)} source points"
             )
         return GhostFeatures(len(target_points), source_features.shape[1])
+    sq_dist = squared_distances_at(target_points, source_points, idx)
     weights = 1.0 / (sq_dist + eps)
     weights = weights / weights.sum(axis=1, keepdims=True)
     gathered = source_features[idx]  # (N, 3, C)

@@ -16,13 +16,15 @@ from repro.mapping import (
     knn_indices,
     random_sampling,
 )
+from repro.pointcloud.coords import squared_distances_at
 
 
 class TestKnnBoundaries:
     def test_k_greater_than_n_ref_pads_with_nearest(self):
         queries = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         refs = np.array([[1.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
-        idx, dist = knn_indices(queries, refs, k=5)
+        idx = knn_indices(queries, refs, k=5)
+        dist = squared_distances_at(queries, refs, idx)
         assert idx.shape == dist.shape == (2, 5)
         # First k_eff columns are the real neighbors, distance-ascending...
         assert idx[0, :2].tolist() == [0, 1]
@@ -34,18 +36,20 @@ class TestKnnBoundaries:
     def test_k_equals_n_ref_has_no_padding(self):
         queries = np.zeros((1, 3))
         refs = np.array([[1.0, 0, 0], [2.0, 0, 0]])
-        idx, _ = knn_indices(queries, refs, k=2)
+        idx = knn_indices(queries, refs, k=2)
         assert idx[0].tolist() == [0, 1]
 
     def test_equidistant_ties_break_toward_lower_index(self):
         queries = np.zeros((1, 3))
         refs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0]])  # all r=1
-        idx, dist = knn_indices(queries, refs, k=3)
+        idx = knn_indices(queries, refs, k=3)
+        dist = squared_distances_at(queries, refs, idx)
         assert idx[0].tolist() == [0, 1, 2]
         assert np.allclose(dist, 1.0)
 
     def test_single_reference_single_query(self):
-        idx, dist = knn_indices(np.zeros((1, 3)), np.ones((1, 3)), k=3)
+        idx = knn_indices(np.zeros((1, 3)), np.ones((1, 3)), k=3)
+        dist = squared_distances_at(np.zeros((1, 3)), np.ones((1, 3)), idx)
         assert idx[0].tolist() == [0, 0, 0]
         assert np.allclose(dist, 3.0)
 
@@ -128,14 +132,16 @@ class TestOwnershipContracts:
 
     def test_results_are_owned_not_views(self, points):
         selected = farthest_point_sampling(points, 8)
-        idx, dist = knn_indices(points[:10], points, 4)
+        idx = knn_indices(points[:10], points, 4)
+        dist = squared_distances_at(points[:10], points, idx)
         ball = ball_query_indices(points[:10], points, 0.8, 4)
         for arr in (selected, idx, dist, ball):
             assert arr.base is None, "mapping op returned a view"
             assert not np.shares_memory(arr, points)
 
     def test_knn_owned_even_when_padded(self, points):
-        idx, dist = knn_indices(points[:4], points[:2], k=6)
+        idx = knn_indices(points[:4], points[:2], k=6)
+        dist = squared_distances_at(points[:4], points[:2], idx)
         assert idx.base is None and dist.base is None
 
     def test_mutating_one_result_does_not_affect_another(self, points):

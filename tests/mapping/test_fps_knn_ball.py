@@ -11,7 +11,10 @@ from repro.mapping import (
     knn_maps,
     random_sampling,
 )
-from repro.pointcloud.coords import pairwise_squared_distance
+from repro.pointcloud.coords import (
+    pairwise_squared_distance,
+    squared_distances_at,
+)
 
 
 class TestFPS:
@@ -81,7 +84,8 @@ class TestKNN:
     def test_matches_naive(self, rng):
         q = rng.random((15, 3))
         r = rng.random((40, 3))
-        idx, dist = knn_indices(q, r, 5)
+        idx = knn_indices(q, r, 5)
+        dist = squared_distances_at(q, r, idx)
         sq = pairwise_squared_distance(q, r)
         for row in range(15):
             naive = np.lexsort((np.arange(40), sq[row]))[:5]
@@ -91,19 +95,20 @@ class TestKNN:
     def test_distances_ascending(self, rng):
         q = rng.random((10, 3))
         r = rng.random((100, 3))
-        _, dist = knn_indices(q, r, 8)
+        dist = squared_distances_at(q, r, knn_indices(q, r, 8))
         assert np.all(np.diff(dist, axis=1) >= 0)
 
     def test_pads_when_too_few_references(self, rng):
         q = rng.random((4, 3))
         r = rng.random((3, 3))
-        idx, _ = knn_indices(q, r, 5)
+        idx = knn_indices(q, r, 5)
         assert idx.shape == (4, 5)
         assert np.array_equal(idx[:, 3], idx[:, 0])
 
     def test_self_query_returns_self_first(self, rng):
         pts = rng.random((30, 3))
-        idx, dist = knn_indices(pts, pts, 3)
+        idx = knn_indices(pts, pts, 3)
+        dist = squared_distances_at(pts, pts, idx)
         assert np.array_equal(idx[:, 0], np.arange(30))
         assert np.allclose(dist[:, 0], 0.0)
 
@@ -154,7 +159,8 @@ class TestBallQuery:
         """Ball query = kNN restricted to the radius (paper Table 1)."""
         q = rng.random((12, 3))
         r = rng.random((100, 3))
-        knn_idx, knn_dist = knn_indices(q, r, 16)
+        knn_idx = knn_indices(q, r, 16)
+        knn_dist = squared_distances_at(q, r, knn_idx)
         bq_idx = ball_query_indices(q, r, 0.3, 16)
         for row in range(12):
             within = set(knn_idx[row][knn_dist[row] <= 0.09].tolist())

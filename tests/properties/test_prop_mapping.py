@@ -16,6 +16,7 @@ from repro.pointcloud.coords import (
     keys_to_coords,
     pairwise_squared_distance,
     quantize,
+    squared_distances_at,
     unique_coords,
 )
 
@@ -88,7 +89,8 @@ def test_fps_unique_and_greedy(points, m):
 @settings(max_examples=40, deadline=None)
 def test_knn_distances_sorted_and_minimal(points, k):
     queries = points[: min(5, len(points))]
-    idx, dist = knn_indices(queries, points, k)
+    idx = knn_indices(queries, points, k)
+    dist = squared_distances_at(queries, points, idx)
     # Real columns ascend; padding repeats the nearest neighbor, so only
     # the first k_eff columns carry the ordering guarantee.
     k_eff = min(k, len(points))

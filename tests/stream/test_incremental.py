@@ -1,7 +1,8 @@
 """Neighbour search on stream-like clouds: exact, bit for bit.
 
-Streams rank every frame whole: each kNN and ball-query call selects the
-k nearest from row blocks of one distance matrix.  For random clouds of
+Streams rank every frame whole: each kNN and ball-query call answers on
+the whole cloud, from a cell index or from rows of one distance matrix.
+For random clouds of
 several densities, duplicate points, fewer references than k, isolated
 queries, tiny clouds and feature-space graphs, every answer must equal
 the ``*_bruteforce`` reference — indices, distances, padding — on a first
@@ -46,7 +47,9 @@ class TestKnnExact:
         queries, references = _clouds(rng, span=span)
         expect_idx, expect_dist = knn_bruteforce(queries, references, 8)
         for _ in range(1 + repeats):
-            got_idx, got_dist = knn_indices(queries, references, 8)
+            got_idx = knn_indices(queries, references, 8)
+            got_dist = coords.squared_distances_at(queries, references,
+                                                   got_idx)
             assert np.array_equal(expect_idx, got_idx)
             assert np.array_equal(expect_dist, got_dist)
 
@@ -58,9 +61,11 @@ class TestKnnExact:
         expect = knn_bruteforce(queries, queries, 4)
         first = knn_indices(queries, queries, 4)
         again = knn_indices(queries, queries, 4)
-        assert np.array_equal(expect[0], first[0])
-        assert np.array_equal(expect[0], again[0])
-        assert np.array_equal(expect[1], again[1])
+        assert np.array_equal(expect[0], first)
+        assert np.array_equal(expect[0], again)
+        assert np.array_equal(expect[1],
+                              coords.squared_distances_at(queries, queries,
+                                                          again))
 
     def test_k_larger_than_references_falls_back(self, rng):
         """Fewer references than k: every row repeats its nearest."""
@@ -68,9 +73,9 @@ class TestKnnExact:
         references = rng.uniform(0, 8, (5, 3))
         expect = knn_indices(queries, references, 9)
         got = knn_indices(queries, references, 9)
-        assert np.array_equal(expect[0], got[0])
-        assert np.array_equal(knn_bruteforce(queries, references, 9)[0], got[0])
-        assert np.all(got[0][:, 5:] == got[0][:, :1])
+        assert np.array_equal(expect, got)
+        assert np.array_equal(knn_bruteforce(queries, references, 9)[0], got)
+        assert np.all(got[:, 5:] == got[:, :1])
 
 
 class TestBallQueryExact:
@@ -107,12 +112,12 @@ class TestGatingAndStats:
     def test_small_clouds_pass_through(self, rng):
         queries, references = _clouds(rng, n_q=50, n_r=50)
         got = knn_indices(queries, references, 3)
-        assert np.array_equal(knn_bruteforce(queries, references, 3)[0], got[0])
+        assert np.array_equal(knn_bruteforce(queries, references, 3)[0], got)
 
     def test_feature_space_knn_passes_through(self, rng):
         features = rng.normal(size=(300, 16))  # DGCNN-style feature graph
         got = knn_indices(features, features, 4)
-        assert np.array_equal(knn_bruteforce(features, features, 4)[0], got[0])
+        assert np.array_equal(knn_bruteforce(features, features, 4)[0], got)
 
     def test_fps_passes_through(self, rng):
         points = rng.normal(size=(300, 3))
